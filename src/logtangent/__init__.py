@@ -32,9 +32,9 @@ from .groebner import (
     syzygy_basis,
 )
 from .hilbert import (
+    ConsistencyError,
     HilbertData,
     dimension_degree,
-    hilbert_of_cokernel,
     hilbert_of_ideal_quotient,
     hilbert_of_quotient,
     linear_hilbert_polynomial,
@@ -51,11 +51,8 @@ from .poly import ParseError, Polynomial, PolyRing
 from .resolution import (
     BettiTable,
     FreeResolution,
-    graded_pdim,
     minimal_generators,
     module_dual,
-    prune_presentation,
-    resolve_cokernel,
     resolve_ideal,
     resolve_submodule,
     verify_lifting,
@@ -64,11 +61,10 @@ from .sequences import (
     DependentSequenceError,
     NonNormalSequenceError,
     Sequence,
+    SmallCharacteristicError,
     canonical_syzygies,
-    check_normal,
     constant_kernel_dimension,
     jacobian_minors,
-    tangent_module,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -64,7 +64,6 @@ def bourbaki_data(
     if report.free:
         return None
     res = report.resolution
-    assert res is not None and res.gens is not None
     choices = minimal_generator_choices(report)
     idx = choices[0] if generator_index is None else generator_index
     if idx not in choices:

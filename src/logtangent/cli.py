@@ -7,8 +7,8 @@ their invariants.
 
 Exit codes are part of the contract so CI can tell input problems from
 mathematical anomalies: 0 success, 2 dependent/non-normal/unparseable
-input, 3 Bourbaki extraction failure, 4 constraint violation under
-``--validate``, 1 corpus mismatch.
+input or a characteristic p <= the largest degree, 3 Bourbaki extraction
+failure, 4 constraint violation under ``--validate``, 1 corpus mismatch.
 """
 
 from __future__ import annotations
@@ -195,6 +195,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_corpus(args) -> int:
     field = args.field
+    ring = PolyRing(QQ, 4)
+    top = max(ring.parse(text).degree for fx in FIXTURES for text in (fx.f, fx.g))
+    if 0 < field.characteristic <= top:
+        print(f"error: the corpus needs characteristic 0 or a prime above {top}")
+        return 2
     failures = 0
     name_width = max(len(fx.name) for fx in FIXTURES)
     for result in run_corpus(field):
@@ -304,6 +309,8 @@ def main(argv=None) -> int:
             PrimeField(args.fp)
         except ValueError as exc:
             parser.error(str(exc))
+        if args.fp <= max(args.df, args.dg) + 1:
+            parser.error("--fp must exceed the largest degree max(df, dg) + 1")
     return args.func(args)
 
 

@@ -69,11 +69,6 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
 
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return Fraction(a) / b
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -121,9 +116,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

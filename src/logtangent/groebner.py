@@ -30,6 +30,9 @@ from .modules import FreeModule, Vector
 from .poly import Polynomial
 
 
+MAX_SATURATION_ROUNDS = 64
+
+
 class SaturationLimitError(RuntimeError):
     """Saturation failed to stabilize within the iteration cap."""
 
@@ -286,10 +289,6 @@ def _interreduce_terms(G, field):
 # public module-level API
 
 
-def default_order(module: FreeModule) -> ModuleOrder:
-    return ModuleOrder(module.twists)
-
-
 def leading_position(v: Vector, order: ModuleOrder) -> tuple[int, tuple[int, ...]]:
     """(component, exponents) of the leading term of v under the order."""
     terms = _vector_to_terms(v, order)
@@ -298,7 +297,7 @@ def leading_position(v: Vector, order: ModuleOrder) -> tuple[int, tuple[int, ...
     return _decode(terms[0][0])
 
 
-def groebner_basis(gens: Sequence[Vector], order: ModuleOrder | None = None) -> list[Vector]:
+def groebner_basis(gens: Sequence[Vector]) -> list[Vector]:
     """Reduced monic Groebner basis of the submodule generated by gens."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -309,21 +308,19 @@ def groebner_basis(gens: Sequence[Vector], order: ModuleOrder | None = None) -> 
             raise ValueError("generators live in different modules")
         if not g.is_homogeneous():
             raise ValueError("generators must be homogeneous")
-    if order is None:
-        order = default_order(module)
+    order = ModuleOrder(module.twists)
     field = module.ring.field
     inputs = [_vector_to_terms(g, order) for g in gens]
     basis = _buchberger_terms(inputs, field, rank1=(module.rank == 1))
     return [_terms_to_vector(module, terms) for terms in basis]
 
 
-def normal_form(v: Vector, basis: Sequence[Vector], order: ModuleOrder | None = None) -> Vector:
+def normal_form(v: Vector, basis: Sequence[Vector]) -> Vector:
     """Normal form of v against a Groebner basis of its parent module."""
     if basis:
         if basis[0].module != v.module:
             raise ValueError("vector and basis live in different modules")
-    if order is None:
-        order = default_order(v.module)
+    order = ModuleOrder(v.module.twists)
     field = v.module.ring.field
     by_comp = _index_by_comp(
         [_vector_to_terms(g, order) for g in basis if not g.is_zero()]
@@ -332,13 +329,12 @@ def normal_form(v: Vector, basis: Sequence[Vector], order: ModuleOrder | None = 
     return _terms_to_vector(v.module, r)
 
 
-def spoly_reduces_to_zero(basis: Sequence[Vector], order: ModuleOrder | None = None) -> bool:
+def spoly_reduces_to_zero(basis: Sequence[Vector]) -> bool:
     """Check the Groebner property directly: all S-pairs reduce to zero."""
     if not basis:
         return True
     module = basis[0].module
-    if order is None:
-        order = default_order(module)
+    order = ModuleOrder(module.twists)
     field = module.ring.field
     terms = [_vector_to_terms(g, order) for g in basis]
     by_comp = _index_by_comp(terms)
@@ -352,25 +348,11 @@ def spoly_reduces_to_zero(basis: Sequence[Vector], order: ModuleOrder | None = N
 
 
 class Submodule:
-    """Generators of a graded submodule with a cached reduced Groebner basis."""
+    """Nonzero generators of a graded submodule of a free module."""
 
     def __init__(self, module: FreeModule, gens: Sequence[Vector]):
         self.module = module
         self.gens = tuple(g for g in gens if not g.is_zero())
-        self._gb: list[Vector] | None = None
-
-    def groebner(self) -> list[Vector]:
-        if self._gb is None:
-            self._gb = groebner_basis(self.gens)
-        return self._gb
-
-    def contains(self, v: Vector) -> bool:
-        return normal_form(v, self.groebner()).is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, Submodule) or other.module != self.module:
-            return NotImplemented
-        return self.groebner() == other.groebner()
 
     def __repr__(self):
         return f"Submodule({len(self.gens)} gens of {self.module!r})"
@@ -415,12 +397,9 @@ def module_gb_and_syzygies(
 
     inputs = []
     for i, g in enumerate(gens):
-        terms = []
-        for comp, p in enumerate(g.entries):
-            for exps, c in p.terms:
-                terms.append((order.key(comp, exps), c))
+        # the marker term sits in the lower block, so it stays last
+        terms = _vector_to_terms(g, order)
         terms.append((order.key(k + i, ring._zero_exps), field.one))
-        terms.sort(key=lambda t: t[0], reverse=True)
         inputs.append(terms)
 
     basis = _buchberger_terms(inputs, field, rank1=False)
@@ -483,14 +462,9 @@ def ideal_groebner(ring, polys: Sequence[Polynomial]) -> list[Polynomial]:
     return [v.entries[0] for v in gb]
 
 
-def ideal_normal_form(ring, p: Polynomial, gb: Sequence[Polynomial]) -> Polynomial:
-    module = _ideal_module(ring)
-    v = normal_form(Vector(module, (p,)), _as_vectors(ring, gb))
-    return v.entries[0]
-
-
 def ideal_contains(ring, gb: Sequence[Polynomial], p: Polynomial) -> bool:
-    return ideal_normal_form(ring, p, gb).is_zero()
+    module = _ideal_module(ring)
+    return normal_form(Vector(module, (p,)), _as_vectors(ring, gb)).is_zero()
 
 
 def ideal_equals(ring, a: Sequence[Polynomial], b: Sequence[Polynomial]) -> bool:
@@ -541,9 +515,7 @@ def ideal_intersection(
     return out
 
 
-def saturate_ideal(
-    ring, gens: Sequence[Polynomial], max_rounds: int = 64
-) -> list[Polynomial]:
+def saturate_ideal(ring, gens: Sequence[Polynomial]) -> list[Polynomial]:
     """Saturation with respect to the irrelevant ideal (all variables).
 
     Iterates I -> (I : (x0,...,x_{n-1})) until it stabilizes; the result is
@@ -553,7 +525,7 @@ def saturate_ideal(
     current = ideal_groebner(ring, gens)
     if not current:
         return []
-    for _ in range(max_rounds):
+    for _ in range(MAX_SATURATION_ROUNDS):
         quotient: list[Polynomial] | None = None
         for i in range(ring.nvars):
             step = ideal_colon(ring, current, ring.variable(i))
@@ -565,7 +537,9 @@ def saturate_ideal(
         if all(ideal_contains(ring, current, p) for p in quotient):
             return current
         current = ideal_groebner(ring, quotient)
-    raise SaturationLimitError(f"saturation did not stabilize in {max_rounds} rounds")
+    raise SaturationLimitError(
+        f"saturation did not stabilize in {MAX_SATURATION_ROUNDS} rounds"
+    )
 
 
 def minor(matrix: Sequence[Sequence[Polynomial]], rows, cols) -> Polynomial:

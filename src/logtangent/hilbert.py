@@ -25,6 +25,10 @@ from .modules import FreeModule, Vector
 from .poly import Polynomial, monomial_divides, monomials_of_degree
 
 
+class ConsistencyError(RuntimeError):
+    """Two independent computations of the same quantity disagree."""
+
+
 def _minimalize_monomials(gens: set[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
     kept = []
     for m in sorted(gens, key=lambda e: (sum(e), e)):
@@ -110,6 +114,8 @@ def _laurent_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 
 def _divide_by_one_minus_z(n: dict[int, int]) -> dict[int, int]:
     """Exact quotient N/(1-z); requires N(1) == 0."""
+    if sum(n.values()) != 0:
+        raise ConsistencyError("division by (1-z) is not exact")
     if not n:
         return {}
     lo, hi = min(n), max(n)
@@ -119,7 +125,6 @@ def _divide_by_one_minus_z(n: dict[int, int]) -> dict[int, int]:
         carry += n.get(k, 0)
         if carry:
             out[k] = carry
-    assert sum(n.values()) == 0, "division by (1-z) is not exact"
     return out
 
 
@@ -224,13 +229,6 @@ def hilbert_of_quotient(module: FreeModule, gb: Sequence[Vector]) -> HilbertData
     return hilbert_from_numerator(numerator, module.ring.nvars)
 
 
-def hilbert_of_cokernel(target: FreeModule, columns: Sequence[Vector]) -> HilbertData:
-    from .groebner import groebner_basis
-
-    gb = groebner_basis([c for c in columns if not c.is_zero()])
-    return hilbert_of_quotient(target, gb)
-
-
 def hilbert_of_ideal_quotient(ring, gens: Sequence[Polynomial]) -> HilbertData:
     """Hilbert data of R/I."""
     from .groebner import _as_vectors, groebner_basis
@@ -256,7 +254,8 @@ def linear_hilbert_polynomial(h: HilbertData) -> tuple[int, int]:
         )
     a = h.polynomial[1] if len(h.polynomial) > 1 else Fraction(0)
     b = h.polynomial[0] if h.polynomial else Fraction(0)
-    assert a.denominator == 1 and b.denominator == 1
+    if a.denominator != 1 or b.denominator != 1:
+        raise ConsistencyError(f"Hilbert polynomial {a}*t + {b} is not integral")
     return (int(a), int(b))
 
 

@@ -16,13 +16,14 @@ from fractions import Fraction
 
 from .groebner import annihilator_of_cokernel, ideal_equals, saturate_ideal
 from .hilbert import (
+    ConsistencyError,
     HilbertData,
     dimension_degree,
     hilbert_of_quotient,
     linear_hilbert_polynomial,
 )
 from .poly import Polynomial
-from .resolution import FreeResolution, graded_pdim, resolve_submodule
+from .resolution import FreeResolution, resolve_submodule
 from .sequences import (
     NonNormalSequenceError,
     Sequence,
@@ -100,7 +101,8 @@ def chern_classes(df: int, dg: int, m: int, ch3_q: int) -> tuple[int, int, int]:
     ch3 = Fraction(-(df**3 + dg**3), 6) + ch3_q
     c2 = Fraction(c1 * c1, 2) - ch2
     c3 = 2 * ch3 + c1 * c2 - Fraction(c1**3, 3)
-    assert c2.denominator == 1 and c3.denominator == 1, "Chern classes must be integral"
+    if c2.denominator != 1 or c3.denominator != 1:
+        raise ConsistencyError(f"Chern classes c2 = {c2}, c3 = {c3} are not integral")
     return c1, int(c2), int(c3)
 
 
@@ -122,24 +124,28 @@ def invariants(seq: Sequence, with_schemes: bool = True) -> InvariantReport:
     res = resolve_submodule(analysis.kernel.module, analysis.kernel.gens)
     betti = res.betti()
     exponents = tuple(sorted(betti.exponents))
-    assert exponents, "kernel of an independent pair cannot be zero"
+    if not exponents:
+        raise ConsistencyError("kernel of an independent pair cannot be zero")
     e = exponents[0]
     generator_count = len(exponents)
 
     h0 = constant_kernel_dimension(seq)
     zero_exponents = sum(1 for x in exponents if x == 0)
-    assert h0 == zero_exponents, (
-        f"constant-kernel dimension {h0} disagrees with zero exponents {zero_exponents}"
-    )
+    if h0 != zero_exponents:
+        raise ConsistencyError(
+            f"constant-kernel dimension {h0} disagrees with zero exponents {zero_exponents}"
+        )
 
     c1, c2, c3 = chern_classes(seq.df, seq.dg, m, ch3_q)
-    assert c2 == seq.m0 - m
+    if c2 != seq.m0 - m:
+        raise ConsistencyError(f"c2 = {c2} disagrees with m0 - m = {seq.m0 - m}")
 
     bour = e * (e - seq.d) + seq.m0 - m
     free = bour == 0
-    assert free == (generator_count == 2), (
-        f"degree count {generator_count} inconsistent with Bourbaki degree {bour}"
-    )
+    if free != (generator_count == 2):
+        raise ConsistencyError(
+            f"degree count {generator_count} inconsistent with Bourbaki degree {bour}"
+        )
 
     report = InvariantReport(
         df=seq.df,
@@ -157,7 +163,7 @@ def invariants(seq: Sequence, with_schemes: bool = True) -> InvariantReport:
         c2=c2,
         c3=c3,
         bour=bour,
-        gpdim=graded_pdim(res),
+        gpdim=res.length,
         generator_count=generator_count,
         free=free,
         nearly_free=(bour == 1),

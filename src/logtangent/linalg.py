@@ -31,8 +31,3 @@ def matrix_rank(rows: Sequence[Sequence], field) -> int:
         if rank == len(m):
             break
     return rank
-
-
-def is_invertible(rows: Sequence[Sequence], field) -> bool:
-    n = len(rows)
-    return all(len(r) == n for r in rows) and matrix_rank(rows, field) == n

@@ -35,12 +35,6 @@ class FreeModule:
         entries = tuple(self.ring.one() if j == i else z for j in range(self.rank))
         return Vector(self, entries)
 
-    def element(self, entries: Sequence[Polynomial]) -> "Vector":
-        entries = tuple(entries)
-        if len(entries) != self.rank:
-            raise ValueError(f"expected {self.rank} entries, got {len(entries)}")
-        return Vector(self, entries)
-
     def __eq__(self, other):
         return (
             isinstance(other, FreeModule)

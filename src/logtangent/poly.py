@@ -31,14 +31,6 @@ def monomial_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def monomial_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def monomial_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def monomials_of_degree(nvars: int, degree: int) -> Iterator[tuple[int, ...]]:
     """All exponent tuples of the given total degree, in no particular order."""
     if degree < 0:
@@ -119,33 +111,24 @@ class PolyRing:
         exps = tuple(1 if j == i else 0 for j in range(self.nvars))
         return Polynomial(self, ((exps, self.field.one),))
 
-    def monomial(self, exps: tuple[int, ...], coeff=None) -> "Polynomial":
-        if len(exps) != self.nvars or any(e < 0 for e in exps):
-            raise ValueError(f"bad exponent tuple: {exps}")
-        c = self.field.one if coeff is None else coeff
-        if not c:
-            return self.zero()
-        return Polynomial(self, ((tuple(exps), c),))
-
     def from_int(self, n: int) -> "Polynomial":
         return self.constant(self.field.of(n))
 
     def parse(self, text: str) -> "Polynomial":
         return _parse(self, text)
 
-    def random_homogeneous(self, degree: int, rng, coeff_bound: int | None = None) -> "Polynomial":
+    def random_homogeneous(self, degree: int, rng) -> "Polynomial":
         """Dense random homogeneous polynomial with uniform coefficients.
 
         Over a prime field every coefficient is uniform in [0, p); over the
-        rationals, uniform integers in [-coeff_bound, coeff_bound].
+        rationals, uniform integers in [-9, 9].
         """
         items = []
         for exps in monomials_of_degree(self.nvars, degree):
             if self.field.characteristic:
                 c = self.field.of(rng.randrange(self.field.characteristic))
             else:
-                bound = 9 if coeff_bound is None else coeff_bound
-                c = self.field.of(rng.randint(-bound, bound))
+                c = self.field.of(rng.randint(-9, 9))
             if c:
                 items.append((exps, c))
         return self.poly(items)
@@ -178,29 +161,11 @@ class Polynomial:
         d = sum(self.terms[0][0])
         return all(sum(e) == d for e, _ in self.terms)
 
-    @property
-    def leading_exponents(self) -> tuple[int, ...]:
-        return self.terms[0][0]
-
-    @property
-    def leading_coefficient(self):
-        return self.terms[0][1]
-
     def coefficient(self, exps: tuple[int, ...]):
         for e, c in self.terms:
             if e == exps:
                 return c
         return self.ring.field.zero
-
-    def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        lc = self.terms[0][1]
-        if lc == self.ring.field.one:
-            return self
-        inv = self.ring.field.inv(lc)
-        mul = self.ring.field.mul
-        return Polynomial(self.ring, tuple((e, mul(c, inv)) for e, c in self.terms))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -256,16 +221,6 @@ class Polynomial:
             return self.ring.zero()
         mul = self.ring.field.mul
         return Polynomial(self.ring, tuple((e, mul(coef, c)) for e, coef in self.terms))
-
-    def term_mul(self, exps: tuple[int, ...], c) -> "Polynomial":
-        """Multiply by the single term c * x^exps (order preserving)."""
-        if not c:
-            return self.ring.zero()
-        mul = self.ring.field.mul
-        return Polynomial(
-            self.ring,
-            tuple((monomial_mul(e, exps), mul(coef, c)) for e, coef in self.terms),
-        )
 
     def partial(self, i: int) -> "Polynomial":
         """Formal partial derivative with respect to x_i."""

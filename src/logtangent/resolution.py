@@ -4,8 +4,7 @@ Resolutions are built by iterated syzygy computation with a minimal
 generating set extracted at every homological step (degree-ascending
 membership pruning), which yields the minimal resolution directly: no
 differential can contain a nonzero constant once every step uses minimal
-generators.  Presentations of cokernels are first pruned of unit entries by
-Gaussian elimination so the same invariant holds for them.
+generators.
 
 The resolution length is capped at four, the bound for a polynomial ring in
 four variables; exceeding the cap signals a kernel bug, not bad input.
@@ -51,60 +50,17 @@ def minimal_generators(gens: Sequence[Vector]) -> list[Vector]:
     return kept
 
 
-def prune_presentation(
-    target: FreeModule, columns: Sequence[Vector]
-) -> tuple[FreeModule, list[Vector]]:
-    """Cancel unit entries of a presentation matrix by row/column operations.
-
-    Returns an equivalent presentation of the same cokernel in which every
-    entry lies in the irrelevant maximal ideal.
-    """
-    ring = target.ring
-    twists = list(target.twists)
-    cols = [list(c.entries) for c in columns]
-
-    while True:
-        pivot = None
-        for j, col in enumerate(cols):
-            for i, entry in enumerate(col):
-                if not entry.is_zero() and entry.degree == 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        i, j = pivot
-        pivot_col = cols[j]
-        unit = pivot_col[i]
-        inv = ring.field.inv(unit.leading_coefficient)
-        for l, col in enumerate(cols):
-            if l == j or col[i].is_zero():
-                continue
-            factor = col[i].scaled(inv)
-            cols[l] = [a - b * factor for a, b in zip(col, pivot_col)]
-        del cols[j]
-        for col in cols:
-            del col[i]
-        del twists[i]
-
-    new_target = FreeModule(ring, twists)
-    return new_target, [Vector(new_target, tuple(c)) for c in cols]
-
-
 @dataclass
 class FreeResolution:
     """Chain F_l -> ... -> F_1 -> F_0 with maps recorded as column lists.
 
-    ``gens`` are the images of the F_0 basis: for a resolved submodule these
-    are its minimal generators inside the ambient module; for a resolved
-    cokernel ``gens`` is None and F_0 is the (pruned) presentation target.
+    ``gens`` are the images of the F_0 basis: the minimal generators of the
+    resolved submodule inside its ambient free module.
     """
 
-    ambient: FreeModule | None
     modules: list[FreeModule]
     diffs: list[list[Vector]]
-    gens: list[Vector] | None
+    gens: list[Vector]
 
     @property
     def length(self) -> int:
@@ -117,8 +73,6 @@ class FreeResolution:
         """d_i composed with d_{i+1} vanishes (including the augmentation)."""
         for i, cols in enumerate(self.diffs):
             upstream = self.gens if i == 0 else self.diffs[i - 1]
-            if upstream is None:
-                continue
             for col in cols:
                 if not apply_columns(upstream, col.entries).is_zero():
                     return False
@@ -178,16 +132,12 @@ class BettiTable:
         return "\n".join(lines)
 
 
-def graded_pdim(res: FreeResolution) -> int:
-    return res.length
-
-
 def resolve_submodule(module: FreeModule, gens: Sequence[Vector]) -> FreeResolution:
     """Minimal free resolution of the submodule generated by gens."""
     ring = module.ring
     g0 = minimal_generators(gens)
     if not g0:
-        return FreeResolution(ambient=module, modules=[], diffs=[], gens=[])
+        return FreeResolution(modules=[], diffs=[], gens=[])
     modules = [FreeModule(ring, [g.degree for g in g0])]
     diffs: list[list[Vector]] = []
     current = g0
@@ -201,23 +151,7 @@ def resolve_submodule(module: FreeModule, gens: Sequence[Vector]) -> FreeResolut
         modules.append(FreeModule(ring, [g.degree for g in msyz]))
         diffs.append(msyz)
         current = msyz
-    return FreeResolution(ambient=module, modules=modules, diffs=diffs, gens=g0)
-
-
-def resolve_cokernel(target: FreeModule, columns: Sequence[Vector]) -> FreeResolution:
-    """Minimal free resolution of coker(columns : F -> target)."""
-    pruned_target, pruned_cols = prune_presentation(target, columns)
-    image = resolve_submodule(pruned_target, pruned_cols)
-    if image.gens is not None and not image.gens:
-        return FreeResolution(
-            ambient=None, modules=[pruned_target], diffs=[], gens=None
-        )
-    return FreeResolution(
-        ambient=None,
-        modules=[pruned_target] + image.modules,
-        diffs=[image.gens] + image.diffs,
-        gens=None,
-    )
+    return FreeResolution(modules=modules, diffs=diffs, gens=g0)
 
 
 def module_dual(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .groebner import Submodule, module_gb_and_syzygies
-from .hilbert import dimension_degree
+from .hilbert import ConsistencyError
 from .linalg import matrix_rank
 from .modules import FreeModule, Vector, apply_columns
 from .poly import Polynomial, PolyRing
@@ -23,6 +23,10 @@ NVARS = 4
 
 class DependentSequenceError(ValueError):
     """The two polynomials are algebraically dependent (all Jacobian minors vanish)."""
+
+
+class SmallCharacteristicError(ValueError):
+    """Positive characteristic p <= deg g: derivatives lose terms, answers go wrong."""
 
 
 class NonNormalSequenceError(ValueError):
@@ -61,11 +65,14 @@ class Sequence:
             low, high = self.g, self.f
             object.__setattr__(self, "f", low)
             object.__setattr__(self, "g", high)
+        p = ring.field.characteristic
+        if 0 < p <= self.g.degree:
+            raise SmallCharacteristicError(
+                f"characteristic {p} must exceed deg g = {self.g.degree}"
+            )
 
     @classmethod
     def of(cls, f: Polynomial, g: Polynomial) -> "Sequence":
-        if f.degree is not None and g.degree is not None and f.degree > g.degree:
-            f, g = g, f
         return cls(f, g)
 
     @classmethod
@@ -150,10 +157,8 @@ def canonical_syzygies(seq: Sequence) -> list[Vector]:
     ]
     columns = seq.jacobian_columns()
     for v in vectors:
-        if not v.is_zero():
-            image = apply_columns(columns, v.entries)
-            assert image.is_zero(), "wedge syzygy failed to annihilate the Jacobian"
-    assert any(not v.is_zero() for v in vectors)
+        if not v.is_zero() and not apply_columns(columns, v.entries).is_zero():
+            raise ConsistencyError("wedge syzygy failed to annihilate the Jacobian")
     return vectors
 
 
@@ -178,7 +183,6 @@ def constant_kernel_dimension(seq: Sequence) -> int:
 class JacobianAnalysis:
     """Shared Groebner data of one sequence: image basis and kernel generators."""
 
-    seq: Sequence
     target: FreeModule
     columns: list[Vector]
     image_gb: list[Vector]
@@ -195,23 +199,8 @@ def jacobian_analysis(seq: Sequence) -> JacobianAnalysis:
     )
     kernel = Submodule(source, [Vector(source, v.entries) for v in syz])
     return JacobianAnalysis(
-        seq=seq,
         target=seq.jacobian_target(),
         columns=columns,
         image_gb=image_gb,
         kernel=kernel,
     )
-
-
-def tangent_module(seq: Sequence) -> Submodule:
-    """The syzygy module of the Jacobian matrix as a submodule of R^4."""
-    return jacobian_analysis(seq).kernel
-
-
-def check_normal(seq: Sequence) -> bool:
-    """True when the Jacobian scheme has projective dimension at most one."""
-    if is_dependent(seq):
-        return False
-    minors = [m for m in jacobian_minors(seq).values() if not m.is_zero()]
-    dim, _ = dimension_degree(seq.ring, minors)
-    return dim <= 1

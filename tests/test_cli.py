@@ -114,6 +114,27 @@ def test_corpus_command_exits_1_on_mismatch(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_analyze_small_characteristic_exits_2(capsys):
+    code, out = run_cli(
+        capsys, "analyze", "--f", "x0^2+x3^2", "--g", "x0^3+x1^3+x2^3+x3^3",
+        "--field", "fp:3", "--json",
+    )
+    assert code == 2
+    assert "characteristic 3" in json.loads(out)["error"]
+
+
+def test_corpus_small_characteristic_exits_2_before_any_row(capsys, monkeypatch):
+    import logtangent.cli as cli_mod
+
+    runs = []
+    monkeypatch.setattr(cli_mod, "run_corpus", lambda field: runs.append(field) or [])
+    # the largest fixture degree is 5: fp:5 is refused, fp:7 runs
+    code, out = run_cli(capsys, "corpus", "--field", "fp:5")
+    assert code == 2 and out.startswith("error:") and not runs
+    code, _ = run_cli(capsys, "corpus", "--field", "fp:7")
+    assert code == 0 and len(runs) == 1
+
+
 def test_search_is_deterministic_and_writes_csv(capsys, tmp_path):
     out_path = tmp_path / "rows.csv"
     code1, out1 = run_cli(
@@ -159,6 +180,13 @@ def test_search_rejects_composite_modulus(capsys):
             ["search", "--df", "2", "--dg", "2", "--count", "1", "--seed", "1", "--fp", "32004"]
         )
     assert exc.value.code == 2
+
+
+def test_search_rejects_small_characteristic(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--df", "2", "--dg", "2", "--count", "1", "--seed", "1", "--fp", "3"])
+    assert exc.value.code == 2
+    assert "--fp must exceed" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from logtangent.groebner import (
-    Submodule,
     _as_vectors,
     annihilator_of_cokernel,
     fitting_ideal_0,
@@ -107,10 +106,10 @@ def test_pair_jacobian_syzygy_membership(qq4):
     seq = Sequence.parse(qq4, "2*x1*x3 - x1^2", "3*x2*x3^2 - 3*x0*x1*x3 + x1^3")
     columns = seq.jacobian_columns()
     source = seq.source_module()
-    kernel = Submodule(source, kernel_of_map(columns, source))
+    kernel = kernel_of_map(columns, source)
     v = Vector(source, (qq4.variable(3), qq4.zero(), qq4.variable(1), qq4.zero()))
-    assert kernel.contains(v)
-    degrees = sorted(g.degree for g in kernel.gens)
+    assert normal_form(v, groebner_basis(kernel)).is_zero()
+    degrees = sorted(g.degree for g in kernel)
     assert degrees[0] == 1
 
 
@@ -128,8 +127,8 @@ def test_kernel_of_zero_map_is_everything(qq4):
 def test_kernel_detects_unused_variable(qq4):
     seq = Sequence.parse(qq4, "x0*(x1 - x2)", "x0^3 + x1^3 + x2^3")
     source = seq.source_module()
-    kernel = Submodule(source, kernel_of_map(seq.jacobian_columns(), source))
-    assert kernel.contains(source.basis_vector(3))
+    kernel = kernel_of_map(seq.jacobian_columns(), source)
+    assert normal_form(source.basis_vector(3), groebner_basis(kernel)).is_zero()
 
 
 def test_kernel_rejects_inhomogeneous_matrix(qq4):
@@ -252,7 +251,6 @@ def test_groebner_bases_are_deterministic(fp4):
 
 
 def test_submodule_equality_via_bases(qq4):
-    F = FreeModule(qq4, (0,))
-    a = Submodule(F, vecs(qq4, [qq4.parse("x0"), qq4.parse("x0 + x1")]))
-    b = Submodule(F, vecs(qq4, [qq4.parse("x1"), qq4.parse("x0 - 2*x1")]))
-    assert a == b
+    a = vecs(qq4, [qq4.parse("x0"), qq4.parse("x0 + x1")])
+    b = vecs(qq4, [qq4.parse("x1"), qq4.parse("x0 - 2*x1")])
+    assert groebner_basis(a) == groebner_basis(b)

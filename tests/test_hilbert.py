@@ -6,8 +6,10 @@ from math import comb
 
 import pytest
 
-from logtangent.groebner import _as_vectors, ideal_groebner
+from logtangent.groebner import _as_vectors, groebner_basis, ideal_groebner
 from logtangent.hilbert import (
+    ConsistencyError,
+    HilbertData,
     dimension_degree,
     hilbert_of_ideal_quotient,
     hilbert_of_quotient,
@@ -45,6 +47,13 @@ def test_dimension_degree_of_linear_subspaces(qq4):
     assert dimension_degree(qq4, [qq4.variable(0), qq4.variable(1)]) == (1, 1)
     assert dimension_degree(qq4, [qq4.variable(0)]) == (2, 1)
     assert dimension_degree(qq4, [qq4.one()]) == (-1, 0)
+
+
+def test_non_integral_hilbert_polynomial_raises():
+    half = Fraction(1, 2)
+    h = HilbertData(4, (), (), 2, (half, half), 1)
+    with pytest.raises(ConsistencyError):
+        linear_hilbert_polynomial(h)
 
 
 def test_linear_polynomial_rejects_surfaces(qq4):
@@ -126,10 +135,8 @@ def test_cokernel_with_unit_entries(qq4):
 
 
 def test_hilbert_of_cokernel_matches_quotient_route(qq4):
-    from logtangent.hilbert import hilbert_of_cokernel
-
     seq = Sequence.parse(qq4, "2*x1*x3 - x1^2", "3*x2*x3^2 - 3*x0*x1*x3 + x1^3")
     analysis = jacobian_analysis(seq)
-    direct = hilbert_of_cokernel(analysis.target, analysis.columns)
+    direct = hilbert_of_quotient(analysis.target, groebner_basis(analysis.columns))
     via_image = hilbert_of_quotient(analysis.target, analysis.image_gb)
     assert direct == via_image

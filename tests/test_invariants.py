@@ -1,11 +1,13 @@
 """Invariant reports: values, symmetries, stability, constraint validation."""
 
 import dataclasses
+import importlib
 import random
 
 import pytest
 
 from logtangent.fields import PrimeField
+from logtangent.hilbert import ConsistencyError
 from logtangent.invariants import (
     STABLE,
     STRICTLY_SEMISTABLE,
@@ -15,7 +17,7 @@ from logtangent.invariants import (
     stability_class,
     validate_constraints,
 )
-from logtangent.linalg import is_invertible
+from logtangent.linalg import matrix_rank
 from logtangent.poly import PolyRing
 from logtangent.sequences import (
     DependentSequenceError,
@@ -91,7 +93,7 @@ def test_linear_change_of_coordinates_invariance():
     changes = 0
     while changes < 3:
         mat = [[K.of(rng.randrange(32003)) for _ in range(4)] for _ in range(4)]
-        if not is_invertible(mat, K):
+        if matrix_rank(mat, K) < 4:
             continue
         moved = Sequence.of(seq.f.compose_linear(mat), seq.g.compose_linear(mat))
         rep = invariants(moved, with_schemes=False)
@@ -134,3 +136,12 @@ def test_validator_flags_m_out_of_range(qq4):
 def test_report_slope(qq4):
     rep = invariants(Sequence.parse(qq4, "x0*x1 - x2*x3", "x1*x3*(x0 - x2)"), with_schemes=False)
     assert str(rep.slope) == "-3/2"
+
+
+def test_cross_check_failure_raises_consistency_error(qq4, monkeypatch):
+    # the package attribute ``invariants`` is the function, so fetch the module
+    module = importlib.import_module("logtangent.invariants")
+    monkeypatch.setattr(module, "constant_kernel_dimension", lambda seq: 3)
+    seq = Sequence.parse(qq4, "x0*x1", "x3*x2*(x0 - x1)")
+    with pytest.raises(ConsistencyError, match="constant-kernel dimension 3"):
+        module.invariants(seq, with_schemes=False)

@@ -1,4 +1,4 @@
-"""Minimal resolutions, Betti tables, duals, presentation pruning, lifting."""
+"""Minimal resolutions, Betti tables, duals, lifting."""
 
 import random
 
@@ -8,21 +8,18 @@ from logtangent.groebner import _as_vectors, groebner_basis
 from logtangent.hilbert import hilbert_of_quotient
 from logtangent.modules import FreeModule, Vector
 from logtangent.resolution import (
-    graded_pdim,
     minimal_generators,
     module_dual,
-    prune_presentation,
-    resolve_cokernel,
     resolve_ideal,
     resolve_submodule,
     verify_lifting,
 )
 from logtangent.invariants import invariants
-from logtangent.sequences import Sequence, tangent_module
+from logtangent.sequences import Sequence, jacobian_analysis
 
 
 def resolve_pair(ring, f, g):
-    kernel = tangent_module(Sequence.parse(ring, f, g))
+    kernel = jacobian_analysis(Sequence.parse(ring, f, g)).kernel
     return resolve_submodule(kernel.module, kernel.gens)
 
 
@@ -42,7 +39,7 @@ def test_zero_module_resolution_is_empty(qq4):
 def test_split_pair_resolution(qq4):
     res = resolve_pair(qq4, "x1*(x2^2 - x1^2)", "x3*x2*(x0 - x1)")
     assert res.betti().columns == ((1, 3),)
-    assert graded_pdim(res) == 0
+    assert res.length == 0
 
 
 def test_nearly_free_mixed_resolution_shape(qq4):
@@ -58,7 +55,7 @@ def test_three_generator_pencil_resolution_shape(qq4):
 
 def test_longer_resolution_and_pdim(qq4):
     res = resolve_pair(qq4, "x0*x1^2 + x2^3 + x2^2*x3", "x2*x3*(x2 - x1)")
-    assert graded_pdim(res) == 2
+    assert res.length == 2
     assert res.betti().columns == ((3, 3, 3, 3, 3), (4, 4, 4, 4), (5,))
     assert res.check_complex() and res.is_minimal()
 
@@ -95,27 +92,6 @@ def test_resolution_euler_characteristic_matches_hilbert(qq4):
                 hi = hilbert_of_quotient(mod, [])
                 alt += (-1) ** i * hi.function_value(t)
             assert alt == module_dim
-
-
-def test_prune_presentation_removes_units(qq4):
-    target = FreeModule(qq4, (0, 1))
-    cols = [
-        Vector(target, (qq4.one(), qq4.variable(0))),
-        Vector(target, (qq4.variable(1), qq4.parse("x1^2"))),
-    ]
-    pruned, new_cols = prune_presentation(target, cols)
-    assert pruned.twists == (1,)
-    for col in new_cols:
-        for entry in col.entries:
-            assert entry.is_zero() or entry.degree > 0
-
-
-def test_resolve_cokernel_with_constant_row(qq4):
-    # coker of the Jacobian of (x3, g): the constant gradient row cancels
-    seq = Sequence.parse(qq4, "x3", "x0^3 + x1^3 + x2^3")
-    res = resolve_cokernel(seq.jacobian_target(), seq.jacobian_columns())
-    assert res.is_minimal()
-    assert res.modules[0].rank == 1
 
 
 def test_module_dual_of_twisted_free(qq4):
