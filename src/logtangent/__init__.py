@@ -17,6 +17,7 @@ from .bourbaki import BourbakiData, BourbakiExtractionError, bourbaki_data
 from .fields import QQ, FieldMismatchError, PrimeField, RationalField
 from .groebner import (
     ModuleOrder,
+    PackingOverflowError,
     Submodule,
     annihilator_of_cokernel,
     fitting_ideal_0,

@@ -7,11 +7,14 @@ ascending component index; an optional leading block turns it into an
 elimination order, which is how syzygies, colon ideals, intersections and
 kernels are all computed below.
 
-Internally every term is a pair ``(key, coeff)`` where the key is the full
-order key ``(block, shifted degree, negated-reversed exponents, -component)``.
-Keys compare as plain tuples, monomial multiplication is componentwise
-addition on the exponent part, and divisibility is a pointwise inequality,
-so the hot loops never rebuild tuples per comparison.
+Internally a term is ``(packed, coeff)``: :meth:`ModuleOrder.pack` encodes
+(component, exponents) as one ``int`` whose integer order is the module order
+(block bit, biased shifted degree, ``EXP_MAX - e_i`` with the last variable
+most significant, ``COMP_MAX - component``).  A guard bit above each exponent
+field makes a monomial shift one addition and a divisibility test one masked
+subtraction (Monagan & Pearce, CASC 2007).  Inputs and S-pair lcms that do not
+fit raise :class:`PackingOverflowError`; reduction keeps degrees, so nothing
+else can overflow.  Normal forms use a max-heap plus a coefficient dict.
 
 Pair handling follows Gebauer-Moeller: the chain criterion prunes the pair
 queue on every insertion, and the coprimality criterion is applied in the
@@ -23,28 +26,67 @@ canonical for the given order.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from itertools import combinations
+from operator import itemgetter
 from typing import Sequence
 
+from .hilbert import ConsistencyError
 from .modules import FreeModule, Vector
 from .poly import Polynomial
 
 
 MAX_SATURATION_ROUNDS = 64
 
+# Field widths of a packed term.  Every exponent gets one more bit, a guard
+# bit that stays zero in a packed term.
+EXP_BITS = 8
+DEG_BITS = 10
+COMP_BITS = 10
+EXP_MAX = (1 << EXP_BITS) - 1
+DEG_BIAS = 1 << (DEG_BITS - 1)
+COMP_MAX = (1 << COMP_BITS) - 1
+
 
 class SaturationLimitError(RuntimeError):
     """Saturation failed to stabilize within the iteration cap."""
 
 
+class PackingOverflowError(ValueError):
+    """A term does not fit the field widths of the packed-integer layout."""
+
+
 class ModuleOrder:
-    """Graded TOP order with an optional elimination block of leading components."""
+    """Graded TOP order with an optional elimination block of leading components.
 
-    __slots__ = ("twists", "split")
+    ``key`` gives the order as a tuple; ``pack`` gives it as one integer.
+    """
 
-    def __init__(self, twists: Sequence[int], split: int | None = None):
-        self.twists = tuple(twists)
+    def __init__(self, module: FreeModule, split: int | None = None):
+        self.twists = tuple(module.twists)
         self.split = len(self.twists) if split is None else split
+        low = min(self.twists, default=0)
+        if len(self.twists) > COMP_MAX + 1 or low < -DEG_BIAS:
+            raise PackingOverflowError(
+                f"{len(self.twists)} components with least twist {low} do not pack"
+            )
+        width = EXP_BITS + 1
+        self.shifts = tuple(COMP_BITS + width * i for i in range(module.ring.nvars))
+        self.exp_mask = sum(EXP_MAX << s for s in self.shifts)
+        self.guards = sum(1 << (s + EXP_BITS) for s in self.shifts)
+        # every exponent of a term is at most its shifted degree minus the least twist
+        self.max_sdeg = min(DEG_BIAS - 1, EXP_MAX + low)
+        self._deg_shift = COMP_BITS + width * len(self.shifts)
+        block_bit = 1 << (self._deg_shift + DEG_BITS)
+        # the packed form of the constant term 1 in each component
+        self._base = tuple(
+            (block_bit if comp < self.split else 0)
+            + ((twist + DEG_BIAS) << self._deg_shift)
+            + self.exp_mask
+            + COMP_MAX
+            - comp
+            for comp, twist in enumerate(self.twists)
+        )
 
     def key(self, comp: int, exps: tuple[int, ...]):
         return (
@@ -54,99 +96,88 @@ class ModuleOrder:
             -comp,
         )
 
+    def pack(self, comp: int, exps: tuple[int, ...]) -> int:
+        deg = sum(exps)
+        if deg + self.twists[comp] > self.max_sdeg:
+            raise PackingOverflowError(
+                f"term {exps} in component {comp} exceeds the packed degree bound"
+            )
+        p = self._base[comp] + (deg << self._deg_shift)
+        for e, s in zip(exps, self.shifts):
+            p -= e << s
+        return p
+
+    def unpack(self, p: int) -> tuple[int, tuple[int, ...]]:
+        return COMP_MAX - (p & COMP_MAX), tuple(
+            EXP_MAX - ((p >> s) & EXP_MAX) for s in self.shifts
+        )
+
+
+def _divides(a: int, b: int, order: ModuleOrder) -> bool:
+    """Packed term a divides packed term b, in the same component."""
+    m, g = order.exp_mask, order.guards
+    return not (a ^ b) & COMP_MAX and ((a & m | g) - (b & m)) & g == g
+
 
 # ---------------------------------------------------------------------------
-# encoded-term primitives: term = (key, coeff), key = (block, sdeg, tail, -comp)
-
-
-def _decode(key) -> tuple[int, tuple[int, ...]]:
-    return -key[3], tuple(-t for t in reversed(key[2]))
+# packed-term primitives: term = (packed, coeff)
 
 
 def _vector_to_terms(v: Vector, order: ModuleOrder):
-    terms = []
-    for comp, p in enumerate(v.entries):
-        for exps, c in p.terms:
-            terms.append((order.key(comp, exps), c))
-    terms.sort(key=lambda t: t[0], reverse=True)
+    pack = order.pack
+    terms = [
+        (pack(comp, exps), c)
+        for comp, p in enumerate(v.entries)
+        for exps, c in p.terms
+    ]
+    terms.sort(key=itemgetter(0), reverse=True)
     return terms
 
 
-def _terms_to_vector(module: FreeModule, terms) -> Vector:
-    buckets: dict[int, list] = {}
-    for key, c in terms:
-        comp, exps = _decode(key)
-        buckets.setdefault(comp, []).append((exps, c))
-    entries = tuple(
-        module.ring.poly(buckets[i]) if i in buckets else module.ring.zero()
-        for i in range(module.rank)
-    )
-    return Vector(module, entries)
+def _terms_to_vector(module: FreeModule, order: ModuleOrder, terms, first=0) -> Vector:
+    """Vector of module from terms whose components start at index first."""
+    buckets: list[list] = [[] for _ in range(module.rank)]
+    for p, c in terms:
+        comp, exps = order.unpack(p)
+        buckets[comp - first].append((exps, c))
+    # within a component the module order is grevlex, so each bucket is sorted
+    return Vector(module, tuple(Polynomial(module.ring, tuple(b)) for b in buckets))
 
 
-def _shift_terms(terms, du: int, utail: tuple[int, ...], c, field):
-    """c * x^u * terms, with u given by its degree and tail; keeps the sort."""
-    mul = field.mul
+def _normal_form_terms(terms, reducers_by_comp, order: ModuleOrder, field):
+    """Full normal form against monic reducers indexed by leading component.
+
+    The largest pending term is reduced by the first reducer, in insertion
+    order, whose lead divides it.  A key enters the heap once: every term a
+    reduction adds is smaller than the one it removes.
+    """
+    acc = dict(terms)
+    heap = [-p for p in acc]
+    heapify(heap)
     out = []
-    for (block, sdeg, tail, negcomp), coef in terms:
-        nt = tuple(a + b for a, b in zip(tail, utail))
-        out.append(((block, sdeg + du, nt, negcomp), mul(coef, c)))
-    return out
-
-
-def _merge(a, b, field):
-    """Sum of two sorted term lists, dropping cancellations."""
-    out = []
-    i, j, na, nb = 0, 0, len(a), len(b)
-    add = field.add
-    while i < na and j < nb:
-        ka, va = a[i]
-        kb, vb = b[j]
-        if ka == kb:
-            s = add(va, vb)
-            if s:
-                out.append((ka, s))
-            i += 1
-            j += 1
-        elif ka > kb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return out
-
-
-def _tail_divides(lead_tail: tuple[int, ...], tail: tuple[int, ...]) -> bool:
-    # tails are negated exponents: divisibility flips the inequality
-    for a, b in zip(lead_tail, tail):
-        if a < b:
-            return False
-    return True
-
-
-def _normal_form_terms(terms, reducers_by_comp, field):
-    """Full normal form against monic reducers indexed by leading component."""
-    out = []
-    cur = list(terms)
-    neg = field.neg
-    while cur:
-        key, c = cur[0]
-        hit = None
-        for lead_key, body in reducers_by_comp.get(key[3], ()):
-            if _tail_divides(lead_key[2], key[2]):
-                hit = (lead_key, body)
+    add, mul, neg = field.add, field.mul, field.neg
+    exp_mask, guards = order.exp_mask, order.guards
+    while heap:
+        p = -heappop(heap)
+        c = acc.pop(p)
+        if not c:
+            continue
+        exps = p & exp_mask
+        for guarded, lead, tail in reducers_by_comp.get(p & COMP_MAX, ()):
+            if (guarded - exps) & guards == guards:
                 break
-        if hit is None:
-            out.append(cur[0])
-            cur = cur[1:]
         else:
-            lead_key, body = hit
-            du = key[1] - lead_key[1]
-            utail = tuple(a - b for a, b in zip(key[2], lead_key[2]))
-            cur = _merge(cur, _shift_terms(body, du, utail, neg(c), field), field)
+            out.append((p, c))
+            continue
+        shift = p - lead
+        c = neg(c)
+        for q, qc in tail:
+            q += shift
+            if q in acc:
+                acc[q] = add(acc[q], mul(qc, c))
+            else:
+                acc[q] = mul(qc, c)
+                heappush(heap, -q)
     return out
 
 
@@ -155,20 +186,33 @@ def _monic_terms(terms, field):
     if lc == field.one:
         return terms
     inv = field.inv(lc)
-    mul = field.mul
-    return [(k, mul(c, inv)) for k, c in terms]
+    return [(k, field.mul(c, inv)) for k, c in terms]
 
 
-def _index_by_comp(basis):
+def _index_reducer(by_comp, terms, order: ModuleOrder):
+    """Append a monic term list to the reducer index, keyed by its component."""
+    lead = terms[0][0]
+    guarded = lead & order.exp_mask | order.guards
+    by_comp.setdefault(lead & COMP_MAX, []).append((guarded, lead, terms[1:]))
+
+
+def _index_by_comp(basis, order: ModuleOrder):
     by_comp: dict[int, list] = {}
     for terms in basis:
-        key = terms[0][0]
-        by_comp.setdefault(key[3], []).append((key, terms))
+        _index_reducer(by_comp, terms, order)
     return by_comp
 
 
 # ---------------------------------------------------------------------------
 # Buchberger driver with Gebauer-Moeller pair updates
+
+
+def _tail_divides(lead_tail: tuple[int, ...], tail: tuple[int, ...]) -> bool:
+    # tails are negated exponents: divisibility flips the inequality
+    for a, b in zip(lead_tail, tail):
+        if a < b:
+            return False
+    return True
 
 
 def _lcm_tail(t1: tuple[int, ...], t2: tuple[int, ...]) -> tuple[int, ...]:
@@ -217,14 +261,19 @@ def _update_pairs(leads, pairs, t, rank1: bool):
     return kept
 
 
-def _spair_terms(gi, gj, field):
-    ki, kj = gi[0][0], gj[0][0]
-    lcm = _lcm_tail(ki[2], kj[2])
-    ui = tuple(a - b for a, b in zip(lcm, ki[2]))
-    uj = tuple(a - b for a, b in zip(lcm, kj[2]))
-    a = _shift_terms(gi, -sum(ui), ui, field.one, field)
-    b = _shift_terms(gj, -sum(uj), uj, field.neg(field.one), field)
-    return _merge(a, b, field)
+def _spair_terms(gi, gj, order: ModuleOrder, field):
+    """x^u gi - x^v gj for monic gi, gj whose leads share a component."""
+    comp, ei = order.unpack(gi[0][0])
+    _, ej = order.unpack(gj[0][0])
+    lcm = order.pack(comp, tuple(map(max, ei, ej)))
+    shift = lcm - gi[0][0]
+    acc = {p + shift: c for p, c in gi[1:]}
+    shift = lcm - gj[0][0]
+    add, neg = field.add, field.neg
+    for p, c in gj[1:]:
+        p += shift
+        acc[p] = add(acc[p], neg(c)) if p in acc else neg(c)
+    return sorted(((p, c) for p, c in acc.items() if c), key=itemgetter(0), reverse=True)
 
 
 def _pair_degree(leads, pair):
@@ -234,52 +283,49 @@ def _pair_degree(leads, pair):
     return ki[1] + (sum(ki[2]) - sum(lcm))
 
 
-def _buchberger_terms(inputs, field, rank1: bool):
+def _buchberger_terms(inputs, order: ModuleOrder, field, rank1: bool):
     G: list = []
     leads: list = []
     pairs: set = set()
+    by_comp: dict[int, list] = {}
+
+    def insert(terms):
+        nonlocal pairs
+        terms = _monic_terms(terms, field)
+        G.append(terms)
+        leads.append(order.key(*order.unpack(terms[0][0])))
+        _index_reducer(by_comp, terms, order)
+        pairs = _update_pairs(leads, pairs, len(G) - 1, rank1)
 
     for terms in inputs:
-        if not terms:
-            continue
-        t = len(G)
-        G.append(_monic_terms(terms, field))
-        leads.append(G[-1][0][0])
-        pairs = _update_pairs(leads, pairs, t, rank1)
+        if terms:
+            insert(terms)
 
     while pairs:
         pair = min(pairs, key=lambda p: (_pair_degree(leads, p), p[0], p[1]))
         pairs.discard(pair)
-        s = _spair_terms(G[pair[0]], G[pair[1]], field)
-        r = _normal_form_terms(s, _index_by_comp(G), field)
+        s = _spair_terms(G[pair[0]], G[pair[1]], order, field)
+        r = _normal_form_terms(s, by_comp, order, field)
         if r:
-            t = len(G)
-            G.append(_monic_terms(r, field))
-            leads.append(G[-1][0][0])
-            pairs = _update_pairs(leads, pairs, t, rank1)
+            insert(r)
 
-    return _interreduce_terms(G, field)
+    return _interreduce_terms(G, order, field)
 
 
-def _interreduce_terms(G, field):
+def _interreduce_terms(G, order: ModuleOrder, field):
     """Canonical reduced basis: minimal leads, tails fully reduced, monic."""
     ordered = sorted(G, key=lambda terms: terms[0][0])
     minimal = []
     for terms in ordered:
-        key = terms[0][0]
-        dominated = False
-        for kept in minimal:
-            kkey = kept[0][0]
-            if kkey[3] == key[3] and _tail_divides(kkey[2], key[2]):
-                dominated = True
-                break
-        if not dominated:
+        lead = terms[0][0]
+        if not any(_divides(kept[0][0], lead, order) for kept in minimal):
             minimal.append(terms)
     reduced = []
     for idx, terms in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1 :]
-        r = _normal_form_terms(terms, _index_by_comp(others), field)
-        assert r, "member of a minimal basis reduced to zero"
+        r = _normal_form_terms(terms, _index_by_comp(others, order), order, field)
+        if not r:
+            raise ConsistencyError("member of a minimal basis reduced to zero")
         reduced.append(_monic_terms(r, field))
     reduced.sort(key=lambda terms: terms[0][0])
     return reduced
@@ -294,7 +340,7 @@ def leading_position(v: Vector, order: ModuleOrder) -> tuple[int, tuple[int, ...
     terms = _vector_to_terms(v, order)
     if not terms:
         raise ValueError("zero vector has no leading term")
-    return _decode(terms[0][0])
+    return order.unpack(terms[0][0])
 
 
 def groebner_basis(gens: Sequence[Vector]) -> list[Vector]:
@@ -308,11 +354,11 @@ def groebner_basis(gens: Sequence[Vector]) -> list[Vector]:
             raise ValueError("generators live in different modules")
         if not g.is_homogeneous():
             raise ValueError("generators must be homogeneous")
-    order = ModuleOrder(module.twists)
+    order = ModuleOrder(module)
     field = module.ring.field
     inputs = [_vector_to_terms(g, order) for g in gens]
-    basis = _buchberger_terms(inputs, field, rank1=(module.rank == 1))
-    return [_terms_to_vector(module, terms) for terms in basis]
+    basis = _buchberger_terms(inputs, order, field, rank1=(module.rank == 1))
+    return [_terms_to_vector(module, order, terms) for terms in basis]
 
 
 def normal_form(v: Vector, basis: Sequence[Vector]) -> Vector:
@@ -320,13 +366,12 @@ def normal_form(v: Vector, basis: Sequence[Vector]) -> Vector:
     if basis:
         if basis[0].module != v.module:
             raise ValueError("vector and basis live in different modules")
-    order = ModuleOrder(v.module.twists)
+    order = ModuleOrder(v.module)
     field = v.module.ring.field
-    by_comp = _index_by_comp(
-        [_vector_to_terms(g, order) for g in basis if not g.is_zero()]
-    )
-    r = _normal_form_terms(_vector_to_terms(v, order), by_comp, field)
-    return _terms_to_vector(v.module, r)
+    reducers = (_vector_to_terms(g, order) for g in basis if not g.is_zero())
+    by_comp = _index_by_comp([_monic_terms(t, field) for t in reducers], order)
+    r = _normal_form_terms(_vector_to_terms(v, order), by_comp, order, field)
+    return _terms_to_vector(v.module, order, r)
 
 
 def spoly_reduces_to_zero(basis: Sequence[Vector]) -> bool:
@@ -334,15 +379,15 @@ def spoly_reduces_to_zero(basis: Sequence[Vector]) -> bool:
     if not basis:
         return True
     module = basis[0].module
-    order = ModuleOrder(module.twists)
+    order = ModuleOrder(module)
     field = module.ring.field
-    terms = [_vector_to_terms(g, order) for g in basis]
-    by_comp = _index_by_comp(terms)
+    terms = [_monic_terms(_vector_to_terms(g, order), field) for g in basis]
+    by_comp = _index_by_comp(terms, order)
     for a, b in combinations(terms, 2):
-        if a[0][0][3] != b[0][0][3]:
+        if (a[0][0] ^ b[0][0]) & COMP_MAX:
             continue
-        s = _spair_terms(a, b, field)
-        if _normal_form_terms(s, by_comp, field):
+        s = _spair_terms(a, b, order, field)
+        if _normal_form_terms(s, by_comp, order, field):
             return False
     return True
 
@@ -392,33 +437,27 @@ def module_gb_and_syzygies(
             raise ValueError("inhomogeneous matrix: column degree mismatch")
 
     aug = FreeModule(ring, tuple(target.twists) + tuple(degrees))
-    order = ModuleOrder(aug.twists, split=k)
+    order = ModuleOrder(aug, split=k)
     field = ring.field
 
     inputs = []
     for i, g in enumerate(gens):
         # the marker term sits in the lower block, so it stays last
         terms = _vector_to_terms(g, order)
-        terms.append((order.key(k + i, ring._zero_exps), field.one))
+        terms.append((order.pack(k + i, ring._zero_exps), field.one))
         inputs.append(terms)
 
-    basis = _buchberger_terms(inputs, field, rank1=False)
+    basis = _buchberger_terms(inputs, order, field, rank1=False)
 
     image_gb = []
     syz_module = FreeModule(ring, degrees)
     syz_gens = []
     for terms in basis:
-        comp = -terms[0][0][3]
-        if comp < k:
-            image = [t for t in terms if -t[0][3] < k]
-            image_gb.append(_terms_to_vector(target, image))
+        if order.unpack(terms[0][0])[0] < k:
+            image = [t for t in terms if order.unpack(t[0])[0] < k]
+            image_gb.append(_terms_to_vector(target, order, image))
         else:
-            syz_order = ModuleOrder(syz_module.twists)
-            shifted = []
-            for key, c in terms:
-                scomp, exps = _decode(key)
-                shifted.append((syz_order.key(scomp - k, exps), c))
-            syz_gens.append(_terms_to_vector(syz_module, shifted))
+            syz_gens.append(_terms_to_vector(syz_module, order, terms, first=k))
     return image_gb, syz_module, syz_gens
 
 
@@ -440,7 +479,8 @@ def kernel_of_map(columns: Sequence[Vector], source: FreeModule) -> list[Vector]
     if target.rank == 0 or all(c.is_zero() for c in columns):
         return [source.basis_vector(i) for i in range(source.rank)]
     syz_module, syz = syzygy_basis(columns, degrees=source.twists)
-    assert syz_module.twists == source.twists
+    if syz_module.twists != source.twists:
+        raise ConsistencyError("syzygy module twists differ from the source twists")
     return [Vector(source, v.entries) for v in syz]
 
 

@@ -214,7 +214,7 @@ def hilbert_of_quotient(module: FreeModule, gb: Sequence[Vector]) -> HilbertData
     """Hilbert data of F/M from a Groebner basis of M under graded TOP order."""
     from .groebner import ModuleOrder, leading_position  # local to avoid a cycle
 
-    order = ModuleOrder(module.twists)
+    order = ModuleOrder(module)
     leads: dict[int, set] = {i: set() for i in range(module.rank)}
     for v in gb:
         if v.is_zero():
@@ -265,7 +265,7 @@ def quotient_dimension_by_counting(
     """dim_k (F/M)_t by monomial enumeration; independent cross-check path."""
     from .groebner import ModuleOrder, leading_position
 
-    order = ModuleOrder(module.twists)
+    order = ModuleOrder(module)
     leads: dict[int, list] = {i: [] for i in range(module.rank)}
     for v in gb:
         if v.is_zero():

@@ -13,6 +13,7 @@ four variables; exceeding the cap signals a kernel bug, not bad input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 from .groebner import (
@@ -37,17 +38,41 @@ def minimal_generators(gens: Sequence[Vector]) -> list[Vector]:
     Homogeneous candidates are scanned in ascending degree; one is kept
     exactly when it is not contained in the span of those already kept,
     which by the graded Nakayama lemma gives a minimal generating set.
+    Each degree d takes one Groebner basis, of the submodule N the kept
+    candidates of lower degree generate.  Normal form against it is k-linear
+    in degree d with kernel N_d, so a candidate is kept exactly when its
+    normal form is outside the span of those kept before it in degree d.
     """
-    items = [g for g in gens if not g.is_zero()]
-    items.sort(key=lambda g: g.degree)
+    items = sorted((g for g in gens if not g.is_zero()), key=lambda g: g.degree)
     kept: list[Vector] = []
-    kept_gb: list[Vector] = []
-    for g in items:
-        if kept and normal_form(g, kept_gb).is_zero():
-            continue
-        kept.append(g)
-        kept_gb = groebner_basis(kept)
+    gb: list[Vector] = []
+    in_gb = 0  # how many of kept the basis gb was computed from
+    for _, group in groupby(items, key=lambda g: g.degree):
+        if len(kept) > in_gb:
+            gb, in_gb = groebner_basis(kept), len(kept)
+        pivots: dict = {}
+        for g in group:
+            if _extends_span(pivots, normal_form(g, gb) if gb else g):
+                kept.append(g)
     return kept
+
+
+def _extends_span(pivots: dict, v: Vector) -> bool:
+    """Add v to the echelon rows (lead -> monic row) unless it is in their span."""
+    field = v.module.ring.field
+    row = {(i, e): c for i, p in enumerate(v.entries) for e, c in p.terms}
+    while row:
+        lead = max(row)
+        if lead not in pivots:
+            inv = field.inv(row[lead])
+            pivots[lead] = {t: field.mul(c, inv) for t, c in row.items()}
+            return True
+        c = row[lead]
+        for t, b in pivots[lead].items():
+            row[t] = field.sub(row.get(t, field.zero), field.mul(c, b))
+            if not row[t]:
+                del row[t]
+    return False
 
 
 @dataclass

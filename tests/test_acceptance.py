@@ -9,6 +9,7 @@ PASS line on success so a plain `pytest -s tests/test_acceptance.py -v`
 reads as a checklist.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -36,6 +37,14 @@ from logtangent.sequences import Sequence
 
 SEED = 20260808
 PRIME = 32003
+# sha256 of SearchResult.to_json() for the two 500-sample searches below, as
+# first recorded; a kernel rewrite must reproduce the search output byte for byte
+DIGEST_4A = "262be8819b4f0f100ac26a44bb6f39df2115be1877f17400d78dffd375d777a8"
+DIGEST_4B = "3eb442d3e37de7556f5b59fb9bdd65ac670f845459cde19a3f42bea97d7b9b0b"
+
+
+def _digest(result):
+    return hashlib.sha256(result.to_json().encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +134,7 @@ def test_criterion_4_randomized_validation_cubic_pencils():
     assert rate >= 0.95
     # calibrated once for this seed: every kept draw landed on the open stratum
     assert (len(kept), generic) == (500, 500)
+    assert _digest(result) == DIGEST_4A
     print(f"\nACCEPTANCE 4a: PASS - 500 cubic pencils, no violations, generic rate {rate:.3f}")
 
 
@@ -133,6 +143,7 @@ def test_criterion_4_randomized_validation_quadric_cubic():
     violations = [a for a in result.anomalies() if "violation" in a["anomaly"]]
     assert violations == []
     assert len(result.kept) + sum(result.skipped.values()) == 500
+    assert _digest(result) == DIGEST_4B
     print("\nACCEPTANCE 4b: PASS - 500 quadric-cubic pairs, no violations")
 
 

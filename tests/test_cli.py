@@ -8,6 +8,7 @@ import pytest
 from logtangent.cli import main
 from logtangent.fields import QQ
 from logtangent.fixtures import FIXTURES, fixture_by_name, run_corpus, run_fixture
+from logtangent.groebner import EXP_MAX
 
 
 def run_cli(capsys, *argv):
@@ -121,6 +122,16 @@ def test_analyze_small_characteristic_exits_2(capsys):
     )
     assert code == 2
     assert "characteristic 3" in json.loads(out)["error"]
+
+
+def test_analyze_degree_past_packing_bound_exits_2(capsys):
+    e = EXP_MAX + 1
+    code, out = run_cli(
+        capsys, "analyze", "--f", f"x0^{e}+x1^{e}", "--g", f"x2^{e + 1}+x3^{e + 1}",
+        "--field", "fp:32003", "--json",
+    )
+    assert code == 2
+    assert "packed degree bound" in json.loads(out)["error"]
 
 
 def test_corpus_small_characteristic_exits_2_before_any_row(capsys, monkeypatch):

@@ -4,8 +4,14 @@ import random
 
 import pytest
 
+from logtangent import groebner
+from logtangent.fields import QQ, PrimeField
 from logtangent.groebner import (
+    EXP_MAX,
+    ModuleOrder,
+    PackingOverflowError,
     _as_vectors,
+    _divides,
     annihilator_of_cokernel,
     fitting_ideal_0,
     groebner_basis,
@@ -21,7 +27,9 @@ from logtangent.groebner import (
     spoly_reduces_to_zero,
     syzygy_basis,
 )
+from logtangent.hilbert import ConsistencyError
 from logtangent.modules import FreeModule, Vector, apply_columns
+from logtangent.poly import PolyRing, grevlex_key, monomial_divides, monomial_mul
 from logtangent.sequences import Sequence
 
 
@@ -56,6 +64,9 @@ def test_normal_form_membership_and_coprime(qq4):
     assert normal_form(Vector(F, (qq4.parse("x0^2"),)), gb).is_zero()
     x1 = Vector(F, (qq4.variable(1),))
     assert normal_form(x1, gb) == x1
+    # a basis that is not monic reduces the same way
+    scaled = [g.scaled(QQ.of(2)) for g in gb]
+    assert normal_form(Vector(F, (qq4.parse("x0^2 + x1"),)), scaled) == x1
 
 
 def test_normal_form_idempotent_on_randoms(qq4):
@@ -254,3 +265,81 @@ def test_submodule_equality_via_bases(qq4):
     a = vecs(qq4, [qq4.parse("x0"), qq4.parse("x0 + x1")])
     b = vecs(qq4, [qq4.parse("x1"), qq4.parse("x0 - 2*x1")])
     assert groebner_basis(a) == groebner_basis(b)
+
+
+def test_packed_order_agrees_with_key(qq4):
+    # negative twists, and an elimination split as in module_gb_and_syzygies
+    rng = random.Random(2024)
+    module = FreeModule(qq4, (-3, 0, 2, -1, 5))
+    for split in (None, 2):
+        order = ModuleOrder(module, split)
+        terms = [
+            (rng.randrange(module.rank), tuple(rng.randint(0, 6) for _ in range(4)))
+            for _ in range(300)
+        ]
+        for (c1, e1), (c2, e2) in zip(terms, terms[1:] + terms[:1]):
+            p1, p2 = order.pack(c1, e1), order.pack(c2, e2)
+            assert order.unpack(p1) == (c1, e1)
+            k1, k2 = order.key(c1, e1), order.key(c2, e2)
+            assert (p1 < p2, p1 == p2) == (k1 < k2, k1 == k2)
+            if c1 == c2:
+                assert (p1 < p2) == (grevlex_key(e1) < grevlex_key(e2))
+            assert _divides(p1, p2, order) == (c1 == c2 and monomial_divides(e1, e2))
+            # multiplying by a monomial is adding one integer to any term
+            u = tuple(rng.randint(0, 3) for _ in range(4))
+            shift = order.pack(c1, monomial_mul(e1, u)) - p1
+            assert p2 + shift == order.pack(c2, monomial_mul(e2, u))
+
+
+def test_packing_overflow_is_refused(qq4):
+    with pytest.raises(PackingOverflowError):
+        ideal_groebner(qq4, [qq4.variable(0) ** (EXP_MAX + 1)])
+    # both inputs fit; the lcm of their leads, x0^a*x1^a, does not
+    a = EXP_MAX - 1
+    x0, x1 = qq4.variable(0), qq4.variable(1)
+    with pytest.raises(PackingOverflowError):
+        ideal_groebner(qq4, [x0**a * x1, x0 * x1**a])
+
+
+def test_kernel_twist_mismatch_raises_consistency_error(qq4, monkeypatch):
+    real = groebner.syzygy_basis
+
+    def wrong_twists(gens, degrees=None):
+        module, syz = real(gens, degrees)
+        return FreeModule(qq4, tuple(d + 1 for d in module.twists)), syz
+
+    monkeypatch.setattr(groebner, "syzygy_basis", wrong_twists)
+    F = FreeModule(qq4, (0,))
+    columns = [Vector(F, (qq4.variable(0),)), Vector(F, (qq4.variable(1),))]
+    with pytest.raises(ConsistencyError):
+        kernel_of_map(columns, FreeModule(qq4, (1, 1)))
+
+
+def _from_sympy(ring, poly):
+    p = ring.field.characteristic
+    items = []
+    for exps, c in poly.terms():
+        if p:
+            items.append((exps, int(c) % p))
+        else:
+            items.append((exps, ring.field.of(int(c.p), int(c.q))))
+    q = ring.poly(items)
+    return q.scaled(ring.field.inv(q.terms[0][1]))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+def test_reduced_bases_match_sympy(field):
+    sympy = pytest.importorskip("sympy")
+    ring = PolyRing(field, 4)
+    xs = sympy.symbols("x0:4")
+    rng = random.Random(77)
+    for _ in range(10):
+        gens = [ring.random_homogeneous(rng.randint(2, 3), rng) for _ in range(3)]
+        gens = [g for g in gens if not g.is_zero()]
+        ours = ideal_groebner(ring, gens)
+        options = {"modulus": field.p} if field.characteristic else {}
+        theirs = sympy.groebner(
+            [sympy.sympify(str(g)) for g in gens], *xs, order="grevlex", **options
+        )
+        expected = [_from_sympy(ring, sympy.Poly(q, *xs)) for q in theirs.exprs]
+        assert sorted(map(str, ours)) == sorted(map(str, expected))

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
-from logtangent.groebner import _as_vectors, groebner_basis
+from logtangent.fields import QQ, PrimeField
+from logtangent.groebner import _as_vectors, groebner_basis, normal_form, syzygy_basis
 from logtangent.hilbert import hilbert_of_quotient
 from logtangent.modules import FreeModule, Vector
+from logtangent.poly import PolyRing
 from logtangent.resolution import (
     minimal_generators,
     module_dual,
@@ -65,6 +67,57 @@ def test_minimal_generators_drop_redundant(qq4):
     x0, x1 = qq4.variable(0), qq4.variable(1)
     gens = _as_vectors(qq4, [x0, x1, x0 + x1, x0 * x1])
     assert minimal_generators(gens) == _as_vectors(qq4, [x0, x1])
+
+
+def reference_minimal_generators(gens):
+    """One Groebner basis per kept generator: the plain degree-ascending scan."""
+    items = sorted((g for g in gens if not g.is_zero()), key=lambda g: g.degree)
+    kept, kept_gb = [], []
+    for g in items:
+        if kept and normal_form(g, kept_gb).is_zero():
+            continue
+        kept.append(g)
+        kept_gb = groebner_basis(kept)
+    return kept
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+def test_minimal_generators_match_per_generator_reference(field):
+    ring = PolyRing(field, 4)
+    F = FreeModule(ring, (0, 1))
+    rng = random.Random(515)
+
+    def rand(degree):
+        return Vector(
+            F,
+            (ring.random_homogeneous(degree, rng), ring.random_homogeneous(degree - 1, rng)),
+        )
+
+    for _ in range(4):
+        a, b, c = rand(2), rand(2), rand(3)
+        x0, x2 = ring.variable(0), ring.variable(2)
+        cases = [
+            a, b, a + b, b.scaled(field.of(2)) - a,  # dependent within one degree
+            a.poly_mul(x0), b.poly_mul(x2),  # monomial multiples of lower degree
+            F.zero(), c, rand(3), a.poly_mul(x2) + c, F.zero(),
+            c.poly_mul(x0),  # needs the basis of the degree-3 candidates too
+        ]
+        rng.shuffle(cases)  # not sorted by degree
+        got = minimal_generators(cases)
+        want = reference_minimal_generators(cases)
+        assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+    # Jacobian kernel bases and their syzygies, as the resolution passes them on;
+    # the first kernel basis has a redundant member
+    pairs = [
+        ("x2*x3*(x0 - x1)", "x0*(x0^2 + x1^2 + x2^2 + x3^2)"),
+        ("x0*x1^2 + x2^3 + x2^2*x3", "x2*x3*(x2 - x1)"),
+    ]
+    for f, g in pairs:
+        gens = jacobian_analysis(Sequence.parse(ring, f, g)).kernel.gens
+        while gens:
+            got = minimal_generators(gens)
+            assert got == reference_minimal_generators(gens)
+            gens = syzygy_basis(got, degrees=[v.degree for v in got])[1]
 
 
 def test_resolution_euler_characteristic_matches_hilbert(qq4):
