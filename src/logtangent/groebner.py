@@ -7,14 +7,16 @@ ascending component index; an optional leading block turns it into an
 elimination order, which is how syzygies, colon ideals, intersections and
 kernels are all computed below.
 
-Internally a term is ``(packed, coeff)``: :meth:`ModuleOrder.pack` encodes
-(component, exponents) as one ``int`` whose integer order is the module order
-(block bit, biased shifted degree, ``EXP_MAX - e_i`` with the last variable
-most significant, ``COMP_MAX - component``).  A guard bit above each exponent
-field makes a monomial shift one addition and a divisibility test one masked
-subtraction (Monagan & Pearce, CASC 2007).  Inputs and S-pair lcms that do not
-fit raise :class:`PackingOverflowError`; reduction keeps degrees, so nothing
-else can overflow.  Normal forms use a max-heap plus a coefficient dict.
+Internally a term is ``(packed, coeff)`` with one ``int`` whose integer order
+is the module order: a term of component ``c`` with packed monomial ``m``
+(see :mod:`.poly`) is ``base[c] + (m << COMP_BITS)``, where ``base[c]`` holds
+the block bit, the biased twist added to the monomial's degree field, and
+``COMP_MAX - c`` in the low bits.  So converting a :class:`Vector` is one shift
+and add per term, a monomial shift is one addition, and a divisibility test is
+one masked subtraction on the ring's guard bits (Monagan & Pearce, CASC 2007).
+Inputs and S-pair lcms that do not fit raise :class:`PackingOverflowError`;
+reduction keeps degrees, so nothing else can overflow.  Normal forms use a
+max-heap plus a coefficient dict.
 
 Pair handling follows Gebauer-Moeller: the chain criterion prunes the pair
 queue on every insertion, and the coprimality criterion is applied in the
@@ -33,17 +35,15 @@ from typing import Sequence
 
 from .hilbert import ConsistencyError
 from .modules import FreeModule, Vector
-from .poly import Polynomial
+from .poly import EXP_MAX, PackingOverflowError, Polynomial, monomial_divides
 
 
 MAX_SATURATION_ROUNDS = 64
 
-# Field widths of a packed term.  Every exponent gets one more bit, a guard
-# bit that stays zero in a packed term.
-EXP_BITS = 8
+# Field widths a module term adds to a packed monomial: the component below
+# it, the biased shifted degree field of DEG_BITS bits, then the block bit.
 DEG_BITS = 10
 COMP_BITS = 10
-EXP_MAX = (1 << EXP_BITS) - 1
 DEG_BIAS = 1 << (DEG_BITS - 1)
 COMP_MAX = (1 << COMP_BITS) - 1
 
@@ -52,17 +52,11 @@ class SaturationLimitError(RuntimeError):
     """Saturation failed to stabilize within the iteration cap."""
 
 
-class PackingOverflowError(ValueError):
-    """A term does not fit the field widths of the packed-integer layout."""
-
-
 class ModuleOrder:
-    """Graded TOP order with an optional elimination block of leading components.
-
-    ``key`` gives the order as a tuple; ``pack`` gives it as one integer.
-    """
+    """Graded TOP order with an optional elimination block of leading components."""
 
     def __init__(self, module: FreeModule, split: int | None = None):
+        self.ring = ring = module.ring
         self.twists = tuple(module.twists)
         self.split = len(self.twists) if split is None else split
         low = min(self.twists, default=0)
@@ -70,47 +64,36 @@ class ModuleOrder:
             raise PackingOverflowError(
                 f"{len(self.twists)} components with least twist {low} do not pack"
             )
-        width = EXP_BITS + 1
-        self.shifts = tuple(COMP_BITS + width * i for i in range(module.ring.nvars))
-        self.exp_mask = sum(EXP_MAX << s for s in self.shifts)
-        self.guards = sum(1 << (s + EXP_BITS) for s in self.shifts)
+        self.exp_mask = ring.exp_mask << COMP_BITS
+        self.guards = ring.guards << COMP_BITS
         # every exponent of a term is at most its shifted degree minus the least twist
         self.max_sdeg = min(DEG_BIAS - 1, EXP_MAX + low)
-        self._deg_shift = COMP_BITS + width * len(self.shifts)
-        block_bit = 1 << (self._deg_shift + DEG_BITS)
-        # the packed form of the constant term 1 in each component
-        self._base = tuple(
+        deg_shift = ring.deg_shift + COMP_BITS
+        block_bit = 1 << (deg_shift + DEG_BITS)
+        # a term is base[comp] + (monomial << COMP_BITS)
+        self.base = tuple(
             (block_bit if comp < self.split else 0)
-            + ((twist + DEG_BIAS) << self._deg_shift)
-            + self.exp_mask
+            + ((twist + DEG_BIAS) << deg_shift)
             + COMP_MAX
             - comp
             for comp, twist in enumerate(self.twists)
         )
 
-    def key(self, comp: int, exps: tuple[int, ...]):
-        return (
-            1 if comp < self.split else 0,
-            sum(exps) + self.twists[comp],
-            tuple(-e for e in reversed(exps)),
-            -comp,
-        )
-
-    def pack(self, comp: int, exps: tuple[int, ...]) -> int:
-        deg = sum(exps)
-        if deg + self.twists[comp] > self.max_sdeg:
+    def check_degree(self, comp: int, degree: int) -> None:
+        """Refuse a monomial degree in comp past the packed degree bound."""
+        if degree + self.twists[comp] > self.max_sdeg:
             raise PackingOverflowError(
-                f"term {exps} in component {comp} exceeds the packed degree bound"
+                f"degree {degree} in component {comp} exceeds the packed degree bound"
             )
-        p = self._base[comp] + (deg << self._deg_shift)
-        for e, s in zip(exps, self.shifts):
-            p -= e << s
-        return p
 
-    def unpack(self, p: int) -> tuple[int, tuple[int, ...]]:
-        return COMP_MAX - (p & COMP_MAX), tuple(
-            EXP_MAX - ((p >> s) & EXP_MAX) for s in self.shifts
-        )
+    def pack(self, comp: int, m: int) -> int:
+        self.check_degree(comp, m >> self.ring.deg_shift)
+        return self.base[comp] + (m << COMP_BITS)
+
+    def unpack(self, p: int) -> tuple[int, int]:
+        """(component, packed monomial) of a packed term."""
+        comp = COMP_MAX - (p & COMP_MAX)
+        return comp, (p - self.base[comp]) >> COMP_BITS
 
 
 def _divides(a: int, b: int, order: ModuleOrder) -> bool:
@@ -124,12 +107,12 @@ def _divides(a: int, b: int, order: ModuleOrder) -> bool:
 
 
 def _vector_to_terms(v: Vector, order: ModuleOrder):
-    pack = order.pack
-    terms = [
-        (pack(comp, exps), c)
-        for comp, p in enumerate(v.entries)
-        for exps, c in p.terms
-    ]
+    terms = []
+    for comp, p in enumerate(v.entries):
+        if p.terms:
+            order.check_degree(comp, p.degree)
+            base = order.base[comp]
+            terms += [(base + (m << COMP_BITS), c) for m, c in p.terms]
     terms.sort(key=itemgetter(0), reverse=True)
     return terms
 
@@ -137,10 +120,11 @@ def _vector_to_terms(v: Vector, order: ModuleOrder):
 def _terms_to_vector(module: FreeModule, order: ModuleOrder, terms, first=0) -> Vector:
     """Vector of module from terms whose components start at index first."""
     buckets: list[list] = [[] for _ in range(module.rank)]
+    base = order.base
     for p, c in terms:
-        comp, exps = order.unpack(p)
-        buckets[comp - first].append((exps, c))
-    # within a component the module order is grevlex, so each bucket is sorted
+        comp = COMP_MAX - (p & COMP_MAX)
+        buckets[comp - first].append(((p - base[comp]) >> COMP_BITS, c))
+    # within a component the module order is the ring's, so each bucket is sorted
     return Vector(module, tuple(Polynomial(module.ring, tuple(b)) for b in buckets))
 
 
@@ -207,54 +191,43 @@ def _index_by_comp(basis, order: ModuleOrder):
 # Buchberger driver with Gebauer-Moeller pair updates
 
 
-def _tail_divides(lead_tail: tuple[int, ...], tail: tuple[int, ...]) -> bool:
-    # tails are negated exponents: divisibility flips the inequality
-    for a, b in zip(lead_tail, tail):
-        if a < b:
-            return False
-    return True
-
-
-def _lcm_tail(t1: tuple[int, ...], t2: tuple[int, ...]) -> tuple[int, ...]:
-    # max of exponents is min of tails
-    return tuple(a if a < b else b for a, b in zip(t1, t2))
-
-
 def _update_pairs(leads, pairs, t, rank1: bool):
-    """Add generator index t, pruning pairs per Gebauer-Moeller."""
-    key_t = leads[t]
-    tail_t = key_t[2]
+    """Add generator index t, pruning pairs per Gebauer-Moeller.
+
+    ``leads`` holds the (component, exponents) of each generator's lead.
+    """
+    comp_t, e_t = leads[t]
 
     kept = set()
     for i, j in pairs:
-        ki, kj = leads[i], leads[j]
-        if ki[3] != key_t[3]:
+        (ci, ei), (_, ej) = leads[i], leads[j]
+        if ci != comp_t:
             kept.add((i, j))
             continue
-        l_ij = _lcm_tail(ki[2], kj[2])
+        l_ij = tuple(map(max, ei, ej))
         if (
-            not _tail_divides(tail_t, l_ij)
-            or l_ij == _lcm_tail(ki[2], tail_t)
-            or l_ij == _lcm_tail(kj[2], tail_t)
+            not monomial_divides(e_t, l_ij)
+            or l_ij == tuple(map(max, ei, e_t))
+            or l_ij == tuple(map(max, ej, e_t))
         ):
             kept.add((i, j))
 
     lcm_groups: dict[tuple[int, ...], list[int]] = {}
     for i in range(t):
-        ki = leads[i]
-        if ki[3] == key_t[3]:
-            lcm_groups.setdefault(_lcm_tail(ki[2], tail_t), []).append(i)
+        ci, ei = leads[i]
+        if ci == comp_t:
+            lcm_groups.setdefault(tuple(map(max, ei, e_t)), []).append(i)
 
+    # by degree, so a proper divisor of an lcm comes before it
     minimal: list[tuple[int, ...]] = []
-    for lcm in sorted(lcm_groups, key=lambda tl: (-sum(tl), tl)):
-        if not any(_tail_divides(prev, lcm) for prev in minimal):
+    for lcm in sorted(lcm_groups, key=sum):
+        if not any(monomial_divides(prev, lcm) for prev in minimal):
             minimal.append(lcm)
 
     for lcm in minimal:
         members = lcm_groups[lcm]
         if rank1 and any(
-            all(a == 0 or b == 0 for a, b in zip(leads[i][2], tail_t))
-            for i in members
+            all(a == 0 or b == 0 for a, b in zip(leads[i][1], e_t)) for i in members
         ):
             continue
         kept.add((min(members), t))
@@ -263,9 +236,10 @@ def _update_pairs(leads, pairs, t, rank1: bool):
 
 def _spair_terms(gi, gj, order: ModuleOrder, field):
     """x^u gi - x^v gj for monic gi, gj whose leads share a component."""
-    comp, ei = order.unpack(gi[0][0])
-    _, ej = order.unpack(gj[0][0])
-    lcm = order.pack(comp, tuple(map(max, ei, ej)))
+    ring = order.ring
+    comp, mi = order.unpack(gi[0][0])
+    _, mj = order.unpack(gj[0][0])
+    lcm = order.pack(comp, ring.pack(tuple(map(max, ring.unpack(mi), ring.unpack(mj)))))
     shift = lcm - gi[0][0]
     acc = {p + shift: c for p, c in gi[1:]}
     shift = lcm - gj[0][0]
@@ -276,33 +250,32 @@ def _spair_terms(gi, gj, order: ModuleOrder, field):
     return sorted(((p, c) for p, c in acc.items() if c), key=itemgetter(0), reverse=True)
 
 
-def _pair_degree(leads, pair):
-    ki = leads[pair[0]]
-    kj = leads[pair[1]]
-    lcm = _lcm_tail(ki[2], kj[2])
-    return ki[1] + (sum(ki[2]) - sum(lcm))
-
-
 def _buchberger_terms(inputs, order: ModuleOrder, field, rank1: bool):
     G: list = []
     leads: list = []
     pairs: set = set()
     by_comp: dict[int, list] = {}
+    twists, unpack = order.twists, order.ring.unpack
 
     def insert(terms):
         nonlocal pairs
         terms = _monic_terms(terms, field)
         G.append(terms)
-        leads.append(order.key(*order.unpack(terms[0][0])))
+        comp, m = order.unpack(terms[0][0])
+        leads.append((comp, unpack(m)))
         _index_reducer(by_comp, terms, order)
         pairs = _update_pairs(leads, pairs, len(G) - 1, rank1)
+
+    def pair_degree(pair):
+        (comp, ei), (_, ej) = leads[pair[0]], leads[pair[1]]
+        return twists[comp] + sum(map(max, ei, ej))
 
     for terms in inputs:
         if terms:
             insert(terms)
 
     while pairs:
-        pair = min(pairs, key=lambda p: (_pair_degree(leads, p), p[0], p[1]))
+        pair = min(pairs, key=lambda p: (pair_degree(p), p[0], p[1]))
         pairs.discard(pair)
         s = _spair_terms(G[pair[0]], G[pair[1]], order, field)
         r = _normal_form_terms(s, by_comp, order, field)
@@ -313,22 +286,21 @@ def _buchberger_terms(inputs, order: ModuleOrder, field, rank1: bool):
 
 
 def _interreduce_terms(G, order: ModuleOrder, field):
-    """Canonical reduced basis: minimal leads, tails fully reduced, monic."""
-    ordered = sorted(G, key=lambda terms: terms[0][0])
+    """Canonical reduced basis: minimal leads, tails fully reduced, monic.
+
+    Every tail is reduced against one index of the whole minimal basis: no
+    minimal lead divides another, and a lead divides no smaller term, so each
+    term meets the reducer it would meet among the other members alone.
+    """
     minimal = []
-    for terms in ordered:
-        lead = terms[0][0]
-        if not any(_divides(kept[0][0], lead, order) for kept in minimal):
+    for terms in sorted(G, key=lambda terms: terms[0][0]):
+        if not any(_divides(kept[0][0], terms[0][0], order) for kept in minimal):
             minimal.append(terms)
-    reduced = []
-    for idx, terms in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        r = _normal_form_terms(terms, _index_by_comp(others, order), order, field)
-        if not r:
-            raise ConsistencyError("member of a minimal basis reduced to zero")
-        reduced.append(_monic_terms(r, field))
-    reduced.sort(key=lambda terms: terms[0][0])
-    return reduced
+    by_comp = _index_by_comp(minimal, order)
+    return [
+        [terms[0]] + _normal_form_terms(terms[1:], by_comp, order, field)
+        for terms in minimal
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +312,8 @@ def leading_position(v: Vector, order: ModuleOrder) -> tuple[int, tuple[int, ...
     terms = _vector_to_terms(v, order)
     if not terms:
         raise ValueError("zero vector has no leading term")
-    return order.unpack(terms[0][0])
+    comp, m = order.unpack(terms[0][0])
+    return comp, order.ring.unpack(m)
 
 
 def groebner_basis(gens: Sequence[Vector]) -> list[Vector]:
@@ -444,7 +417,7 @@ def module_gb_and_syzygies(
     for i, g in enumerate(gens):
         # the marker term sits in the lower block, so it stays last
         terms = _vector_to_terms(g, order)
-        terms.append((order.pack(k + i, ring._zero_exps), field.one))
+        terms.append((order.pack(k + i, ring.unit), field.one))
         inputs.append(terms)
 
     basis = _buchberger_terms(inputs, order, field, rank1=False)

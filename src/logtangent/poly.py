@@ -1,10 +1,18 @@
 """Sparse multivariate polynomials over an exact field.
 
-Terms are kept as a tuple of ``(exponents, coefficient)`` pairs sorted in
-strictly descending graded reverse lexicographic (grevlex) order with
-``x0 > x1 > ... > x{n-1}``.  Everything is immutable; a :class:`PolyRing`
-fixes the coefficient field and the number of variables and acts as the
-factory for all values.
+A monomial is one packed ``int`` (Monagan & Pearce, CASC 2007): variable
+``x_i`` owns an ``EXP_BITS``-bit field at bit ``(EXP_BITS + 1) * i`` holding
+``EXP_MAX - e_i``, with a guard bit above it that stays zero, and the total
+degree sits above all fields.  Integer order is then graded reverse
+lexicographic (grevlex) order with ``x0 > x1 > ... > x{n-1}``, a product of
+monomials is ``a + b - ring.unit``, and ``a`` divides ``b`` exactly when
+``(a & exp_mask | guards) - (b & exp_mask)`` keeps every guard bit.  Total
+degrees above ``EXP_MAX`` raise :class:`PackingOverflowError`.
+
+Terms are kept as a tuple of ``(monomial, coefficient)`` pairs sorted
+strictly descending.  Everything is immutable; a :class:`PolyRing` fixes
+the coefficient field and the number of variables, owns the monomial
+layout and acts as the factory for all values.
 
 The expression parser accepts ``+ - * ^``, parentheses, integer and
 ``a/b`` rational literals, and variables ``x0 .. x{n-1}``.  Multiplication
@@ -18,13 +26,12 @@ from typing import Iterable, Iterator
 from .fields import check_same_field
 
 
-def grevlex_key(exps: tuple[int, ...]):
-    """Sort key realizing grevlex: bigger key means bigger monomial."""
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+EXP_BITS = 8
+EXP_MAX = (1 << EXP_BITS) - 1
 
 
-def monomial_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+class PackingOverflowError(ValueError):
+    """A monomial or term does not fit the field widths of the packed layout."""
 
 
 def monomial_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -43,6 +50,13 @@ def monomials_of_degree(nvars: int, degree: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
+def _check_degree(degree: int) -> None:
+    if degree > EXP_MAX:
+        raise PackingOverflowError(
+            f"monomial of degree {degree} exceeds the packed degree bound {EXP_MAX}"
+        )
+
+
 class ParseError(ValueError):
     """Syntax problem in a polynomial expression; carries the byte offset."""
 
@@ -54,14 +68,30 @@ class ParseError(ValueError):
 class PolyRing:
     """Polynomial ring context: coefficient field plus a fixed variable count."""
 
-    __slots__ = ("field", "nvars", "_zero_exps")
+    __slots__ = ("field", "nvars", "shifts", "exp_mask", "guards", "deg_shift", "unit")
 
     def __init__(self, field, nvars: int = 4):
         if nvars < 1:
             raise ValueError("need at least one variable")
         self.field = field
         self.nvars = nvars
-        self._zero_exps = (0,) * nvars
+        self.shifts = tuple((EXP_BITS + 1) * i for i in range(nvars))
+        self.exp_mask = sum(EXP_MAX << s for s in self.shifts)
+        self.guards = sum(1 << (s + EXP_BITS) for s in self.shifts)
+        self.deg_shift = (EXP_BITS + 1) * nvars
+        self.unit = self.exp_mask
+
+    def pack(self, exps: tuple[int, ...]) -> int:
+        """The packed monomial of an exponent tuple."""
+        deg = sum(exps)
+        _check_degree(deg)
+        m = self.unit + (deg << self.deg_shift)
+        for e, s in zip(exps, self.shifts):
+            m -= e << s
+        return m
+
+    def unpack(self, m: int) -> tuple[int, ...]:
+        return tuple(EXP_MAX - ((m >> s) & EXP_MAX) for s in self.shifts)
 
     def __eq__(self, other):
         return (
@@ -76,23 +106,14 @@ class PolyRing:
     def __repr__(self):
         return f"PolyRing({self.field!r}, nvars={self.nvars})"
 
-    def poly(self, items: Iterable[tuple[tuple[int, ...], object]]) -> "Polynomial":
-        """Build a polynomial from (exponents, coefficient) pairs, merging duplicates."""
-        acc: dict[tuple[int, ...], object] = {}
+    def poly(self, items: Iterable[tuple[int, object]]) -> "Polynomial":
+        """Build a polynomial from (monomial, coefficient) pairs, merging duplicates."""
+        acc: dict[int, object] = {}
         add = self.field.add
-        for exps, c in items:
-            if exps in acc:
-                acc[exps] = add(acc[exps], c)
-            else:
-                acc[exps] = c
-        terms = tuple(
-            sorted(
-                ((e, c) for e, c in acc.items() if c),
-                key=lambda t: grevlex_key(t[0]),
-                reverse=True,
-            )
-        )
-        return Polynomial(self, terms)
+        for m, c in items:
+            acc[m] = add(acc[m], c) if m in acc else c
+        terms = sorted(((m, c) for m, c in acc.items() if c), reverse=True)
+        return Polynomial(self, tuple(terms))
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, ())
@@ -103,13 +124,13 @@ class PolyRing:
     def constant(self, c) -> "Polynomial":
         if not c:
             return self.zero()
-        return Polynomial(self, (((self._zero_exps), c),))
+        return Polynomial(self, ((self.unit, c),))
 
     def variable(self, i: int) -> "Polynomial":
         if not 0 <= i < self.nvars:
             raise ValueError(f"variable index out of range: {i}")
         exps = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, ((exps, self.field.one),))
+        return Polynomial(self, ((self.pack(exps), self.field.one),))
 
     def from_int(self, n: int) -> "Polynomial":
         return self.constant(self.field.of(n))
@@ -130,12 +151,12 @@ class PolyRing:
             else:
                 c = self.field.of(rng.randint(-9, 9))
             if c:
-                items.append((exps, c))
+                items.append((self.pack(exps), c))
         return self.poly(items)
 
 
 class Polynomial:
-    """Immutable sparse polynomial; terms strictly descending in grevlex."""
+    """Immutable sparse polynomial; packed monomials strictly descending."""
 
     __slots__ = ("ring", "terms")
 
@@ -153,19 +174,12 @@ class Polynomial:
         """Total degree, or None for the zero polynomial."""
         if not self.terms:
             return None
-        return max(sum(e) for e, _ in self.terms)
+        return self.terms[0][0] >> self.ring.deg_shift
 
     def is_homogeneous(self) -> bool:
-        if not self.terms:
-            return True
-        d = sum(self.terms[0][0])
-        return all(sum(e) == d for e, _ in self.terms)
-
-    def coefficient(self, exps: tuple[int, ...]):
-        for e, c in self.terms:
-            if e == exps:
-                return c
-        return self.ring.field.zero
+        # the degree is the top field, so the last term has the least degree
+        s = self.ring.deg_shift
+        return not self.terms or self.terms[0][0] >> s == self.terms[-1][0] >> s
 
     # -- arithmetic --------------------------------------------------------
 
@@ -186,17 +200,19 @@ class Polynomial:
         if isinstance(other, int):
             return self.scaled(self.ring.field.of(other))
         self._check(other)
+        if not self.terms or not other.terms:
+            return self.ring.zero()
+        _check_degree(self.degree + other.degree)
         mul = self.ring.field.mul
         add = self.ring.field.add
-        acc: dict[tuple[int, ...], object] = {}
-        for ea, ca in self.terms:
-            for eb, cb in other.terms:
-                e = monomial_mul(ea, eb)
+        acc: dict[int, object] = {}
+        unit = self.ring.unit
+        for ma, ca in self.terms:
+            ma -= unit
+            for mb, cb in other.terms:
+                m = ma + mb
                 c = mul(ca, cb)
-                if e in acc:
-                    acc[e] = add(acc[e], c)
-                else:
-                    acc[e] = c
+                acc[m] = add(acc[m], c) if m in acc else c
         return self.ring.poly(acc.items())
 
     def __rmul__(self, other):
@@ -228,32 +244,31 @@ class Polynomial:
             raise ValueError(f"variable index out of range: {i}")
         of = self.ring.field.of
         mul = self.ring.field.mul
+        s = self.ring.shifts[i]
+        # dividing by x_i raises its field by one and keeps the order
+        step = (1 << s) - (1 << self.ring.deg_shift)
         items = []
-        for e, c in self.terms:
-            k = e[i]
+        for m, c in self.terms:
+            k = EXP_MAX - ((m >> s) & EXP_MAX)
             if k:
-                items.append((e[:i] + (k - 1,) + e[i + 1:], mul(c, of(k))))
-        return self.ring.poly(items)
+                c = mul(c, of(k))
+                if c:
+                    items.append((m + step, c))
+        return Polynomial(self.ring, tuple(items))
 
     def compose_linear(self, matrix: list[list]) -> "Polynomial":
         """Substitute x_i -> sum_j matrix[i][j] * x_j (field entries)."""
-        n = self.ring.nvars
+        ring = self.ring
         images = [
-            self.ring.poly(
-                [
-                    (tuple(1 if k == j else 0 for k in range(n)), matrix[i][j])
-                    for j in range(n)
-                    if matrix[i][j]
-                ]
-            )
-            for i in range(n)
+            sum((ring.variable(j).scaled(a) for j, a in enumerate(row)), ring.zero())
+            for row in matrix
         ]
-        out = self.ring.zero()
-        for e, c in self.terms:
-            term = self.ring.constant(c)
-            for i, k in enumerate(e):
+        out = ring.zero()
+        for m, c in self.terms:
+            term = ring.constant(c)
+            for image, k in zip(images, ring.unpack(m)):
                 if k:
-                    term = term * images[i] ** k
+                    term = term * image**k
             out = out + term
         return out
 
@@ -308,10 +323,10 @@ def format_polynomial(p: Polynomial) -> str:
     if not p.terms:
         return "0"
     pieces = []
-    for idx, (e, c) in enumerate(p.terms):
+    for idx, (m, c) in enumerate(p.terms):
         negative = c < 0
         mag = -c if negative else c
-        body = _format_term(e, mag)
+        body = _format_term(p.ring.unpack(m), mag)
         if idx == 0:
             pieces.append(f"-{body}" if negative else body)
         else:

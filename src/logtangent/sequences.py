@@ -171,9 +171,9 @@ def constant_kernel_dimension(seq: Sequence) -> int:
     field = seq.ring.field
     rows = []
     for grad in seq.gradient_rows():
-        monomials = sorted({e for p in grad for e, _ in p.terms})
-        for mono in monomials:
-            rows.append([p.coefficient(mono) for p in grad])
+        coeffs = [dict(p.terms) for p in grad]
+        for mono in sorted({m for c in coeffs for m in c}):
+            rows.append([c.get(mono, field.zero) for c in coeffs])
     if not rows:
         return NVARS
     return NVARS - matrix_rank(rows, field)

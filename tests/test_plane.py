@@ -24,8 +24,8 @@ def quotient_colength_by_rank(ring, gens, t):
     for g in gens:
         for mult in monomials_of_degree(ring.nvars, t - g.degree):
             row = [ring.field.zero] * len(monomials)
-            for e, c in g.terms:
-                shifted = tuple(a + b for a, b in zip(e, mult))
+            for m, c in g.terms:
+                shifted = tuple(a + b for a, b in zip(ring.unpack(m), mult))
                 row[index[shifted]] = c
             rows.append(row)
     rank = matrix_rank(rows, ring.field) if rows else 0

@@ -6,12 +6,18 @@ from fractions import Fraction
 import pytest
 
 from logtangent.fields import QQ, FieldMismatchError, PrimeField
-from logtangent.poly import ParseError, grevlex_key, monomials_of_degree
+from logtangent import PackingOverflowError, groebner
+from logtangent.poly import ParseError, monomials_of_degree
+from oracles import grevlex_key
+
+
+def exponents(p):
+    return {p.ring.unpack(m): c for m, c in p.terms}
 
 
 def test_parse_mixed_sign_quadratic(qq4):
     p = qq4.parse("2*x1*x3 - x1^2")
-    assert dict(p.terms) == {
+    assert exponents(p) == {
         (0, 1, 0, 1): Fraction(2),
         (0, 2, 0, 0): Fraction(-1),
     }
@@ -26,7 +32,7 @@ def test_parse_square_expansion(qq4):
     # oracle: expand by one explicit multiplication
     s = qq4.parse("x0 + x1")
     assert qq4.parse("(x0+x1)^2") == s * s
-    assert dict(qq4.parse("(x0+x1)^2").terms) == {
+    assert exponents(qq4.parse("(x0+x1)^2")) == {
         (2, 0, 0, 0): Fraction(1),
         (1, 1, 0, 0): Fraction(2),
         (0, 2, 0, 0): Fraction(1),
@@ -114,30 +120,31 @@ def test_euler_relation_on_random_homogeneous(qq4):
         assert total == p * d
 
 
-def test_grevlex_is_graded_and_transitive():
+def test_grevlex_is_graded_and_transitive(qq4):
     rng = random.Random(2026)
     monos = [tuple(rng.randint(0, 4) for _ in range(4)) for _ in range(60)]
+    key = qq4.pack
     for a in monos[:20]:
         for b in monos[20:40]:
-            if grevlex_key(a) > grevlex_key(b):
+            assert (key(a) > key(b)) == (grevlex_key(a) > grevlex_key(b))
+            if key(a) > key(b):
                 assert sum(a) >= sum(b)
             for c in monos[40:]:
-                if grevlex_key(a) > grevlex_key(b) and grevlex_key(b) > grevlex_key(c):
-                    assert grevlex_key(a) > grevlex_key(c)
+                if key(a) > key(b) and key(b) > key(c):
+                    assert key(a) > key(c)
                 # multiplication compatibility
                 ac = tuple(x + y for x, y in zip(a, c))
                 bc = tuple(x + y for x, y in zip(b, c))
-                assert (grevlex_key(a) > grevlex_key(b)) == (
-                    grevlex_key(ac) > grevlex_key(bc)
-                )
+                assert (key(a) > key(b)) == (key(ac) > key(bc))
 
 
-def test_grevlex_classic_degree_two_chain():
+def test_grevlex_classic_degree_two_chain(qq4):
     x0x0 = (2, 0, 0, 0)
     x0x1 = (1, 1, 0, 0)
     x1x1 = (0, 2, 0, 0)
     x0x3 = (1, 0, 0, 1)
     assert grevlex_key(x0x0) > grevlex_key(x0x1) > grevlex_key(x1x1) > grevlex_key(x0x3)
+    assert qq4.pack(x0x0) > qq4.pack(x0x1) > qq4.pack(x1x1) > qq4.pack(x0x3)
 
 
 def test_printer_parser_round_trip(qq4, fp4):
@@ -152,9 +159,23 @@ def test_terms_sorted_strictly_descending(qq4):
     rng = random.Random(5)
     for _ in range(20):
         p = qq4.random_homogeneous(3, rng)
-        keys = [grevlex_key(e) for e, _ in p.terms]
+        keys = [grevlex_key(qq4.unpack(m)) for m, _ in p.terms]
         assert keys == sorted(keys, reverse=True)
         assert len(set(keys)) == len(keys)
+
+
+def test_packed_degree_bound(qq4):
+    assert groebner.PackingOverflowError is PackingOverflowError
+    assert qq4.parse("x0^255").degree == 255
+    p = qq4.parse("x0^200 * x1^55")
+    assert [qq4.unpack(m) for m, _ in p.terms] == [(200, 55, 0, 0)]
+    for text in ("x0^256", "x0^200 * x1^56"):
+        with pytest.raises(PackingOverflowError, match="packed degree bound"):
+            qq4.parse(text)
+    with pytest.raises(PackingOverflowError):
+        qq4.pack((0, 0, 0, 256))
+    with pytest.raises(PackingOverflowError):
+        qq4.variable(0) ** 200 * qq4.variable(1) ** 56
 
 
 def test_compose_linear_permutation(qq4):
