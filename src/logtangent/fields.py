@@ -2,9 +2,13 @@
 
 Two fields are supported: arbitrary-precision rationals (the default working
 field) and odd prime fields with a word-sized modulus (used for randomized
-searches, where exact rational growth would be wasted effort).  Field objects
-carry the arithmetic; coefficient values themselves are plain ``Fraction`` or
-``int`` instances so they stay cheap to hash and compare.
+searches, where exact rational growth would be wasted effort).
+
+Coefficients are plain numbers, ``Fraction`` over QQ and ``int`` over GF(p),
+combined with Python's ``+ - *``.  A field object only makes values: ``of``
+builds one from a fraction, ``inv`` inverts, and ``reduce`` brings the result
+of ``+ - *`` back to the canonical form that is stored and tested for zero
+(the identity over QQ, ``x % p`` over GF(p), whose values lie in [0, p)).
 """
 
 from __future__ import annotations
@@ -52,17 +56,8 @@ class RationalField:
     def of(self, numerator, denominator=1):
         return Fraction(numerator, denominator)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+    def reduce(self, x):
+        return x
 
     def inv(self, a):
         if a == 0:
@@ -100,17 +95,8 @@ class PrimeField:
             v = v * self.inv(denominator % self.p) % self.p
         return v
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
+    def reduce(self, x):
+        return x % self.p
 
     def inv(self, a):
         if a % self.p == 0:

@@ -16,14 +16,17 @@ and add per term, a monomial shift is one addition, and a divisibility test is
 one masked subtraction on the ring's guard bits (Monagan & Pearce, CASC 2007).
 Inputs and S-pair lcms that do not fit raise :class:`PackingOverflowError`;
 reduction keeps degrees, so nothing else can overflow.  Normal forms use a
-max-heap plus a coefficient dict.
+max-heap plus a coefficient dict of plain numbers combined with ``+ - *``;
+the sums stay unreduced until a term is popped, when one ``field.reduce``
+makes its coefficient canonical for the zero test and the output.
 
 Pair handling follows Gebauer-Moeller: the chain criterion prunes the pair
 queue on every insertion, and the coprimality criterion is applied in the
-rank-one (ideal) case only, where it is valid.  Selection is by S-pair
-degree (the honest degree, since all inputs here are homogeneous) with index
-tie-breaks, and every returned basis is fully interreduced and monic, hence
-canonical for the given order.
+rank-one (ideal) case only, where it is valid.  A pair is the tuple
+``(degree, i, j)``, its S-pair degree (the honest degree, since all inputs
+here are homogeneous) computed once when it is formed, so ``min(pairs)``
+selects by degree with index tie-breaks.  Every returned basis is fully
+interreduced and monic, hence canonical for the given order.
 """
 
 from __future__ import annotations
@@ -128,22 +131,23 @@ def _terms_to_vector(module: FreeModule, order: ModuleOrder, terms, first=0) -> 
     return Vector(module, tuple(Polynomial(module.ring, tuple(b)) for b in buckets))
 
 
-def _normal_form_terms(terms, reducers_by_comp, order: ModuleOrder, field):
+def _normal_form_terms(terms, reducers_by_comp, order: ModuleOrder):
     """Full normal form against monic reducers indexed by leading component.
 
     The largest pending term is reduced by the first reducer, in insertion
     order, whose lead divides it.  A key enters the heap once: every term a
-    reduction adds is smaller than the one it removes.
+    reduction adds is smaller than the one it removes.  Input coefficients
+    may be unreduced; output coefficients are reduced and nonzero.
     """
     acc = dict(terms)
     heap = [-p for p in acc]
     heapify(heap)
     out = []
-    add, mul, neg = field.add, field.mul, field.neg
+    reduce = order.ring.field.reduce
     exp_mask, guards = order.exp_mask, order.guards
     while heap:
         p = -heappop(heap)
-        c = acc.pop(p)
+        c = reduce(acc.pop(p))
         if not c:
             continue
         exps = p & exp_mask
@@ -154,13 +158,13 @@ def _normal_form_terms(terms, reducers_by_comp, order: ModuleOrder, field):
             out.append((p, c))
             continue
         shift = p - lead
-        c = neg(c)
+        c = -c
         for q, qc in tail:
             q += shift
             if q in acc:
-                acc[q] = add(acc[q], mul(qc, c))
+                acc[q] += qc * c
             else:
-                acc[q] = mul(qc, c)
+                acc[q] = qc * c
                 heappush(heap, -q)
     return out
 
@@ -169,8 +173,8 @@ def _monic_terms(terms, field):
     lc = terms[0][1]
     if lc == field.one:
         return terms
-    inv = field.inv(lc)
-    return [(k, field.mul(c, inv)) for k, c in terms]
+    inv, reduce = field.inv(lc), field.reduce
+    return [(k, reduce(c * inv)) for k, c in terms]
 
 
 def _index_reducer(by_comp, terms, order: ModuleOrder):
@@ -191,18 +195,20 @@ def _index_by_comp(basis, order: ModuleOrder):
 # Buchberger driver with Gebauer-Moeller pair updates
 
 
-def _update_pairs(leads, pairs, t, rank1: bool):
+def _update_pairs(leads, pairs, t, twists):
     """Add generator index t, pruning pairs per Gebauer-Moeller.
 
-    ``leads`` holds the (component, exponents) of each generator's lead.
+    ``leads`` holds the (component, exponents) of each generator's lead, and a
+    pair is (S-pair degree, i, j), so ``min(pairs)`` is the next to reduce.
     """
     comp_t, e_t = leads[t]
 
     kept = set()
-    for i, j in pairs:
+    for pair in pairs:
+        _, i, j = pair
         (ci, ei), (_, ej) = leads[i], leads[j]
         if ci != comp_t:
-            kept.add((i, j))
+            kept.add(pair)
             continue
         l_ij = tuple(map(max, ei, ej))
         if (
@@ -210,7 +216,7 @@ def _update_pairs(leads, pairs, t, rank1: bool):
             or l_ij == tuple(map(max, ei, e_t))
             or l_ij == tuple(map(max, ej, e_t))
         ):
-            kept.add((i, j))
+            kept.add(pair)
 
     lcm_groups: dict[tuple[int, ...], list[int]] = {}
     for i in range(t):
@@ -226,16 +232,20 @@ def _update_pairs(leads, pairs, t, rank1: bool):
 
     for lcm in minimal:
         members = lcm_groups[lcm]
-        if rank1 and any(
+        # the coprimality criterion holds in the rank-one (ideal) case only
+        if len(twists) == 1 and any(
             all(a == 0 or b == 0 for a, b in zip(leads[i][1], e_t)) for i in members
         ):
             continue
-        kept.add((min(members), t))
+        kept.add((twists[comp_t] + sum(lcm), min(members), t))
     return kept
 
 
-def _spair_terms(gi, gj, order: ModuleOrder, field):
-    """x^u gi - x^v gj for monic gi, gj whose leads share a component."""
+def _spair_terms(gi, gj, order: ModuleOrder):
+    """x^u gi - x^v gj for monic gi, gj whose leads share a component.
+
+    Returns an unreduced {packed: coeff} dict for :func:`_normal_form_terms`.
+    """
     ring = order.ring
     comp, mi = order.unpack(gi[0][0])
     _, mj = order.unpack(gj[0][0])
@@ -243,19 +253,19 @@ def _spair_terms(gi, gj, order: ModuleOrder, field):
     shift = lcm - gi[0][0]
     acc = {p + shift: c for p, c in gi[1:]}
     shift = lcm - gj[0][0]
-    add, neg = field.add, field.neg
     for p, c in gj[1:]:
         p += shift
-        acc[p] = add(acc[p], neg(c)) if p in acc else neg(c)
-    return sorted(((p, c) for p, c in acc.items() if c), key=itemgetter(0), reverse=True)
+        acc[p] = acc[p] - c if p in acc else -c
+    return acc
 
 
-def _buchberger_terms(inputs, order: ModuleOrder, field, rank1: bool):
+def _buchberger_terms(inputs, order: ModuleOrder):
+    field = order.ring.field
     G: list = []
     leads: list = []
     pairs: set = set()
     by_comp: dict[int, list] = {}
-    twists, unpack = order.twists, order.ring.unpack
+    unpack = order.ring.unpack
 
     def insert(terms):
         nonlocal pairs
@@ -264,28 +274,25 @@ def _buchberger_terms(inputs, order: ModuleOrder, field, rank1: bool):
         comp, m = order.unpack(terms[0][0])
         leads.append((comp, unpack(m)))
         _index_reducer(by_comp, terms, order)
-        pairs = _update_pairs(leads, pairs, len(G) - 1, rank1)
-
-    def pair_degree(pair):
-        (comp, ei), (_, ej) = leads[pair[0]], leads[pair[1]]
-        return twists[comp] + sum(map(max, ei, ej))
+        pairs = _update_pairs(leads, pairs, len(G) - 1, order.twists)
 
     for terms in inputs:
         if terms:
             insert(terms)
 
     while pairs:
-        pair = min(pairs, key=lambda p: (pair_degree(p), p[0], p[1]))
+        pair = min(pairs)
         pairs.discard(pair)
-        s = _spair_terms(G[pair[0]], G[pair[1]], order, field)
-        r = _normal_form_terms(s, by_comp, order, field)
+        _, i, j = pair
+        s = _spair_terms(G[i], G[j], order)
+        r = _normal_form_terms(s, by_comp, order)
         if r:
             insert(r)
 
-    return _interreduce_terms(G, order, field)
+    return _interreduce_terms(G, order)
 
 
-def _interreduce_terms(G, order: ModuleOrder, field):
+def _interreduce_terms(G, order: ModuleOrder):
     """Canonical reduced basis: minimal leads, tails fully reduced, monic.
 
     Every tail is reduced against one index of the whole minimal basis: no
@@ -298,7 +305,7 @@ def _interreduce_terms(G, order: ModuleOrder, field):
             minimal.append(terms)
     by_comp = _index_by_comp(minimal, order)
     return [
-        [terms[0]] + _normal_form_terms(terms[1:], by_comp, order, field)
+        [terms[0]] + _normal_form_terms(terms[1:], by_comp, order)
         for terms in minimal
     ]
 
@@ -328,9 +335,8 @@ def groebner_basis(gens: Sequence[Vector]) -> list[Vector]:
         if not g.is_homogeneous():
             raise ValueError("generators must be homogeneous")
     order = ModuleOrder(module)
-    field = module.ring.field
     inputs = [_vector_to_terms(g, order) for g in gens]
-    basis = _buchberger_terms(inputs, order, field, rank1=(module.rank == 1))
+    basis = _buchberger_terms(inputs, order)
     return [_terms_to_vector(module, order, terms) for terms in basis]
 
 
@@ -343,7 +349,7 @@ def normal_form(v: Vector, basis: Sequence[Vector]) -> Vector:
     field = v.module.ring.field
     reducers = (_vector_to_terms(g, order) for g in basis if not g.is_zero())
     by_comp = _index_by_comp([_monic_terms(t, field) for t in reducers], order)
-    r = _normal_form_terms(_vector_to_terms(v, order), by_comp, order, field)
+    r = _normal_form_terms(_vector_to_terms(v, order), by_comp, order)
     return _terms_to_vector(v.module, order, r)
 
 
@@ -359,8 +365,8 @@ def spoly_reduces_to_zero(basis: Sequence[Vector]) -> bool:
     for a, b in combinations(terms, 2):
         if (a[0][0] ^ b[0][0]) & COMP_MAX:
             continue
-        s = _spair_terms(a, b, order, field)
-        if _normal_form_terms(s, by_comp, order, field):
+        s = _spair_terms(a, b, order)
+        if _normal_form_terms(s, by_comp, order):
             return False
     return True
 
@@ -411,16 +417,15 @@ def module_gb_and_syzygies(
 
     aug = FreeModule(ring, tuple(target.twists) + tuple(degrees))
     order = ModuleOrder(aug, split=k)
-    field = ring.field
 
     inputs = []
     for i, g in enumerate(gens):
         # the marker term sits in the lower block, so it stays last
         terms = _vector_to_terms(g, order)
-        terms.append((order.pack(k + i, ring.unit), field.one))
+        terms.append((order.pack(k + i, ring.unit), ring.field.one))
         inputs.append(terms)
 
-    basis = _buchberger_terms(inputs, order, field, rank1=False)
+    basis = _buchberger_terms(inputs, order)
 
     image_gb = []
     syz_module = FreeModule(ring, degrees)

@@ -20,13 +20,11 @@ def matrix_rank(rows: Sequence[Sequence], field) -> int:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
         inv = field.inv(m[rank][col])
-        m[rank] = [field.mul(x, inv) for x in m[rank]]
+        m[rank] = [field.reduce(x * inv) for x in m[rank]]
         for r in range(len(m)):
             if r != rank and m[r][col]:
                 factor = m[r][col]
-                m[r] = [
-                    field.sub(x, field.mul(factor, y)) for x, y in zip(m[r], m[rank])
-                ]
+                m[r] = [field.reduce(x - factor * y) for x, y in zip(m[r], m[rank])]
         rank += 1
         if rank == len(m):
             break

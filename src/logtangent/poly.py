@@ -109,10 +109,10 @@ class PolyRing:
     def poly(self, items: Iterable[tuple[int, object]]) -> "Polynomial":
         """Build a polynomial from (monomial, coefficient) pairs, merging duplicates."""
         acc: dict[int, object] = {}
-        add = self.field.add
         for m, c in items:
-            acc[m] = add(acc[m], c) if m in acc else c
-        terms = sorted(((m, c) for m, c in acc.items() if c), reverse=True)
+            acc[m] = acc[m] + c if m in acc else c
+        coeffs = map(self.field.reduce, acc.values())
+        terms = sorted(((m, c) for m, c in zip(acc, coeffs) if c), reverse=True)
         return Polynomial(self, tuple(terms))
 
     def zero(self) -> "Polynomial":
@@ -189,12 +189,11 @@ class Polynomial:
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        neg = self.ring.field.neg
-        return self.ring.poly(self.terms + tuple((e, neg(c)) for e, c in other.terms))
+        return self.ring.poly(self.terms + tuple((m, -c) for m, c in other.terms))
 
     def __neg__(self) -> "Polynomial":
-        neg = self.ring.field.neg
-        return Polynomial(self.ring, tuple((e, neg(c)) for e, c in self.terms))
+        reduce = self.ring.field.reduce
+        return Polynomial(self.ring, tuple((m, reduce(-c)) for m, c in self.terms))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -203,16 +202,13 @@ class Polynomial:
         if not self.terms or not other.terms:
             return self.ring.zero()
         _check_degree(self.degree + other.degree)
-        mul = self.ring.field.mul
-        add = self.ring.field.add
         acc: dict[int, object] = {}
         unit = self.ring.unit
         for ma, ca in self.terms:
             ma -= unit
             for mb, cb in other.terms:
                 m = ma + mb
-                c = mul(ca, cb)
-                acc[m] = add(acc[m], c) if m in acc else c
+                acc[m] = acc[m] + ca * cb if m in acc else ca * cb
         return self.ring.poly(acc.items())
 
     def __rmul__(self, other):
@@ -235,15 +231,14 @@ class Polynomial:
     def scaled(self, c) -> "Polynomial":
         if not c:
             return self.ring.zero()
-        mul = self.ring.field.mul
-        return Polynomial(self.ring, tuple((e, mul(coef, c)) for e, coef in self.terms))
+        reduce = self.ring.field.reduce
+        return Polynomial(self.ring, tuple((m, reduce(coef * c)) for m, coef in self.terms))
 
     def partial(self, i: int) -> "Polynomial":
         """Formal partial derivative with respect to x_i."""
         if not 0 <= i < self.ring.nvars:
             raise ValueError(f"variable index out of range: {i}")
-        of = self.ring.field.of
-        mul = self.ring.field.mul
+        reduce = self.ring.field.reduce
         s = self.ring.shifts[i]
         # dividing by x_i raises its field by one and keeps the order
         step = (1 << s) - (1 << self.ring.deg_shift)
@@ -251,7 +246,7 @@ class Polynomial:
         for m, c in self.terms:
             k = EXP_MAX - ((m >> s) & EXP_MAX)
             if k:
-                c = mul(c, of(k))
+                c = reduce(c * k)
                 if c:
                     items.append((m + step, c))
         return Polynomial(self.ring, tuple(items))
@@ -452,9 +447,11 @@ class _Parser:
                 if kind3 != _TOK_INT:
                     raise ParseError("division is only allowed in rational literals", off2)
                 self.advance()
-                if den == 0:
-                    raise ParseError("zero denominator", off3)
-                return self.ring.constant(self.ring.field.of(val, den))
+                field = self.ring.field
+                try:
+                    return self.ring.constant(field.of(val, den))
+                except ZeroDivisionError:
+                    raise ParseError(f"denominator {den} vanishes in {field!r}", off3) from None
             return self.ring.from_int(val)
         if kind == _TOK_VAR:
             return self.ring.variable(val)

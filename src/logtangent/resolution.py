@@ -65,11 +65,11 @@ def _extends_span(pivots: dict, v: Vector) -> bool:
         lead = max(row)
         if lead not in pivots:
             inv = field.inv(row[lead])
-            pivots[lead] = {t: field.mul(c, inv) for t, c in row.items()}
+            pivots[lead] = {t: field.reduce(c * inv) for t, c in row.items()}
             return True
         c = row[lead]
         for t, b in pivots[lead].items():
-            row[t] = field.sub(row.get(t, field.zero), field.mul(c, b))
+            row[t] = field.reduce(row.get(t, 0) - c * b)
             if not row[t]:
                 del row[t]
     return False

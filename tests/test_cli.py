@@ -65,6 +65,15 @@ def test_analyze_parse_error_exits_2(capsys):
     assert code == 2
 
 
+def test_analyze_denominator_vanishing_mod_p_exits_2(capsys):
+    code, out = run_cli(
+        capsys,
+        "analyze", "--field", "fp:7", "--f", "1/7*x0", "--g", "x1^2+x2^2+x3^2", "--json",
+    )
+    assert code == 2
+    assert "offset 2" in json.loads(out)["error"]
+
+
 def test_analyze_betti_table(capsys):
     code, out = run_cli(
         capsys, "analyze", "--f", "x0^2+x3^2", "--g", "x0^3+x0*x1*x2+x3^3", "--betti"

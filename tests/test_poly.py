@@ -7,7 +7,7 @@ import pytest
 
 from logtangent.fields import QQ, FieldMismatchError, PrimeField
 from logtangent import PackingOverflowError, groebner
-from logtangent.poly import ParseError, monomials_of_degree
+from logtangent.poly import ParseError, PolyRing, monomials_of_degree
 from oracles import grevlex_key
 
 
@@ -198,11 +198,28 @@ def test_monomials_of_degree_count():
 
 def test_prime_field_arithmetic():
     K = PrimeField(32003)
-    a, b = K.of(-5), K.of(7)
+    a = K.of(-5)
     assert 0 <= a < 32003
-    assert K.mul(a, K.inv(a)) == K.one
-    assert K.add(a, K.neg(a)) == K.zero
-    assert K.of(3, 2) == K.mul(K.of(3), K.inv(K.of(2)))
+    assert 0 <= K.reduce(-a) < 32003
+    assert K.reduce(a * K.inv(a)) == K.one
+    assert K.reduce(a + K.reduce(-a)) == K.zero
+    assert K.of(3, 2) == K.reduce(K.of(3) * K.inv(K.of(2)))
+
+
+@pytest.mark.parametrize(
+    "field, text, offset",
+    [(PrimeField(7), "1/7*x0", 2), (PrimeField(7), "x1 + 3/14", 7), (QQ, "x0 - 5/0", 7)],
+)
+def test_denominator_vanishing_in_the_field_is_a_parse_error(field, text, offset):
+    with pytest.raises(ParseError) as err:
+        PolyRing(field, 4).parse(text)
+    assert "vanishes" in str(err.value)
+    assert err.value.offset == offset
+
+
+def test_denominator_invertible_mod_p_parses():
+    K = PrimeField(7)
+    assert PolyRing(K, 4).parse("1/3*x0").terms[0][1] == K.of(1, 3) == 5
 
 
 @pytest.mark.parametrize("bad", [1, 2, 4, 9, 15, 32004])
