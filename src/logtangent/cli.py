@@ -8,7 +8,9 @@ their invariants.
 Exit codes are part of the contract so CI can tell input problems from
 mathematical anomalies: 0 success, 2 dependent/non-normal/unparseable
 input or a characteristic p <= the largest degree, 3 Bourbaki extraction
-failure, 4 constraint violation under ``--validate``, 1 corpus mismatch.
+failure, 4 constraint violation under ``--validate``, 5 a failed internal
+cross-check (``ConsistencyError``) or a resolution past its length bound
+(``ResolutionLengthError``), 1 corpus mismatch.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from . import __version__
 from .bourbaki import BourbakiExtractionError, bourbaki_data
 from .fields import QQ, PrimeField
 from .fixtures import FIXTURES, run_corpus
+from .hilbert import ConsistencyError
 from .invariants import InvariantReport, invariants, validate_constraints
 from .poly import ParseError, PolyRing
+from .resolution import ResolutionLengthError
 from .search import run_search
 from .sequences import DependentSequenceError, NonNormalSequenceError, Sequence
 
@@ -149,6 +153,11 @@ def _print_text_report(doc: dict, betti_text: str | None):
         print(betti_text)
 
 
+def _refuse(args, exc, code: int, **extra) -> int:
+    print(json.dumps({"error": str(exc), **extra}) if args.json else f"error: {exc}")
+    return code
+
+
 def cmd_analyze(args) -> int:
     field = args.field
     ring = PolyRing(field, 4)
@@ -156,20 +165,15 @@ def cmd_analyze(args) -> int:
     try:
         seq = Sequence.parse(ring, args.f, args.g)
         report = invariants(seq, with_schemes=not args.no_schemes)
-    except (ParseError, ValueError, DependentSequenceError, NonNormalSequenceError) as exc:
-        payload = {"error": str(exc)}
-        if isinstance(exc, NonNormalSequenceError):
-            payload["divisor_degree"] = exc.divisor_degree
-        print(json.dumps(payload) if args.json else f"error: {exc}")
-        return 2
-
-    bd = None
-    if args.bourbaki:
-        try:
-            bd = bourbaki_data(seq, report)
-        except BourbakiExtractionError as exc:
-            print(json.dumps({"error": str(exc)}) if args.json else f"error: {exc}")
-            return 3
+        bd = bourbaki_data(seq, report) if args.bourbaki else None
+    except NonNormalSequenceError as exc:
+        return _refuse(args, exc, 2, divisor_degree=exc.divisor_degree)
+    except (ParseError, ValueError, DependentSequenceError) as exc:
+        return _refuse(args, exc, 2)
+    except BourbakiExtractionError as exc:
+        return _refuse(args, exc, 3)
+    except (ConsistencyError, ResolutionLengthError) as exc:
+        return _refuse(args, exc, 5)
 
     elapsed = time.perf_counter() - started
     doc = report_document(seq, report, bd, field, elapsed)

@@ -10,7 +10,6 @@ row, so the corpus doubles as the regression gate of the whole pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .bourbaki import BourbakiData, bourbaki_data
 from .fields import QQ
@@ -295,13 +294,6 @@ class FixtureResult:
     error: str | None = None
 
 
-def fixture_by_name(name: str) -> Fixture:
-    for fx in FIXTURES:
-        if fx.name == name:
-            return fx
-    raise KeyError(name)
-
-
 def run_fixture(fx: Fixture, field_obj=QQ) -> FixtureResult:
     ring = PolyRing(field_obj, 4)
     mismatches: list[str] = []
@@ -369,11 +361,5 @@ def run_fixture(fx: Fixture, field_obj=QQ) -> FixtureResult:
     )
 
 
-def run_corpus(field_obj=QQ, fixtures=FIXTURES, progress: Callable | None = None):
-    results = []
-    for fx in fixtures:
-        result = run_fixture(fx, field_obj)
-        results.append(result)
-        if progress is not None:
-            progress(result)
-    return results
+def run_corpus(field_obj=QQ, fixtures=FIXTURES):
+    return [run_fixture(fx, field_obj) for fx in fixtures]

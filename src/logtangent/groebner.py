@@ -41,18 +41,12 @@ from .modules import FreeModule, Vector
 from .poly import EXP_MAX, PackingOverflowError, Polynomial, monomial_divides
 
 
-MAX_SATURATION_ROUNDS = 64
-
 # Field widths a module term adds to a packed monomial: the component below
 # it, the biased shifted degree field of DEG_BITS bits, then the block bit.
 DEG_BITS = 10
 COMP_BITS = 10
 DEG_BIAS = 1 << (DEG_BITS - 1)
 COMP_MAX = (1 << COMP_BITS) - 1
-
-
-class SaturationLimitError(RuntimeError):
-    """Saturation failed to stabilize within the iteration cap."""
 
 
 class ModuleOrder:
@@ -480,11 +474,6 @@ def ideal_groebner(ring, polys: Sequence[Polynomial]) -> list[Polynomial]:
     return [v.entries[0] for v in gb]
 
 
-def ideal_contains(ring, gb: Sequence[Polynomial], p: Polynomial) -> bool:
-    module = _ideal_module(ring)
-    return normal_form(Vector(module, (p,)), _as_vectors(ring, gb)).is_zero()
-
-
 def ideal_equals(ring, a: Sequence[Polynomial], b: Sequence[Polynomial]) -> bool:
     """Equality of ideals via their canonical reduced Groebner bases."""
     return ideal_groebner(ring, a) == ideal_groebner(ring, b)
@@ -534,30 +523,31 @@ def ideal_intersection(
 
 
 def saturate_ideal(ring, gens: Sequence[Polynomial]) -> list[Polynomial]:
-    """Saturation with respect to the irrelevant ideal (all variables).
+    """Saturation I : (x0, ..., x_{n-1})^oo, as a reduced Groebner basis.
 
-    Iterates I -> (I : (x0,...,x_{n-1})) until it stabilizes; the result is
-    returned as a reduced Groebner basis.  A hard cap guards against bugs
-    (the loop is bounded by regularity for honest inputs).
+    I^sat is the intersection over i of I : x_i^oo, since a power of the
+    irrelevant ideal lies in (x0^N, ..., x_{n-1}^N).  Each I : x_i^oo is the
+    top of the chain J -> J : x_i started at I, which ascends and so stops
+    (R is Noetherian).  If it stops at once, I : x_i = I makes x_i a nonzerodivisor on
+    R/I, so I^sat lies in I : x_i^oo = I and I is returned without further
+    colons.  Otherwise the tops of all the chains are intersected.
     """
     current = ideal_groebner(ring, gens)
     if not current:
         return []
-    for _ in range(MAX_SATURATION_ROUNDS):
-        quotient: list[Polynomial] | None = None
-        for i in range(ring.nvars):
-            step = ideal_colon(ring, current, ring.variable(i))
-            quotient = (
-                step
-                if quotient is None
-                else ideal_intersection(ring, quotient, step)
-            )
-        if all(ideal_contains(ring, current, p) for p in quotient):
+    tops = []
+    for i in range(ring.nvars):
+        x = ring.variable(i)
+        top = current
+        while (step := ideal_groebner(ring, ideal_colon(ring, top, x))) != top:
+            top = step
+        if top == current:
             return current
-        current = ideal_groebner(ring, quotient)
-    raise SaturationLimitError(
-        f"saturation did not stabilize in {MAX_SATURATION_ROUNDS} rounds"
-    )
+        tops.append(top)
+    result = tops[0]
+    for top in tops[1:]:
+        result = ideal_intersection(ring, result, top)
+    return ideal_groebner(ring, result)
 
 
 def minor(matrix: Sequence[Sequence[Polynomial]], rows, cols) -> Polynomial:

@@ -229,9 +229,10 @@ class Polynomial:
         return result
 
     def scaled(self, c) -> "Polynomial":
+        reduce = self.ring.field.reduce
+        c = reduce(c)
         if not c:
             return self.ring.zero()
-        reduce = self.ring.field.reduce
         return Polynomial(self.ring, tuple((m, reduce(coef * c)) for m, coef in self.terms))
 
     def partial(self, i: int) -> "Polynomial":

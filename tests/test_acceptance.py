@@ -21,7 +21,6 @@ from logtangent.groebner import (
     annihilator_of_cokernel,
     fitting_ideal_0,
     groebner_basis,
-    ideal_contains,
     ideal_groebner,
     saturate_ideal,
     spoly_reduces_to_zero,
@@ -34,6 +33,7 @@ from logtangent.poly import PolyRing
 from logtangent.resolution import resolve_submodule
 from logtangent.search import run_search
 from logtangent.sequences import Sequence
+from oracles import ideal_contains
 
 SEED = 20260808
 PRIME = 32003

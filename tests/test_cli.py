@@ -7,8 +7,14 @@ import pytest
 
 from logtangent.cli import main
 from logtangent.fields import QQ
-from logtangent.fixtures import FIXTURES, fixture_by_name, run_corpus, run_fixture
+from logtangent.fixtures import FIXTURES, run_corpus, run_fixture
 from logtangent.groebner import EXP_MAX
+from logtangent.hilbert import ConsistencyError
+from logtangent.resolution import ResolutionLengthError
+
+
+def fixture_by_name(name):
+    return next(fx for fx in FIXTURES if fx.name == name)
 
 
 def run_cli(capsys, *argv):
@@ -213,3 +219,18 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "error", [ConsistencyError, ResolutionLengthError], ids=lambda e: e.__name__
+)
+def test_analyze_internal_failure_exits_5(capsys, monkeypatch, error):
+    import logtangent.cli as cli_mod
+
+    def fail(seq, with_schemes):
+        raise error("cross-check failed")
+
+    monkeypatch.setattr(cli_mod, "invariants", fail)
+    code, out = run_cli(capsys, "analyze", "--f", "x0^2+x3^2", "--g", "x0^3+x1^3", "--json")
+    assert code == 5
+    assert json.loads(out) == {"error": "cross-check failed"}

@@ -17,7 +17,6 @@ from logtangent.groebner import (
     fitting_ideal_0,
     groebner_basis,
     ideal_colon,
-    ideal_contains,
     ideal_equals,
     ideal_groebner,
     ideal_intersection,
@@ -32,7 +31,7 @@ from logtangent.hilbert import ConsistencyError
 from logtangent.modules import FreeModule, Vector, apply_columns
 from logtangent.poly import PolyRing, monomial_divides
 from logtangent.sequences import Sequence
-from oracles import grevlex_key, module_key
+from oracles import grevlex_key, ideal_contains, module_key
 
 
 def vecs(ring, polys):

@@ -226,3 +226,12 @@ def test_denominator_invertible_mod_p_parses():
 def test_prime_field_rejects_bad_modulus(bad):
     with pytest.raises(ValueError):
         PrimeField(bad)
+
+
+def test_scaled_reduces_the_scalar_before_the_zero_test():
+    ring = PolyRing(PrimeField(7), 4)
+    p = ring.parse("x0 + x1")
+    zero = p.scaled(7)
+    assert zero.is_zero() and zero == ring.zero()
+    assert p.scaled(8) == p
+    assert p.scaled(-6) == p
