@@ -3,9 +3,9 @@
 The engine works on flat term lists sorted strictly descending under a
 :class:`ModuleOrder`.  The order is graded term-over-position: terms compare
 first by twist-shifted degree, then grevlex on the monomial, then by
-ascending component index; an optional leading block turns it into an
-elimination order, which is how syzygies, colon ideals, intersections and
-kernels are all computed below.
+ascending component index; an optional leading block of components turns it
+into an elimination order.  One elimination over a "tag" block (described at
+``_eliminate``) computes syzygies, kernels, colon ideals and intersections.
 
 Internally a term is ``(packed, coeff)`` with one ``int`` whose integer order
 is the module order: a term of component ``c`` with packed monomial ``m``
@@ -377,7 +377,38 @@ class Submodule:
 
 
 # ---------------------------------------------------------------------------
-# syzygies, kernels and the image/syzygy combo
+# syzygies, colons and intersections: one elimination over a tag block
+#
+# Each generator g_i of the target module is paired with a tag t_i, a vector
+# in an extra block of components ordered after the target's.  The basis of
+# the vectors (g_i | t_i) splits by the block of its leads: the members led
+# in the target block give a basis of the image (g_i), and the members led
+# in the tag block have no target part, so their tags are a basis of
+# {sum r_i t_i : sum r_i g_i = 0}.  Basis-vector tags give the syzygies,
+# (t | 1) with (g | 0) gives M : t, and (f | f) with (g | 0) gives I cap J.
+
+
+def _eliminate(gens: Sequence[Vector], tags: Sequence[Vector]):
+    """(image basis, tag parts) of the elimination basis of the (g_i | t_i)."""
+    target, tag = gens[0].module, tags[0].module
+    k = target.rank
+    aug = FreeModule(target.ring, target.twists + tag.twists)
+    order = ModuleOrder(aug, split=k)
+    inputs = []
+    for g, t in zip(gens, tags):
+        v = Vector(aug, g.entries + t.entries)
+        # homogeneity keeps tag terms, too, at their checked S-pair degree
+        if not v.is_homogeneous():
+            raise ValueError("generators must be homogeneous")
+        inputs.append(_vector_to_terms(v, order))
+    image, tag_parts = [], []
+    for terms in _buchberger_terms(inputs, order):
+        if order.unpack(terms[0][0])[0] < k:
+            head = [t for t in terms if order.unpack(t[0])[0] < k]
+            image.append(_terms_to_vector(target, order, head))
+        else:
+            tag_parts.append(_terms_to_vector(tag, order, terms, first=k))
+    return image, tag_parts
 
 
 def module_gb_and_syzygies(
@@ -392,44 +423,15 @@ def module_gb_and_syzygies(
     """
     if not gens:
         raise ValueError("no generators")
-    target = gens[0].module
-    ring = target.ring
-    k = target.rank
-    r = len(gens)
     if degrees is None:
-        degrees = []
-        for g in gens:
-            if g.is_zero():
-                raise ValueError("zero generator needs an explicit degree")
-            degrees.append(g.degree)
-    degrees = list(degrees)
-    if len(degrees) != r:
+        if any(g.is_zero() for g in gens):
+            raise ValueError("zero generator needs an explicit degree")
+        degrees = [g.degree for g in gens]
+    if len(degrees) != len(gens):
         raise ValueError("degree list does not match generators")
-    for g, d in zip(gens, degrees):
-        if not g.is_zero() and g.degree != d:
-            raise ValueError("inhomogeneous matrix: column degree mismatch")
-
-    aug = FreeModule(ring, tuple(target.twists) + tuple(degrees))
-    order = ModuleOrder(aug, split=k)
-
-    inputs = []
-    for i, g in enumerate(gens):
-        # the marker term sits in the lower block, so it stays last
-        terms = _vector_to_terms(g, order)
-        terms.append((order.pack(k + i, ring.unit), ring.field.one))
-        inputs.append(terms)
-
-    basis = _buchberger_terms(inputs, order)
-
-    image_gb = []
-    syz_module = FreeModule(ring, degrees)
-    syz_gens = []
-    for terms in basis:
-        if order.unpack(terms[0][0])[0] < k:
-            image = [t for t in terms if order.unpack(t[0])[0] < k]
-            image_gb.append(_terms_to_vector(target, order, image))
-        else:
-            syz_gens.append(_terms_to_vector(syz_module, order, terms, first=k))
+    syz_module = FreeModule(gens[0].module.ring, degrees)
+    tags = [syz_module.basis_vector(i) for i in range(len(gens))]
+    image_gb, syz_gens = _eliminate(gens, tags)
     return image_gb, syz_module, syz_gens
 
 
@@ -483,14 +485,10 @@ def module_colon(mod_gens: Sequence[Vector], target: Vector) -> list[Polynomial]
     """The ideal {r in R : r * target lies in the submodule spanned by mod_gens}."""
     if target.is_zero():
         raise ValueError("colon by the zero element")
-    degrees = [target.degree] + [g.degree for g in mod_gens]
-    _, syz = syzygy_basis([target] + list(mod_gens), degrees=degrees)
-    out = []
-    for s in syz:
-        p = s.entries[0]
-        if not p.is_zero():
-            out.append(p)
-    return out
+    tag = FreeModule(target.module.ring, (target.degree,))
+    tags = [tag.basis_vector(0)] + [tag.zero()] * len(mod_gens)
+    _, colon = _eliminate([target, *mod_gens], tags)
+    return [v.entries[0] for v in colon]
 
 
 def ideal_colon(ring, gens: Sequence[Polynomial], h: Polynomial) -> list[Polynomial]:
@@ -504,22 +502,13 @@ def ideal_colon(ring, gens: Sequence[Polynomial], h: Polynomial) -> list[Polynom
 def ideal_intersection(
     ring, a: Sequence[Polynomial], b: Sequence[Polynomial]
 ) -> list[Polynomial]:
-    """Intersection of two homogeneous ideals via one syzygy computation."""
-    a = [p for p in a if not p.is_zero()]
-    b = [p for p in b if not p.is_zero()]
+    """Intersection of two homogeneous ideals, as a reduced Groebner basis."""
+    a, b = _as_vectors(ring, a), _as_vectors(ring, b)
     if not a or not b:
         return []
-    vecs = _as_vectors(ring, a) + _as_vectors(ring, b)
-    _, syz = syzygy_basis(vecs)
-    out = []
-    for s in syz:
-        p = ring.zero()
-        for c, gen in zip(s.entries[: len(a)], a):
-            if not c.is_zero():
-                p = p + c * gen
-        if not p.is_zero():
-            out.append(p)
-    return out
+    zero = _ideal_module(ring).zero()
+    _, both = _eliminate(a + b, a + [zero] * len(b))
+    return [v.entries[0] for v in both]
 
 
 def saturate_ideal(ring, gens: Sequence[Polynomial]) -> list[Polynomial]:

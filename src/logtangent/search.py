@@ -4,10 +4,11 @@ Samples dense homogeneous pairs with independent uniform coefficients,
 analyzes each kept draw, aggregates an (m, e, bour, c3) histogram and
 collects anomalies: constraint violations (marked prime-suspect, since a
 hit over a small prime may be a bad prime rather than a counterexample),
-cubic pencils landing on the open (m, e) = (7, 1) stratum, and any pair
+cubic pencils landing on the open (m, e) = (7, 1) stratum, any pair
 with a vanishing m-invariant whose initial degree is below the total
-degree.  Sampling is per-index seeded, so results are byte-identical for a
-fixed seed regardless of worker count.
+degree, and any sample whose analysis raised (an "error" row, so one bad
+sample does not end the search).  Sampling is per-index seeded, so results
+are byte-identical for a fixed seed regardless of worker count.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ SKIP_NON_NORMAL = "non_normal"
 @dataclass
 class SearchRow:
     index: int
-    status: str  # "ok" or a skip reason
+    status: str  # "ok", "error" or a skip reason
     m: int | None = None
     e: int | None = None
     bour: int | None = None
@@ -133,6 +134,9 @@ def analyze_sample(args) -> SearchRow:
         return SearchRow(index=index, status=SKIP_DEPENDENT)
     except NonNormalSequenceError:
         return SearchRow(index=index, status=SKIP_NON_NORMAL)
+    except Exception as exc:  # one bad sample must not end the search
+        error = f"error: {type(exc).__name__}: {exc}"
+        return SearchRow(index, "error", anomalies=[error], f=str(seq.f), g=str(seq.g))
 
     anomalies = [
         f"prime-suspect constraint violation: {v}"

@@ -1,5 +1,6 @@
 """Reference forms kept to pin the library: the tuple term orders behind the
-packed integers, ideal membership, and the capped fixpoint saturation."""
+packed integers, ideal membership, the capped fixpoint saturation, and the
+colon and intersection read off a full syzygy module."""
 
 from logtangent.groebner import (
     _as_vectors,
@@ -8,6 +9,7 @@ from logtangent.groebner import (
     ideal_groebner,
     ideal_intersection,
     normal_form,
+    syzygy_basis,
 )
 from logtangent.modules import Vector
 
@@ -49,3 +51,28 @@ def saturate_by_rounds(ring, gens):
             return current
         current = ideal_groebner(ring, quotient)
     raise RuntimeError(f"saturation did not stabilize in {SATURATION_ROUNDS} rounds")
+
+
+def colon_by_syzygies(mod_gens, target):
+    """M : t as the nonzero first entries of the syzygies of (t, g_1, ...)."""
+    degrees = [target.degree] + [g.degree for g in mod_gens]
+    _, syz = syzygy_basis([target] + list(mod_gens), degrees=degrees)
+    return [s.entries[0] for s in syz if not s.entries[0].is_zero()]
+
+
+def intersection_by_syzygies(ring, a, b):
+    """I cap J as sum s_i f_i over the syzygies s of (f_1, ..., g_1, ...)."""
+    a = [p for p in a if not p.is_zero()]
+    b = [p for p in b if not p.is_zero()]
+    if not a or not b:
+        return []
+    _, syz = syzygy_basis(_as_vectors(ring, a) + _as_vectors(ring, b))
+    out = []
+    for s in syz:
+        p = ring.zero()
+        for c, gen in zip(s.entries[: len(a)], a):
+            if not c.is_zero():
+                p = p + c * gen
+        if not p.is_zero():
+            out.append(p)
+    return out

@@ -6,10 +6,11 @@ import json
 import pytest
 
 from logtangent.cli import main
-from logtangent.fields import QQ
+from logtangent.fields import QQ, PrimeField
 from logtangent.fixtures import FIXTURES, run_corpus, run_fixture
 from logtangent.groebner import EXP_MAX
 from logtangent.hilbert import ConsistencyError
+from logtangent.poly import PolyRing
 from logtangent.resolution import ResolutionLengthError
 
 
@@ -192,6 +193,36 @@ def test_search_worker_pool_matches_sequential():
     par = run_search(df=1, dg=2, count=10, seed=3, p=32003, jobs=2)
     assert seq.to_json() == par.to_json()
     assert seq.csv_lines() == par.csv_lines()
+
+
+def test_search_records_a_failing_sample_and_goes_on(monkeypatch):
+    import logtangent.search as search_mod
+
+    ring = PolyRing(PrimeField(32003), 4)
+    bad_f, bad_g = search_mod.sample_pair(ring, 1, 2, 3, 4)
+    real = search_mod.invariants
+
+    def flaky(seq, with_schemes):
+        if (seq.f, seq.g) == (bad_f, bad_g):
+            raise ConsistencyError("cross-check failed")
+        return real(seq, with_schemes=with_schemes)
+
+    clean = search_mod.run_search(df=1, dg=2, count=10, seed=3, jobs=1)
+    monkeypatch.setattr(search_mod, "invariants", flaky)
+    result = search_mod.run_search(df=1, dg=2, count=10, seed=3, jobs=1)
+    assert [r.status for r in result.rows if r.status != "ok"] == ["error"]
+    assert result.anomalies() == [
+        {
+            "index": 4,
+            "anomaly": "error: ConsistencyError: cross-check failed",
+            "f": str(bad_f),
+            "g": str(bad_g),
+        }
+    ]
+    # every other row is as it was
+    assert [r for r in result.rows if r.index != 4] == [
+        r for r in clean.rows if r.index != 4
+    ]
 
 
 def test_search_rejects_zero_count(capsys):

@@ -1,0 +1,102 @@
+"""Colon ideals and intersections by one tagged elimination, against the
+references that read them off a full syzygy module; and the refusal of
+inhomogeneous generators."""
+
+import random
+
+import pytest
+
+from logtangent.fields import QQ, PrimeField
+from logtangent.fixtures import FIXTURES
+from logtangent.groebner import (
+    _as_vectors,
+    _ideal_module,
+    ideal_colon,
+    ideal_groebner,
+    ideal_intersection,
+    module_colon,
+    module_gb_and_syzygies,
+)
+from logtangent.modules import FreeModule, Vector
+from logtangent.poly import PolyRing
+from logtangent.sequences import Sequence, jacobian_minors
+from oracles import colon_by_syzygies, intersection_by_syzygies
+
+FIELDS = [pytest.param(QQ, id="QQ"), pytest.param(PrimeField(32003), id="GF32003")]
+
+
+def check_ideal_colon(ring, gens, h):
+    got = ideal_colon(ring, gens, h)
+    expected = colon_by_syzygies(_as_vectors(ring, gens), Vector(_ideal_module(ring), (h,)))
+    assert ideal_groebner(ring, got) == ideal_groebner(ring, expected)
+
+
+def check_intersection(ring, a, b):
+    got = ideal_intersection(ring, a, b)
+    # the tag parts of a reduced elimination basis are already reduced
+    assert got == ideal_groebner(ring, intersection_by_syzygies(ring, a, b))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_corpus_colons_and_intersections_match_reference(field):
+    ring = PolyRing(field, 4)
+    m = [ring.variable(i) for i in range(4)]
+    for fx in FIXTURES:
+        seq = Sequence.parse(ring, fx.f, fx.g)
+        minors = [p for p in jacobian_minors(seq).values() if not p.is_zero()]
+        for x in m:
+            check_ideal_colon(ring, minors, x)
+        check_intersection(ring, minors, m[1:])
+        # the annihilator's inputs: rank-2 colons of the columns, twisted by -df, -dg
+        target = seq.jacobian_target()
+        columns = [c for c in seq.jacobian_columns() if not c.is_zero()]
+        colons = []
+        for i in range(target.rank):
+            e = target.basis_vector(i)
+            got = module_colon(columns, e)
+            expected = colon_by_syzygies(columns, e)
+            assert ideal_groebner(ring, got) == ideal_groebner(ring, expected), fx.name
+            colons.append(got)
+        check_intersection(ring, *colons)
+        check_intersection(ring, minors, colons[0])
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("nvars", [3, 4])
+def test_random_colons_and_intersections_match_reference(field, nvars):
+    ring = PolyRing(field, nvars)
+    rng = random.Random(100 * nvars + 11)
+    m = [ring.variable(i) for i in range(nvars)]
+    for _ in range(4):
+        a, b = (
+            [ring.random_homogeneous(rng.randint(1, 3), rng) for _ in range(rng.randint(1, nvars))]
+            for _ in range(2)
+        )
+        for h in m + [ring.random_homogeneous(rng.randint(1, 2), rng)]:
+            check_ideal_colon(ring, [p * m[0] for p in a], h)
+            check_ideal_colon(ring, a, h)
+        check_intersection(ring, a, b)
+        check_intersection(ring, a, m[1:])
+
+
+# each call gets bad = x0^2 + x1 among its generators, or as what it divides by
+INHOMOGENEOUS_CALLS = {
+    "ideal_intersection_left": lambda r, bad, x: ideal_intersection(r, [bad], [x]),
+    "ideal_intersection_right": lambda r, bad, x: ideal_intersection(r, [x], [bad]),
+    "ideal_colon_gens": lambda r, bad, x: ideal_colon(r, [bad], x),
+    "ideal_colon_by": lambda r, bad, x: ideal_colon(r, [x], bad),
+    "module_colon_gens": lambda r, bad, x: module_colon(
+        [Vector(FreeModule(r, (0, 1)), (bad, x))], FreeModule(r, (0, 1)).basis_vector(0)
+    ),
+    "module_colon_by": lambda r, bad, x: module_colon(_as_vectors(r, [x]), _as_vectors(r, [bad])[0]),
+    "module_gb_and_syzygies": lambda r, bad, x: module_gb_and_syzygies(_as_vectors(r, [bad])),
+    "module_gb_and_syzygies_degrees": lambda r, bad, x: module_gb_and_syzygies(
+        _as_vectors(r, [x]), degrees=[2]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INHOMOGENEOUS_CALLS))
+def test_inhomogeneous_generator_is_refused(qq4, name):
+    with pytest.raises(ValueError):
+        INHOMOGENEOUS_CALLS[name](qq4, qq4.parse("x0^2 + x1"), qq4.variable(2))
