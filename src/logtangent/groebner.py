@@ -16,9 +16,13 @@ and add per term, a monomial shift is one addition, and a divisibility test is
 one masked subtraction on the ring's guard bits (Monagan & Pearce, CASC 2007).
 Inputs and S-pair lcms that do not fit raise :class:`PackingOverflowError`;
 reduction keeps degrees, so nothing else can overflow.  Normal forms use a
-max-heap plus a coefficient dict of plain numbers combined with ``+ - *``;
-the sums stay unreduced until a term is popped, when one ``field.reduce``
-makes its coefficient canonical for the zero test and the output.
+max-heap plus a coefficient dict of integers over one running scale, as in
+fraction-free elimination: over QQ each reducer's tail is stored once as
+integers over the lcm of its denominators, and the dict is multiplied up
+when a reducer needs a larger scale; over GF(p) the scale stays 1.  The sums
+stay unreduced until a term is popped, when one ``field.reduce`` makes its
+coefficient canonical for the zero test and the output, and a term leaves
+over QQ as its integer divided by the scale.
 
 Pair handling follows Gebauer-Moeller: the chain criterion prunes the pair
 queue on every insertion, and the coprimality criterion is applied in the
@@ -31,8 +35,10 @@ interreduced and monic, hence canonical for the given order.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Sequence
 
@@ -132,8 +138,20 @@ def _normal_form_terms(terms, reducers_by_comp, order: ModuleOrder):
     order, whose lead divides it.  A key enters the heap once: every term a
     reduction adds is smaller than the one it removes.  Input coefficients
     may be unreduced; output coefficients are reduced and nonzero.
+
+    Coefficients are integers over one running scale S: over QQ a term a
+    stands for a / S, S starts at the lcm of the input's denominators, and a
+    reducer's tail is stored as integers over its own scale D (see
+    :func:`_index_reducer`).  Reducing a by it multiplies every pending and
+    emitted integer, and S, by f = D / gcd(a, D) when f is not 1, then
+    subtracts a / gcd(a, D) times the integer tail; a term leaves as
+    ``Fraction(a, S)``.  Over GF(p) every D is 1, so S stays 1.
     """
     acc = dict(terms)
+    scale, rational = 1, not order.ring.field.characteristic
+    if rational:
+        scale = lcm(*[c.denominator for c in acc.values()])
+        acc = {p: c.numerator * (scale // c.denominator) for p, c in acc.items()}
     heap = [-p for p in acc]
     heapify(heap)
     out = []
@@ -145,12 +163,20 @@ def _normal_form_terms(terms, reducers_by_comp, order: ModuleOrder):
         if not c:
             continue
         exps = p & exp_mask
-        for guarded, lead, tail in reducers_by_comp.get(p & COMP_MAX, ()):
+        for guarded, lead, tail, d in reducers_by_comp.get(p & COMP_MAX, ()):
             if (guarded - exps) & guards == guards:
                 break
         else:
             out.append((p, c))
             continue
+        if d != 1:
+            g = gcd(c, d)
+            c //= g
+            f = d // g
+            if f != 1:
+                scale *= f
+                acc = {q: qc * f for q, qc in acc.items()}
+                out = [(q, qc * f) for q, qc in out]
         shift = p - lead
         c = -c
         for q, qc in tail:
@@ -160,6 +186,8 @@ def _normal_form_terms(terms, reducers_by_comp, order: ModuleOrder):
             else:
                 acc[q] = qc * c
                 heappush(heap, -q)
+    if rational:
+        return [(p, Fraction(c, scale)) for p, c in out]
     return out
 
 
@@ -172,10 +200,20 @@ def _monic_terms(terms, field):
 
 
 def _index_reducer(by_comp, terms, order: ModuleOrder):
-    """Append a monic term list to the reducer index, keyed by its component."""
+    """Index a monic term list by its component, and return its entry.
+
+    The tail is stored as integers D * c over its scale D, the lcm of its
+    denominators; over GF(p) D is 1 and the tail is stored as it is.
+    """
     lead = terms[0][0]
     guarded = lead & order.exp_mask | order.guards
-    by_comp.setdefault(lead & COMP_MAX, []).append((guarded, lead, terms[1:]))
+    tail, d = terms[1:], 1
+    if not order.ring.field.characteristic:
+        d = lcm(*[c.denominator for _, c in tail])
+        tail = [(q, c.numerator * (d // c.denominator)) for q, c in tail]
+    entry = (guarded, lead, tail, d)
+    by_comp.setdefault(lead & COMP_MAX, []).append(entry)
+    return entry
 
 
 def _index_by_comp(basis, order: ModuleOrder):
@@ -235,19 +273,29 @@ def _update_pairs(leads, pairs, t, twists):
     return kept
 
 
-def _spair_terms(gi, gj, order: ModuleOrder):
-    """x^u gi - x^v gj for monic gi, gj whose leads share a component.
+def _spair_terms(ri, rj, order: ModuleOrder):
+    """lcm(Di, Dj) * (x^u gi - x^v gj) from the reducer entries of monic gi,
+    gj whose leads share a component.
 
-    Returns an unreduced {packed: coeff} dict for :func:`_normal_form_terms`.
+    The factor makes every coefficient an integer.  It scales the normal form
+    by a nonzero constant, which neither the zero test nor the monic basis
+    sees.  Returns an unreduced {packed: coeff} dict for
+    :func:`_normal_form_terms`.
     """
     ring = order.ring
-    comp, mi = order.unpack(gi[0][0])
-    _, mj = order.unpack(gj[0][0])
-    lcm = order.pack(comp, ring.pack(tuple(map(max, ring.unpack(mi), ring.unpack(mj)))))
-    shift = lcm - gi[0][0]
-    acc = {p + shift: c for p, c in gi[1:]}
-    shift = lcm - gj[0][0]
-    for p, c in gj[1:]:
+    _, lead_i, tail_i, di = ri
+    _, lead_j, tail_j, dj = rj
+    comp, mi = order.unpack(lead_i)
+    _, mj = order.unpack(lead_j)
+    top = order.pack(comp, ring.pack(tuple(map(max, ring.unpack(mi), ring.unpack(mj)))))
+    if di != dj:
+        scale = lcm(di, dj)
+        tail_i = [(p, c * (scale // di)) for p, c in tail_i]
+        tail_j = [(p, c * (scale // dj)) for p, c in tail_j]
+    shift = top - lead_i
+    acc = {p + shift: c for p, c in tail_i}
+    shift = top - lead_j
+    for p, c in tail_j:
         p += shift
         acc[p] = acc[p] - c if p in acc else -c
     return acc
@@ -257,6 +305,7 @@ def _buchberger_terms(inputs, order: ModuleOrder):
     field = order.ring.field
     G: list = []
     leads: list = []
+    reducers: list = []
     pairs: set = set()
     by_comp: dict[int, list] = {}
     unpack = order.ring.unpack
@@ -267,7 +316,7 @@ def _buchberger_terms(inputs, order: ModuleOrder):
         G.append(terms)
         comp, m = order.unpack(terms[0][0])
         leads.append((comp, unpack(m)))
-        _index_reducer(by_comp, terms, order)
+        reducers.append(_index_reducer(by_comp, terms, order))
         pairs = _update_pairs(leads, pairs, len(G) - 1, order.twists)
 
     for terms in inputs:
@@ -278,7 +327,7 @@ def _buchberger_terms(inputs, order: ModuleOrder):
         pair = min(pairs)
         pairs.discard(pair)
         _, i, j = pair
-        s = _spair_terms(G[i], G[j], order)
+        s = _spair_terms(reducers[i], reducers[j], order)
         r = _normal_form_terms(s, by_comp, order)
         if r:
             insert(r)
@@ -356,12 +405,10 @@ def spoly_reduces_to_zero(basis: Sequence[Vector]) -> bool:
     field = module.ring.field
     terms = [_monic_terms(_vector_to_terms(g, order), field) for g in basis]
     by_comp = _index_by_comp(terms, order)
-    for a, b in combinations(terms, 2):
-        if (a[0][0] ^ b[0][0]) & COMP_MAX:
-            continue
-        s = _spair_terms(a, b, order)
-        if _normal_form_terms(s, by_comp, order):
-            return False
+    for reducers in by_comp.values():
+        for a, b in combinations(reducers, 2):
+            if _normal_form_terms(_spair_terms(a, b, order), by_comp, order):
+                return False
     return True
 
 
@@ -528,7 +575,7 @@ def saturate_ideal(ring, gens: Sequence[Polynomial]) -> list[Polynomial]:
     for i in range(ring.nvars):
         x = ring.variable(i)
         top = current
-        while (step := ideal_groebner(ring, ideal_colon(ring, top, x))) != top:
+        while (step := ideal_colon(ring, top, x)) != top:
             top = step
         if top == current:
             return current
@@ -536,7 +583,7 @@ def saturate_ideal(ring, gens: Sequence[Polynomial]) -> list[Polynomial]:
     result = tops[0]
     for top in tops[1:]:
         result = ideal_intersection(ring, result, top)
-    return ideal_groebner(ring, result)
+    return result
 
 
 def minor(matrix: Sequence[Sequence[Polynomial]], rows, cols) -> Polynomial:

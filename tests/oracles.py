@@ -1,10 +1,18 @@
 """Reference forms kept to pin the library: the tuple term orders behind the
-packed integers, ideal membership, the capped fixpoint saturation, and the
-colon and intersection read off a full syzygy module."""
+packed integers, ideal membership, the capped fixpoint saturation, the colon
+and intersection read off a full syzygy module, and the normal form that
+combines field values directly instead of integers over one scale."""
+
+from heapq import heapify, heappop, heappush
 
 from logtangent.groebner import (
+    COMP_MAX,
+    ModuleOrder,
     _as_vectors,
     _ideal_module,
+    _monic_terms,
+    _terms_to_vector,
+    _vector_to_terms,
     ideal_colon,
     ideal_groebner,
     ideal_intersection,
@@ -76,3 +84,55 @@ def intersection_by_syzygies(ring, a, b):
         if not p.is_zero():
             out.append(p)
     return out
+
+
+def _index_by_fractions(basis, order):
+    """Monic reducers keyed by leading component, tails kept as field values."""
+    by_comp = {}
+    for terms in basis:
+        lead = terms[0][0]
+        guarded = lead & order.exp_mask | order.guards
+        by_comp.setdefault(lead & COMP_MAX, []).append((guarded, lead, terms[1:]))
+    return by_comp
+
+
+def _normal_form_terms_by_fractions(terms, reducers_by_comp, order):
+    """The heap normal form with every coefficient a field value."""
+    acc = dict(terms)
+    heap = [-p for p in acc]
+    heapify(heap)
+    out = []
+    reduce = order.ring.field.reduce
+    exp_mask, guards = order.exp_mask, order.guards
+    while heap:
+        p = -heappop(heap)
+        c = reduce(acc.pop(p))
+        if not c:
+            continue
+        exps = p & exp_mask
+        for guarded, lead, tail in reducers_by_comp.get(p & COMP_MAX, ()):
+            if (guarded - exps) & guards == guards:
+                break
+        else:
+            out.append((p, c))
+            continue
+        shift = p - lead
+        c = -c
+        for q, qc in tail:
+            q += shift
+            if q in acc:
+                acc[q] += qc * c
+            else:
+                acc[q] = qc * c
+                heappush(heap, -q)
+    return out
+
+
+def normal_form_by_fractions(v, basis):
+    """Normal form of v against basis, reducing with field values throughout."""
+    order = ModuleOrder(v.module)
+    field = v.module.ring.field
+    reducers = (_vector_to_terms(g, order) for g in basis if not g.is_zero())
+    by_comp = _index_by_fractions([_monic_terms(t, field) for t in reducers], order)
+    r = _normal_form_terms_by_fractions(_vector_to_terms(v, order), by_comp, order)
+    return _terms_to_vector(v.module, order, r)

@@ -29,8 +29,8 @@ from logtangent.groebner import (
 )
 from logtangent.hilbert import ConsistencyError
 from logtangent.modules import FreeModule, Vector, apply_columns
-from logtangent.poly import PolyRing, monomial_divides
-from logtangent.sequences import Sequence
+from logtangent.poly import PolyRing, monomial_divides, monomials_of_degree
+from logtangent.sequences import Sequence, jacobian_minors
 from oracles import grevlex_key, ideal_contains, module_key
 
 
@@ -336,8 +336,19 @@ def test_reduced_bases_match_sympy(field):
     ring = PolyRing(field, 4)
     xs = sympy.symbols("x0:4")
     rng = random.Random(77)
-    for _ in range(10):
-        gens = [ring.random_homogeneous(rng.randint(2, 3), rng) for _ in range(3)]
+    ideals = [
+        [ring.random_homogeneous(rng.randint(2, 3), rng) for _ in range(3)]
+        for _ in range(10)
+    ]
+    # the Jacobian minors of a dense cubic pencil, where integer scales grow most
+    rng = random.Random(1)
+    cubic = list(monomials_of_degree(4, 3))
+    f, g = (
+        ring.poly((ring.pack(e), field.of(rng.randint(-5, 5))) for e in cubic)
+        for _ in range(2)
+    )
+    ideals.append(list(jacobian_minors(Sequence(f, g)).values()))
+    for gens in ideals:
         gens = [g for g in gens if not g.is_zero()]
         ours = ideal_groebner(ring, gens)
         options = {"modulus": field.p} if field.characteristic else {}

@@ -63,8 +63,9 @@ def test_random_and_unsaturated_ideals_match_reference(field, nvars):
     assert moved >= 4
 
 
-def test_saturated_ideal_costs_one_colon(monkeypatch, qq4):
-    calls = {"ideal_colon": 0, "ideal_intersection": 0}
+def count_calls(monkeypatch, names):
+    """Wrap the named groebner functions; returns their live call counts."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         inner = getattr(groebner, name)
@@ -75,9 +76,27 @@ def test_saturated_ideal_costs_one_colon(monkeypatch, qq4):
 
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(groebner, name, counted(name))
+    return calls
+
+
+def test_saturated_ideal_costs_one_colon(monkeypatch, qq4):
+    calls = count_calls(monkeypatch, ["ideal_colon", "ideal_intersection"])
     # no generator involves x0, so x0 is a nonzerodivisor on R/I
     gens = [qq4.parse("x1*x2 - x3^2"), qq4.parse("x1^3 + x2^2*x3")]
     assert saturate_ideal(qq4, gens) == ideal_groebner(qq4, gens)
     assert calls == {"ideal_colon": 1, "ideal_intersection": 0}
+
+
+def test_saturation_computes_one_basis(monkeypatch, qq4):
+    # a complete intersection is saturated, and its product with m^2 is not
+    gens = [qq4.parse("x1*x2 - x3^2"), qq4.parse("x1^3 + x2^2*x3")]
+    m = [qq4.variable(i) for i in range(4)]
+    ideal = [p * a * b for p in gens for i, a in enumerate(m) for b in m[i:]]
+    expected = ideal_groebner(qq4, gens)
+    calls = count_calls(monkeypatch, ["ideal_groebner", "ideal_colon"])
+    assert saturate_ideal(qq4, ideal) == expected
+    # every chain moved before it stopped: at least two colons per variable
+    assert calls["ideal_colon"] >= 2 * qq4.nvars
+    assert calls["ideal_groebner"] == 1
