@@ -307,6 +307,8 @@ def main(argv=None) -> int:
     if args.command == "search":
         if args.count < 1:
             parser.error("--count must be at least 1")
+        if args.jobs < 1:
+            parser.error("--jobs must be at least 1")
         if args.df < 0 or args.dg < 0:
             parser.error("--df and --dg must be non-negative")
         try:

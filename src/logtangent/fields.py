@@ -9,9 +9,9 @@ combined with Python's ``+ - *``.  A field object only makes values: ``of``
 builds one from a fraction, ``inv`` inverts, and ``reduce`` brings the result
 of ``+ - *`` back to the canonical form that is stored and tested for zero
 (the identity over QQ, ``x % p`` over GF(p), whose values lie in [0, p)).
-Stored polynomials hold these values; the Groebner normal form alone
-computes over QQ with integers on one common denominator and hands back
-``Fraction`` values (see :mod:`.groebner`).
+Stored polynomials hold these values.  The Groebner engine clears QQ
+values to integers where they enter it and builds one ``Fraction``, with
+``of``, per term it hands back (see :mod:`.groebner`).
 """
 
 from __future__ import annotations

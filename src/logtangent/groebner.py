@@ -15,14 +15,16 @@ the block bit, the biased twist added to the monomial's degree field, and
 and add per term, a monomial shift is one addition, and a divisibility test is
 one masked subtraction on the ring's guard bits (Monagan & Pearce, CASC 2007).
 Inputs and S-pair lcms that do not fit raise :class:`PackingOverflowError`;
-reduction keeps degrees, so nothing else can overflow.  Normal forms use a
-max-heap plus a coefficient dict of integers over one running scale, as in
-fraction-free elimination: over QQ each reducer's tail is stored once as
-integers over the lcm of its denominators, and the dict is multiplied up
-when a reducer needs a larger scale; over GF(p) the scale stays 1.  The sums
-stay unreduced until a term is popped, when one ``field.reduce`` makes its
-coefficient canonical for the zero test and the output, and a term leaves
-over QQ as its integer divided by the scale.
+reduction keeps degrees, so nothing else can overflow.
+
+Coefficients inside are integers, as in fraction-free elimination (Geddes,
+Czapor & Labahn 1992): a basis member is stored over QQ as its primitive
+integer multiple with a positive lead, over GF(p) as monic.  QQ values are
+cleared to integers on entry and built back, one ``field.of`` per term, only
+in the bases and normal forms handed back.  Normal forms use a max-heap plus
+a dict of integers over one running scale, which grows when a reducer's lead
+coefficient needs it.  The sums stay unreduced until a term is popped, when
+one ``field.reduce`` makes its coefficient canonical for the zero test.
 
 Pair handling follows Gebauer-Moeller: the chain criterion prunes the pair
 queue on every insertion, and the coprimality criterion is applied in the
@@ -35,16 +37,20 @@ interreduced and monic, hence canonical for the given order.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Sequence
 
-from .hilbert import ConsistencyError
 from .modules import FreeModule, Vector
-from .poly import EXP_MAX, PackingOverflowError, Polynomial, monomial_divides
+from .poly import (
+    EXP_MAX,
+    ConsistencyError,
+    PackingOverflowError,
+    Polynomial,
+    monomial_divides,
+)
 
 
 # Field widths a module term adds to a packed monomial: the component below
@@ -131,27 +137,53 @@ def _terms_to_vector(module: FreeModule, order: ModuleOrder, terms, first=0) -> 
     return Vector(module, tuple(Polynomial(module.ring, tuple(b)) for b in buckets))
 
 
+def _integers(terms, field):
+    """(integer terms, s) with terms / s the field values; s is 1 over GF(p)."""
+    if field.characteristic:
+        return terms, 1
+    scale = lcm(*[c.denominator for _, c in terms])
+    return [(p, c.numerator * (scale // c.denominator)) for p, c in terms], scale
+
+
+def _normalize(terms, field):
+    """The stored multiple of nonzero integer terms: monic over GF(p), and
+    over QQ primitive (coefficient gcd 1) with a positive lead coefficient."""
+    lc = terms[0][1]
+    if lc == 1:  # inputs are often members of an earlier, monic basis
+        return terms
+    if field.characteristic:
+        inv, reduce = field.inv(lc), field.reduce
+        return [(p, reduce(c * inv)) for p, c in terms]
+    g = gcd(*[c for _, c in terms])
+    if lc < 0:
+        g = -g
+    return terms if g == 1 else [(p, c // g) for p, c in terms]
+
+
+def _field_values(terms, d, field):
+    """The field values of integer terms over d, which is 1 over GF(p)."""
+    if field.characteristic:
+        return terms
+    return [(p, field.of(c, d)) for p, c in terms]
+
+
 def _normal_form_terms(terms, reducers_by_comp, order: ModuleOrder):
-    """Full normal form against monic reducers indexed by leading component.
+    """Full normal form of integer terms against indexed reducer entries.
 
     The largest pending term is reduced by the first reducer, in insertion
     order, whose lead divides it.  A key enters the heap once: every term a
     reduction adds is smaller than the one it removes.  Input coefficients
     may be unreduced; output coefficients are reduced and nonzero.
 
-    Coefficients are integers over one running scale S: over QQ a term a
-    stands for a / S, S starts at the lcm of the input's denominators, and a
-    reducer's tail is stored as integers over its own scale D (see
-    :func:`_index_reducer`).  Reducing a by it multiplies every pending and
-    emitted integer, and S, by f = D / gcd(a, D) when f is not 1, then
-    subtracts a / gcd(a, D) times the integer tail; a term leaves as
-    ``Fraction(a, S)``.  Over GF(p) every D is 1, so S stays 1.
+    Returns ``(out, s)``: the normal form of the input is out / s.  The
+    scale s starts at 1.  A reducer entry stands for its member divided by
+    its lead coefficient d (see :func:`_index_reducer`); reducing a pending
+    integer a by it multiplies every pending and emitted integer, and s, by
+    f = d / gcd(a, d) when f is not 1, then subtracts a / gcd(a, d) times
+    the integer tail.  Over GF(p) every d is 1, so s stays 1.
     """
     acc = dict(terms)
-    scale, rational = 1, not order.ring.field.characteristic
-    if rational:
-        scale = lcm(*[c.denominator for c in acc.values()])
-        acc = {p: c.numerator * (scale // c.denominator) for p, c in acc.items()}
+    scale = 1
     heap = [-p for p in acc]
     heapify(heap)
     out = []
@@ -186,40 +218,29 @@ def _normal_form_terms(terms, reducers_by_comp, order: ModuleOrder):
             else:
                 acc[q] = qc * c
                 heappush(heap, -q)
-    if rational:
-        return [(p, Fraction(c, scale)) for p, c in out]
-    return out
-
-
-def _monic_terms(terms, field):
-    lc = terms[0][1]
-    if lc == field.one:
-        return terms
-    inv, reduce = field.inv(lc), field.reduce
-    return [(k, reduce(c * inv)) for k, c in terms]
+    return out, scale
 
 
 def _index_reducer(by_comp, terms, order: ModuleOrder):
-    """Index a monic term list by its component, and return its entry.
+    """Index normalized terms by their component, and return the entry.
 
-    The tail is stored as integers D * c over its scale D, the lcm of its
-    denominators; over GF(p) D is 1 and the tail is stored as it is.
+    The entry is ``(guarded lead, lead, tail, d)`` with d the lead
+    coefficient, so the tail holds d times the monic member's coefficients.
     """
-    lead = terms[0][0]
-    guarded = lead & order.exp_mask | order.guards
-    tail, d = terms[1:], 1
-    if not order.ring.field.characteristic:
-        d = lcm(*[c.denominator for _, c in tail])
-        tail = [(q, c.numerator * (d // c.denominator)) for q, c in tail]
-    entry = (guarded, lead, tail, d)
+    lead, d = terms[0]
+    entry = (lead & order.exp_mask | order.guards, lead, terms[1:], d)
     by_comp.setdefault(lead & COMP_MAX, []).append(entry)
     return entry
 
 
-def _index_by_comp(basis, order: ModuleOrder):
+def _index_by_comp(vectors, order: ModuleOrder):
+    """Reducer index of the nonzero vectors, in their order."""
+    field = order.ring.field
     by_comp: dict[int, list] = {}
-    for terms in basis:
-        _index_reducer(by_comp, terms, order)
+    for v in vectors:
+        terms, _ = _integers(_vector_to_terms(v, order), field)
+        if terms:
+            _index_reducer(by_comp, _normalize(terms, field), order)
     return by_comp
 
 
@@ -274,12 +295,12 @@ def _update_pairs(leads, pairs, t, twists):
 
 
 def _spair_terms(ri, rj, order: ModuleOrder):
-    """lcm(Di, Dj) * (x^u gi - x^v gj) from the reducer entries of monic gi,
-    gj whose leads share a component.
+    """lcm(di, dj) * (x^u gi - x^v gj) from the reducer entries of members
+    gi, gj (taken monic) whose leads share a component.
 
     The factor makes every coefficient an integer.  It scales the normal form
-    by a nonzero constant, which neither the zero test nor the monic basis
-    sees.  Returns an unreduced {packed: coeff} dict for
+    by a nonzero constant, which neither the zero test nor the normalized
+    member sees.  Returns an unreduced {packed: coeff} dict for
     :func:`_normal_form_terms`.
     """
     ring = order.ring
@@ -302,55 +323,57 @@ def _spair_terms(ri, rj, order: ModuleOrder):
 
 
 def _buchberger_terms(inputs, order: ModuleOrder):
-    field = order.ring.field
-    G: list = []
+    """Reduced basis of the submodule the field-valued term lists generate."""
+    field, unpack = order.ring.field, order.ring.unpack
+    basis: list = []
     leads: list = []
-    reducers: list = []
     pairs: set = set()
     by_comp: dict[int, list] = {}
-    unpack = order.ring.unpack
 
     def insert(terms):
         nonlocal pairs
-        terms = _monic_terms(terms, field)
-        G.append(terms)
-        comp, m = order.unpack(terms[0][0])
+        entry = _index_reducer(by_comp, _normalize(terms, field), order)
+        basis.append(entry)
+        comp, m = order.unpack(entry[1])
         leads.append((comp, unpack(m)))
-        reducers.append(_index_reducer(by_comp, terms, order))
-        pairs = _update_pairs(leads, pairs, len(G) - 1, order.twists)
+        pairs = _update_pairs(leads, pairs, len(basis) - 1, order.twists)
 
     for terms in inputs:
         if terms:
-            insert(terms)
+            insert(_integers(terms, field)[0])
 
     while pairs:
         pair = min(pairs)
         pairs.discard(pair)
         _, i, j = pair
-        s = _spair_terms(reducers[i], reducers[j], order)
-        r = _normal_form_terms(s, by_comp, order)
+        s = _spair_terms(basis[i], basis[j], order)
+        r, _ = _normal_form_terms(s, by_comp, order)
         if r:
             insert(r)
 
-    return _interreduce_terms(G, order)
+    return _interreduce_terms(basis, order)
 
 
-def _interreduce_terms(G, order: ModuleOrder):
-    """Canonical reduced basis: minimal leads, tails fully reduced, monic.
+def _interreduce_terms(entries, order: ModuleOrder):
+    """Canonical reduced basis of reducer entries: minimal leads, tails fully
+    reduced, monic, with field values built once per term.
 
     Every tail is reduced against one index of the whole minimal basis: no
     minimal lead divides another, and a lead divides no smaller term, so each
     term meets the reducer it would meet among the other members alone.
     """
-    minimal = []
-    for terms in sorted(G, key=lambda terms: terms[0][0]):
-        if not any(_divides(kept[0][0], terms[0][0], order) for kept in minimal):
-            minimal.append(terms)
-    by_comp = _index_by_comp(minimal, order)
-    return [
-        [terms[0]] + _normal_form_terms(terms[1:], by_comp, order)
-        for terms in minimal
-    ]
+    minimal: list = []
+    by_comp: dict[int, list] = {}
+    for entry in sorted(entries, key=itemgetter(1)):
+        if not any(_divides(kept[1], entry[1], order) for kept in minimal):
+            minimal.append(entry)
+            by_comp.setdefault(entry[1] & COMP_MAX, []).append(entry)
+    basis = []
+    for _, lead, tail, d in minimal:
+        rest, scale = _normal_form_terms(tail, by_comp, order)
+        d *= scale
+        basis.append(_field_values([(lead, d), *rest], d, order.ring.field))
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -385,29 +408,24 @@ def groebner_basis(gens: Sequence[Vector]) -> list[Vector]:
 
 def normal_form(v: Vector, basis: Sequence[Vector]) -> Vector:
     """Normal form of v against a Groebner basis of its parent module."""
-    if basis:
-        if basis[0].module != v.module:
-            raise ValueError("vector and basis live in different modules")
+    if basis and basis[0].module != v.module:
+        raise ValueError("vector and basis live in different modules")
     order = ModuleOrder(v.module)
     field = v.module.ring.field
-    reducers = (_vector_to_terms(g, order) for g in basis if not g.is_zero())
-    by_comp = _index_by_comp([_monic_terms(t, field) for t in reducers], order)
-    r = _normal_form_terms(_vector_to_terms(v, order), by_comp, order)
-    return _terms_to_vector(v.module, order, r)
+    terms, d = _integers(_vector_to_terms(v, order), field)
+    r, s = _normal_form_terms(terms, _index_by_comp(basis, order), order)
+    return _terms_to_vector(v.module, order, _field_values(r, d * s, field))
 
 
 def spoly_reduces_to_zero(basis: Sequence[Vector]) -> bool:
     """Check the Groebner property directly: all S-pairs reduce to zero."""
     if not basis:
         return True
-    module = basis[0].module
-    order = ModuleOrder(module)
-    field = module.ring.field
-    terms = [_monic_terms(_vector_to_terms(g, order), field) for g in basis]
-    by_comp = _index_by_comp(terms, order)
+    order = ModuleOrder(basis[0].module)
+    by_comp = _index_by_comp(basis, order)
     for reducers in by_comp.values():
         for a, b in combinations(reducers, 2):
-            if _normal_form_terms(_spair_terms(a, b, order), by_comp, order):
+            if _normal_form_terms(_spair_terms(a, b, order), by_comp, order)[0]:
                 return False
     return True
 

@@ -21,12 +21,9 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
+from .groebner import ModuleOrder, _as_vectors, groebner_basis, leading_position
 from .modules import FreeModule, Vector
-from .poly import Polynomial, monomial_divides, monomials_of_degree
-
-
-class ConsistencyError(RuntimeError):
-    """Two independent computations of the same quantity disagree."""
+from .poly import ConsistencyError, Polynomial, monomial_divides, monomials_of_degree
 
 
 def _minimalize_monomials(gens: set[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
@@ -210,29 +207,29 @@ def hilbert_from_numerator(numerator: dict[int, int], nvars: int) -> HilbertData
     )
 
 
+def _leads(module: FreeModule, gb: Sequence[Vector]) -> list[set]:
+    """Per component, the exponents of the leads of gb under graded TOP order."""
+    order = ModuleOrder(module)
+    leads: list[set] = [set() for _ in range(module.rank)]
+    for v in gb:
+        if not v.is_zero():
+            comp, exps = leading_position(v, order)
+            leads[comp].add(exps)
+    return leads
+
+
 def hilbert_of_quotient(module: FreeModule, gb: Sequence[Vector]) -> HilbertData:
     """Hilbert data of F/M from a Groebner basis of M under graded TOP order."""
-    from .groebner import ModuleOrder, leading_position  # local to avoid a cycle
-
-    order = ModuleOrder(module)
-    leads: dict[int, set] = {i: set() for i in range(module.rank)}
-    for v in gb:
-        if v.is_zero():
-            continue
-        comp, exps = leading_position(v, order)
-        leads[comp].add(exps)
     memo: dict = {}
     numerator: dict[int, int] = {}
-    for comp in range(module.rank):
-        n_c = monomial_quotient_numerator(leads[comp], module.ring.nvars, memo)
+    for comp, leads in enumerate(_leads(module, gb)):
+        n_c = monomial_quotient_numerator(leads, module.ring.nvars, memo)
         numerator = _laurent_add(numerator, _laurent_shift(n_c, module.twists[comp]))
     return hilbert_from_numerator(numerator, module.ring.nvars)
 
 
 def hilbert_of_ideal_quotient(ring, gens: Sequence[Polynomial]) -> HilbertData:
     """Hilbert data of R/I."""
-    from .groebner import _as_vectors, groebner_basis
-
     module = FreeModule(ring, (0,))
     gb = groebner_basis(_as_vectors(ring, gens))
     return hilbert_of_quotient(module, gb)
@@ -263,21 +260,12 @@ def quotient_dimension_by_counting(
     module: FreeModule, gb: Sequence[Vector], t: int
 ) -> int:
     """dim_k (F/M)_t by monomial enumeration; independent cross-check path."""
-    from .groebner import ModuleOrder, leading_position
-
-    order = ModuleOrder(module)
-    leads: dict[int, list] = {i: [] for i in range(module.rank)}
-    for v in gb:
-        if v.is_zero():
-            continue
-        comp, exps = leading_position(v, order)
-        leads[comp].append(exps)
     total = 0
-    for comp in range(module.rank):
+    for comp, leads in enumerate(_leads(module, gb)):
         d = t - module.twists[comp]
         if d < 0:
             continue
         for mono in monomials_of_degree(module.ring.nvars, d):
-            if not any(monomial_divides(lead, mono) for lead in leads[comp]):
+            if not any(monomial_divides(lead, mono) for lead in leads):
                 total += 1
     return total

@@ -1,31 +1,33 @@
-"""Dense linear algebra over an exact field (tiny systems only)."""
+"""Exact row echelon forms over a field, row by row (tiny systems only)."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
 
+def extends_span(pivots: dict, row: dict, field) -> bool:
+    """Add row to the echelon rows unless it lies in their span.
+
+    A row maps keys to nonzero field values and leads with its largest key;
+    ``pivots`` maps each lead to its monic row.  The row is consumed.
+    """
+    while row:
+        lead = max(row)
+        if lead not in pivots:
+            inv = field.inv(row[lead])
+            pivots[lead] = {t: field.reduce(c * inv) for t, c in row.items()}
+            return True
+        c = row[lead]
+        for t, b in pivots[lead].items():
+            row[t] = field.reduce(row.get(t, 0) - c * b)
+            if not row[t]:
+                del row[t]
+    return False
+
+
 def matrix_rank(rows: Sequence[Sequence], field) -> int:
-    """Rank by Gaussian elimination; rows are sequences of field elements."""
-    m = [list(r) for r in rows if any(r)]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(m)):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = field.inv(m[rank][col])
-        m[rank] = [field.reduce(x * inv) for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                factor = m[r][col]
-                m[r] = [field.reduce(x - factor * y) for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+    """Rank of the matrix with the given rows of field elements."""
+    pivots: dict = {}
+    return sum(
+        extends_span(pivots, {j: c for j, c in enumerate(r) if c}, field) for r in rows
+    )

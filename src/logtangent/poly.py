@@ -34,6 +34,10 @@ class PackingOverflowError(ValueError):
     """A monomial or term does not fit the field widths of the packed layout."""
 
 
+class ConsistencyError(RuntimeError):
+    """Two independent computations of the same quantity disagree."""
+
+
 def monomial_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 

@@ -22,6 +22,7 @@ from .groebner import (
     normal_form,
     syzygy_basis,
 )
+from .linalg import extends_span
 from .modules import FreeModule, Vector, apply_columns
 from .poly import Polynomial
 
@@ -52,27 +53,11 @@ def minimal_generators(gens: Sequence[Vector]) -> list[Vector]:
             gb, in_gb = groebner_basis(kept), len(kept)
         pivots: dict = {}
         for g in group:
-            if _extends_span(pivots, normal_form(g, gb) if gb else g):
+            v = normal_form(g, gb) if gb else g
+            row = {(i, e): c for i, p in enumerate(v.entries) for e, c in p.terms}
+            if extends_span(pivots, row, v.module.ring.field):
                 kept.append(g)
     return kept
-
-
-def _extends_span(pivots: dict, v: Vector) -> bool:
-    """Add v to the echelon rows (lead -> monic row) unless it is in their span."""
-    field = v.module.ring.field
-    row = {(i, e): c for i, p in enumerate(v.entries) for e, c in p.terms}
-    while row:
-        lead = max(row)
-        if lead not in pivots:
-            inv = field.inv(row[lead])
-            pivots[lead] = {t: field.reduce(c * inv) for t, c in row.items()}
-            return True
-        c = row[lead]
-        for t, b in pivots[lead].items():
-            row[t] = field.reduce(row.get(t, 0) - c * b)
-            if not row[t]:
-                del row[t]
-    return False
 
 
 @dataclass

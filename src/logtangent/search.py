@@ -169,10 +169,13 @@ def run_search(
 ) -> SearchResult:
     if count < 1:
         raise ValueError("count must be at least 1")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     PrimeField(p)  # validates the modulus
     tasks = [(min(df, dg), max(df, dg), seed, i, p) for i in range(count)]
-    if jobs > 1:
-        with Pool(jobs) as pool:
+    workers = min(jobs, count)
+    if workers > 1:
+        with Pool(workers) as pool:
             rows = pool.map(analyze_sample, tasks, chunksize=8)
     else:
         rows = [analyze_sample(t) for t in tasks]

@@ -10,7 +10,6 @@ from logtangent.groebner import (
     ModuleOrder,
     _as_vectors,
     _ideal_module,
-    _monic_terms,
     _terms_to_vector,
     _vector_to_terms,
     ideal_colon,
@@ -84,6 +83,11 @@ def intersection_by_syzygies(ring, a, b):
         if not p.is_zero():
             out.append(p)
     return out
+
+
+def _monic_terms(terms, field):
+    inv = field.inv(terms[0][1])
+    return [(k, field.reduce(c * inv)) for k, c in terms]
 
 
 def _index_by_fractions(basis, order):

@@ -231,6 +231,48 @@ def test_search_rejects_zero_count(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_search_rejects_nonpositive_jobs(capsys, jobs):
+    from logtangent.search import run_search
+
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--df", "2", "--dg", "2", "--count", "4", "--seed", "1", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        run_search(df=1, dg=2, count=4, seed=1, jobs=int(jobs))
+
+
+def test_search_starts_no_more_workers_than_samples(monkeypatch):
+    import logtangent.search as search_mod
+
+    sizes = []
+
+    class RecordingPool:
+        """Records its size and maps in this process: no worker is started."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks, chunksize=1):
+            return [func(t) for t in tasks]
+
+    serial = search_mod.run_search(df=1, dg=2, count=3, seed=5, jobs=1)
+    monkeypatch.setattr(search_mod, "Pool", RecordingPool)
+    assert search_mod.run_search(df=1, dg=2, count=3, seed=5, jobs=64).to_json() == (
+        serial.to_json()
+    )
+    search_mod.run_search(df=1, dg=2, count=3, seed=5, jobs=2)
+    search_mod.run_search(df=1, dg=2, count=1, seed=5, jobs=8)
+    assert sizes == [3, 2]
+
+
 def test_search_rejects_composite_modulus(capsys):
     with pytest.raises(SystemExit) as exc:
         main(

@@ -108,3 +108,57 @@ def test_random_normal_forms_match_fractions(field, twists):
         for basis in (groebner_basis(gens), gens):
             for _ in range(3):
                 _assert_same_terms(element(rng.randint(3, 4)), basis)
+
+
+@pytest.mark.parametrize("call", ["groebner_basis", "normal_form"])
+def test_qq_builds_one_fraction_per_output_term(monkeypatch, call):
+    """Inside the engine a QQ coefficient is an integer, so the only Fractions
+    constructed are the output coefficients, one each."""
+    ring = PolyRing(QQ, 4)
+    rng = random.Random(5)
+    gens = _as_vectors(
+        ring,
+        [
+            ring.random_homogeneous(rng.randint(2, 3), rng).scaled(QQ.of(1, rng.randint(1, 6)))
+            for _ in range(3)
+        ],
+    )
+    # a basis that is not monic, so reducers are normalized on the way in
+    basis = [b.scaled(QQ.of(-3, 2)) for b in groebner_basis(gens)]
+    [v] = _as_vectors(ring, [ring.random_homogeneous(4, rng).scaled(QQ.of(2, 3))])
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    out = groebner_basis(gens) if call == "groebner_basis" else [normal_form(v, basis)]
+    monkeypatch.undo()
+    terms = sum(len(p.terms) for w in out for p in w.entries)
+    assert terms > len(out)
+    assert len(made) == terms
+
+
+SCALES = [(-1, 1), (3, 5), (-5, 2), (1, 9), (-4, 3), (6, 1)]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_scaling_generators_changes_nothing(field):
+    """Bases and normal forms see generators only up to nonzero scalars."""
+    ring = PolyRing(field, 4)
+    rng = random.Random(8)
+    scales = [field.of(n, d) for n, d in SCALES]
+    for _ in range(4):
+        gens = [ring.random_homogeneous(rng.randint(2, 3), rng) for _ in range(3)]
+        basis = groebner_basis(_as_vectors(ring, gens))
+        scaled = [g.scaled(rng.choice(scales)) for g in gens]
+        assert groebner_basis(_as_vectors(ring, scaled)) == basis
+        rescaled = [b.scaled(rng.choice(scales)) for b in basis]
+        [v] = _as_vectors(ring, [ring.random_homogeneous(4, rng)])
+        reduced = normal_form(v, basis)
+        assert not reduced.is_zero()
+        assert normal_form(v, rescaled) == reduced
+        c = rng.choice(scales)
+        assert normal_form(v.scaled(c), rescaled) == reduced.scaled(c)
