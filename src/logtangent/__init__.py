@@ -16,6 +16,7 @@ __version__ = "1.0.0"
 from .bourbaki import BourbakiData, BourbakiExtractionError, bourbaki_data
 from .fields import QQ, FieldMismatchError, PrimeField, RationalField
 from .groebner import (
+    Basis,
     ModuleOrder,
     PackingOverflowError,
     Submodule,

@@ -112,7 +112,7 @@ def bourbaki_data(
         generator_index=idx,
         generator=res.gens[idx],
         generator_degree=report.e,
-        ideal=tuple(ideal),
+        ideal=ideal,
         degree=deg_b,
         genus=genus,
         complete_intersection=is_complete_intersection_resolution(ideal_res),

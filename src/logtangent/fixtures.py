@@ -327,11 +327,11 @@ def run_fixture(fx: Fixture, field_obj=QQ) -> FixtureResult:
         check("betti", fx.betti, report.resolution.betti().columns)
     if fx.annihilator_saturation is not None:
         expected = [ring.parse(s) for s in fx.annihilator_saturation]
-        if not ideal_equals(ring, list(report.annihilator_scheme.ideal), expected):
+        if not ideal_equals(ring, report.annihilator_scheme.ideal, expected):
             mismatches.append("annihilator saturation differs from pinned ideal")
     if fx.fitting_saturation is not None:
         expected = [ring.parse(s) for s in fx.fitting_saturation]
-        if not ideal_equals(ring, list(report.fitting_scheme.ideal), expected):
+        if not ideal_equals(ring, report.fitting_scheme.ideal, expected):
             mismatches.append("fitting saturation differs from pinned ideal")
     if fx.scheme_degrees is not None:
         got = frozenset(

@@ -33,6 +33,11 @@ rank-one (ideal) case only, where it is valid.  A pair is the tuple
 here are homogeneous) computed once when it is formed, so ``min(pairs)``
 selects by degree with index tie-breaks.  Every returned basis is fully
 interreduced and monic, hence canonical for the given order.
+
+The ideal layer returns each basis as a :class:`Basis`, which
+``ideal_groebner`` hands back as it is, so no basis is reduced twice.  As
+grevlex puts x_{n-1} last, I : x_{n-1} is read off a Basis (Bayer & Stillman
+1987); every other colon is the tagged elimination.
 """
 
 from __future__ import annotations
@@ -536,9 +541,31 @@ def _as_vectors(ring, polys: Sequence[Polynomial]) -> list[Vector]:
     return [Vector(module, (p,)) for p in polys if not p.is_zero()]
 
 
-def ideal_groebner(ring, polys: Sequence[Polynomial]) -> list[Polynomial]:
+class Basis(tuple):
+    """The reduced monic grevlex basis of an ideal of ``ring``, by ascending
+    lead.  Only this module builds one, so one of the ring in hand is trusted;
+    a plain sequence, or a Basis of another ring, is only generators."""
+
+    def __new__(cls, ring, polys: Sequence[Polynomial] = ()):
+        basis = super().__new__(cls, polys)
+        basis.ring = ring
+        return basis
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild through __new__, which needs the ring
+        return self.ring, tuple(self)
+
+
+def _is_basis(ring, polys) -> bool:
+    return isinstance(polys, Basis) and polys.ring == ring
+
+
+def ideal_groebner(ring, polys: Sequence[Polynomial]) -> Basis:
+    """The reduced basis of the ideal polys generate; a Basis of ring as it is."""
+    if _is_basis(ring, polys):
+        return polys
     gb = groebner_basis(_as_vectors(ring, polys))
-    return [v.entries[0] for v in gb]
+    return Basis(ring, [v.entries[0] for v in gb])
 
 
 def ideal_equals(ring, a: Sequence[Polynomial], b: Sequence[Polynomial]) -> bool:
@@ -546,37 +573,65 @@ def ideal_equals(ring, a: Sequence[Polynomial], b: Sequence[Polynomial]) -> bool
     return ideal_groebner(ring, a) == ideal_groebner(ring, b)
 
 
-def module_colon(mod_gens: Sequence[Vector], target: Vector) -> list[Polynomial]:
+def module_colon(mod_gens: Sequence[Vector], target: Vector) -> Basis:
     """The ideal {r in R : r * target lies in the submodule spanned by mod_gens}."""
     if target.is_zero():
         raise ValueError("colon by the zero element")
-    tag = FreeModule(target.module.ring, (target.degree,))
+    ring = target.module.ring
+    tag = FreeModule(ring, (target.degree,))
     tags = [tag.basis_vector(0)] + [tag.zero()] * len(mod_gens)
     _, colon = _eliminate([target, *mod_gens], tags)
-    return [v.entries[0] for v in colon]
+    return Basis(ring, [v.entries[0] for v in colon])
 
 
-def ideal_colon(ring, gens: Sequence[Polynomial], h: Polynomial) -> list[Polynomial]:
-    """Ideal quotient (gens) : h."""
+def _colon_last_variable(basis: Basis) -> Basis:
+    """I : x_{n-1} read off the grevlex basis of I (Bayer & Stillman 1987).
+
+    Grevlex puts x_{n-1} last, so it divides a homogeneous member when it
+    divides the lead, and dividing those members by it leaves a Groebner
+    basis of I : x_{n-1} that only needs interreducing.  If no lead moves,
+    the colon is I.
+    """
+    ring = basis.ring
+    s = ring.shifts[-1]
+    # exponents are stored complemented, so dividing by x_{n-1} raises its field
+    step = (1 << s) - (1 << ring.deg_shift)
+    quotient, moved = [], False
+    for g in basis:
+        if (g.terms[0][0] >> s) & EXP_MAX != EXP_MAX:
+            g = Polynomial(ring, tuple((m + step, c) for m, c in g.terms))
+            moved = True
+        quotient.append(g)
+    if not moved:
+        return basis
+    module = _ideal_module(ring)
+    order = ModuleOrder(module)
+    (entries,) = _index_by_comp(_as_vectors(ring, quotient), order).values()
+    reduced = _interreduce_terms(entries, order)
+    return Basis(ring, [_terms_to_vector(module, order, t).entries[0] for t in reduced])
+
+
+def ideal_colon(ring, gens: Sequence[Polynomial], h: Polynomial) -> Basis:
+    """Ideal quotient (gens) : h; read off gens when it is a Basis and h is x_{n-1}."""
     if h.is_zero():
         raise ValueError("colon by zero")
+    if _is_basis(ring, gens) and h == ring.variable(ring.nvars - 1):
+        return _colon_last_variable(gens)
     module = _ideal_module(ring)
     return module_colon(_as_vectors(ring, gens), Vector(module, (h,)))
 
 
-def ideal_intersection(
-    ring, a: Sequence[Polynomial], b: Sequence[Polynomial]
-) -> list[Polynomial]:
+def ideal_intersection(ring, a: Sequence[Polynomial], b: Sequence[Polynomial]) -> Basis:
     """Intersection of two homogeneous ideals, as a reduced Groebner basis."""
     a, b = _as_vectors(ring, a), _as_vectors(ring, b)
     if not a or not b:
-        return []
+        return Basis(ring)
     zero = _ideal_module(ring).zero()
     _, both = _eliminate(a + b, a + [zero] * len(b))
-    return [v.entries[0] for v in both]
+    return Basis(ring, [v.entries[0] for v in both])
 
 
-def saturate_ideal(ring, gens: Sequence[Polynomial]) -> list[Polynomial]:
+def saturate_ideal(ring, gens: Sequence[Polynomial]) -> Basis:
     """Saturation I : (x0, ..., x_{n-1})^oo, as a reduced Groebner basis.
 
     I^sat is the intersection over i of I : x_i^oo, since a power of the
@@ -585,12 +640,16 @@ def saturate_ideal(ring, gens: Sequence[Polynomial]) -> list[Polynomial]:
     (R is Noetherian).  If it stops at once, I : x_i = I makes x_i a nonzerodivisor on
     R/I, so I^sat lies in I : x_i^oo = I and I is returned without further
     colons.  Otherwise the tops of all the chains are intersected.
+
+    The chains run from x_{n-1} down to x0.  The steps of the first are read
+    off the basis in hand (see ``ideal_colon``), so a saturated input costs
+    no elimination, and a Basis input no Groebner run.
     """
     current = ideal_groebner(ring, gens)
     if not current:
-        return []
+        return current
     tops = []
-    for i in range(ring.nvars):
+    for i in reversed(range(ring.nvars)):
         x = ring.variable(i)
         top = current
         while (step := ideal_colon(ring, top, x)) != top:
@@ -635,14 +694,12 @@ def fitting_ideal_0(matrix: Sequence[Sequence[Polynomial]]) -> list[Polynomial]:
     return out
 
 
-def annihilator_of_cokernel(
-    target: FreeModule, columns: Sequence[Vector]
-) -> list[Polynomial]:
+def annihilator_of_cokernel(target: FreeModule, columns: Sequence[Vector]) -> Basis:
     """Annihilator ideal of coker(columns) as intersection of colon ideals."""
     ring = target.ring
     mod_gens = [c for c in columns if not c.is_zero()]
-    result: list[Polynomial] | None = None
+    result: Basis | None = None
     for i in range(target.rank):
         colon = module_colon(mod_gens, target.basis_vector(i))
         result = colon if result is None else ideal_intersection(ring, result, colon)
-    return result if result is not None else []
+    return result if result is not None else Basis(ring)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .groebner import ModuleOrder, _as_vectors, groebner_basis, leading_position
+from .groebner import ModuleOrder, _as_vectors, ideal_groebner, leading_position
 from .modules import FreeModule, Vector
 from .poly import ConsistencyError, Polynomial, monomial_divides, monomials_of_degree
 
@@ -229,14 +229,17 @@ def hilbert_of_quotient(module: FreeModule, gb: Sequence[Vector]) -> HilbertData
 
 
 def hilbert_of_ideal_quotient(ring, gens: Sequence[Polynomial]) -> HilbertData:
-    """Hilbert data of R/I."""
-    module = FreeModule(ring, (0,))
-    gb = groebner_basis(_as_vectors(ring, gens))
-    return hilbert_of_quotient(module, gb)
+    """Hilbert data of R/I, from the leads of the basis ``ideal_groebner``
+    gives, so a Basis of ring (a saturation, say) is read as it is."""
+    gb = ideal_groebner(ring, gens)
+    return hilbert_of_quotient(FreeModule(ring, (0,)), _as_vectors(ring, gb))
 
 
 def dimension_degree(ring, gens: Sequence[Polynomial]) -> tuple[int, int]:
-    """Projective dimension and degree of V(I); (-1, 0) for an empty scheme."""
+    """Projective dimension and degree of V(I); (-1, 0) for an empty scheme.
+
+    Through ``hilbert_of_ideal_quotient``, so a Basis costs no Groebner run.
+    """
     h = hilbert_of_ideal_quotient(ring, gens)
     if h.pole_order == 0:
         return (-1, 0)

@@ -182,8 +182,8 @@ def invariants(seq: Sequence, with_schemes: bool = True) -> InvariantReport:
         ann_sat = saturate_ideal(ring, ann)
         fdim, fdeg = dimension_degree(ring, fitting_sat)
         adim, adeg = dimension_degree(ring, ann_sat)
-        report.fitting_scheme = SchemeSummary(fdim, fdeg, tuple(fitting_sat))
-        report.annihilator_scheme = SchemeSummary(adim, adeg, tuple(ann_sat))
+        report.fitting_scheme = SchemeSummary(fdim, fdeg, fitting_sat)
+        report.annihilator_scheme = SchemeSummary(adim, adeg, ann_sat)
         report.schemes_equal = ideal_equals(ring, fitting_sat, ann_sat)
 
     return report
