@@ -31,8 +31,23 @@ queue on every insertion, and the coprimality criterion is applied in the
 rank-one (ideal) case only, where it is valid.  A pair is the tuple
 ``(degree, i, j)``, its S-pair degree (the honest degree, since all inputs
 here are homogeneous) computed once when it is formed, so ``min(pairs)``
-selects by degree with index tie-breaks.  Every returned basis is fully
-interreduced and monic, hence canonical for the given order.
+selects by degree with index tie-breaks.  Two more rules drop pairs whose
+reduction the answer cannot use:
+
+* Hilbert-driven (Traverso 1996).  When the inputs are a free basis of
+  their span, of degrees a_i, the span has the Hilbert function
+  H(D) = sum_i C(D - a_i + n - 1, n - 1) before any reduction runs.  The
+  terms of degree D that the current leads divide, counted on reaching D
+  and raised by one per insertion there, number at most H(D); once they
+  number H(D) they span the initial module in degree D, so every pair left
+  in degree D reduces to zero and is dropped.  ``_eliminate`` applies it
+  when the tags are distinct basis vectors, as for every syzygy module;
+  colons and intersections carry other tags and reduce every pair.
+* A degree cap: ``groebner_basis(gens, up_to=d)`` reduces no pair above d,
+  which leaves the members of degree at most d of the full basis.
+
+Every returned basis is fully interreduced and monic, hence canonical for
+the given order, so neither rule changes an output.
 
 The ideal layer returns each basis as a :class:`Basis`, which
 ``ideal_groebner`` hands back as it is, so no basis is reduced twice.  As
@@ -42,9 +57,10 @@ grevlex puts x_{n-1} last, I : x_{n-1} is read off a Basis (Bayer & Stillman
 
 from __future__ import annotations
 
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import itemgetter
 from typing import Sequence
 
@@ -55,6 +71,7 @@ from .poly import (
     PackingOverflowError,
     Polynomial,
     monomial_divides,
+    monomials_of_degree,
 )
 
 
@@ -327,8 +344,35 @@ def _spair_terms(ri, rj, order: ModuleOrder):
     return acc
 
 
-def _buchberger_terms(inputs, order: ModuleOrder):
-    """Reduced basis of the submodule the field-valued term lists generate."""
+@lru_cache(maxsize=None)
+def _monomial_shifts(ring, degree: int) -> tuple[int, ...]:
+    """What adding to a packed term multiplies it by each monomial of degree."""
+    return tuple(
+        (ring.pack(e) - ring.unit) << COMP_BITS
+        for e in monomials_of_degree(ring.nvars, degree)
+    )
+
+
+def _covered_terms(basis, leads, degree: int, order: ModuleOrder) -> int:
+    """How many terms of shifted degree ``degree`` some lead of basis divides."""
+    covered: set = set()
+    for entry, (comp, exps) in zip(basis, leads):
+        monomial_degree = degree - order.twists[comp]
+        if monomial_degree >= sum(exps):
+            order.check_degree(comp, monomial_degree)
+            lead = entry[1]
+            shifts = _monomial_shifts(order.ring, monomial_degree - sum(exps))
+            covered.update([lead + s for s in shifts])
+    return len(covered)
+
+
+def _buchberger_terms(inputs, order: ModuleOrder, free_degrees=None, up_to=None):
+    """Reduced basis of the submodule the field-valued term lists generate.
+
+    With ``free_degrees``, the inputs are a free basis of their span with
+    those degrees, and pairs are skipped by its Hilbert function (see the
+    module docstring).  With ``up_to``, no pair of degree above it is reduced.
+    """
     field, unpack = order.ring.field, order.ring.unpack
     basis: list = []
     leads: list = []
@@ -347,14 +391,28 @@ def _buchberger_terms(inputs, order: ModuleOrder):
         if terms:
             insert(_integers(terms, field)[0])
 
+    n = order.ring.nvars
+    degree, covered, hilbert = None, 0, -1
     while pairs:
         pair = min(pairs)
         pairs.discard(pair)
-        _, i, j = pair
+        d, i, j = pair
+        if up_to is not None and d > up_to:
+            break
+        if free_degrees is not None:
+            if d != degree:
+                degree = d
+                covered = _covered_terms(basis, leads, d, order)
+                hilbert = sum(comb(d - a + n - 1, n - 1) for a in free_degrees if a <= d)
+            if covered == hilbert:
+                # the leads span the initial module in degree d
+                pairs = {p for p in pairs if p[0] != d}
+                continue
         s = _spair_terms(basis[i], basis[j], order)
         r, _ = _normal_form_terms(s, by_comp, order)
         if r:
             insert(r)
+            covered += 1
 
     return _interreduce_terms(basis, order)
 
@@ -394,8 +452,13 @@ def leading_position(v: Vector, order: ModuleOrder) -> tuple[int, tuple[int, ...
     return comp, order.ring.unpack(m)
 
 
-def groebner_basis(gens: Sequence[Vector]) -> list[Vector]:
-    """Reduced monic Groebner basis of the submodule generated by gens."""
+def groebner_basis(gens: Sequence[Vector], *, up_to: int | None = None) -> list[Vector]:
+    """Reduced monic Groebner basis of the submodule generated by gens.
+
+    With ``up_to``, only the members of degree at most up_to of that basis,
+    computed without reducing any S-pair of higher degree; an input of
+    degree above up_to is refused.
+    """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
@@ -405,9 +468,11 @@ def groebner_basis(gens: Sequence[Vector]) -> list[Vector]:
             raise ValueError("generators live in different modules")
         if not g.is_homogeneous():
             raise ValueError("generators must be homogeneous")
+        if up_to is not None and g.degree > up_to:
+            raise ValueError(f"generator of degree {g.degree} is above up_to = {up_to}")
     order = ModuleOrder(module)
     inputs = [_vector_to_terms(g, order) for g in gens]
-    basis = _buchberger_terms(inputs, order)
+    basis = _buchberger_terms(inputs, order, up_to=up_to)
     return [_terms_to_vector(module, order, terms) for terms in basis]
 
 
@@ -458,8 +523,28 @@ class Submodule:
 # (t | 1) with (g | 0) gives M : t, and (f | f) with (g | 0) gives I cap J.
 
 
+def _free_tag_degrees(tags: Sequence[Vector]) -> list[int] | None:
+    """The degrees of the tags if they are distinct basis vectors, else None.
+
+    Then no R-combination of the (g_i | t_i) vanishes in the tag block, so
+    they are a free basis of their span.
+    """
+    one = tags[0].module.ring.one()
+    comps: set[int] = set()
+    for t in tags:
+        nonzero = [c for c, p in enumerate(t.entries) if not p.is_zero()]
+        if len(nonzero) != 1 or t.entries[nonzero[0]] != one or nonzero[0] in comps:
+            return None
+        comps.add(nonzero[0])
+    return [tags[0].module.twists[c] for c in comps]
+
+
 def _eliminate(gens: Sequence[Vector], tags: Sequence[Vector]):
-    """(image basis, tag parts) of the elimination basis of the (g_i | t_i)."""
+    """(image basis, tag parts) of the elimination basis of the (g_i | t_i).
+
+    Basis-vector tags make the Hilbert function of the span known, which
+    skips the S-pairs that would reduce to zero (see the module docstring).
+    """
     target, tag = gens[0].module, tags[0].module
     k = target.rank
     aug = FreeModule(target.ring, target.twists + tag.twists)
@@ -472,7 +557,7 @@ def _eliminate(gens: Sequence[Vector], tags: Sequence[Vector]):
             raise ValueError("generators must be homogeneous")
         inputs.append(_vector_to_terms(v, order))
     image, tag_parts = [], []
-    for terms in _buchberger_terms(inputs, order):
+    for terms in _buchberger_terms(inputs, order, _free_tag_degrees(tags)):
         if order.unpack(terms[0][0])[0] < k:
             head = [t for t in terms if order.unpack(t[0])[0] < k]
             image.append(_terms_to_vector(target, order, head))
@@ -489,7 +574,8 @@ def module_gb_and_syzygies(
     Returns ``(image_gb, syzygy_module, syzygy_gens)`` where the syzygy module
     is free on the input generators with twists equal to their degrees, so all
     syzygies are homogeneous.  Zero input generators are allowed when explicit
-    degrees are supplied.
+    degrees are supplied.  The basis-vector tags make the span of the
+    (g_i | e_i) free, so pairs are skipped by its Hilbert function.
     """
     if not gens:
         raise ValueError("no generators")

@@ -22,6 +22,7 @@ from .hilbert import (
     hilbert_of_quotient,
     linear_hilbert_polynomial,
 )
+from .modules import FreeModule
 from .poly import Polynomial
 from .resolution import FreeResolution, resolve_submodule
 from .sequences import (
@@ -106,6 +107,28 @@ def chern_classes(df: int, dg: int, m: int, ch3_q: int) -> tuple[int, int, int]:
     return c1, int(c2), int(c3)
 
 
+def _check_betti_hilbert(
+    res: FreeResolution, source: FreeModule, target: FreeModule, cokernel: HilbertData
+) -> None:
+    """The resolution of K = ker(source -> target) against the Hilbert series.
+
+    From 0 -> K -> source -> target -> coker -> 0, the numerator of the
+    series of K over (1 - t)^n is N(source) - N(target) + N(coker), and the
+    minimal resolution F of K gives it as sum_i (-1)^i sum_j t^(b_ij).  A
+    dropped generator or syzygy breaks the equality.
+    """
+    n = dict(cokernel.numerator)
+    signed = [(1, source), (-1, target)]
+    signed += [((-1) ** (i + 1), module) for i, module in enumerate(res.modules)]
+    for sign, module in signed:
+        for a in module.twists:
+            n[a] = n.get(a, 0) + sign
+    if any(n.values()):
+        raise ConsistencyError(
+            f"Betti numbers {res.betti().columns} disagree with the Hilbert series"
+        )
+
+
 def invariants(seq: Sequence, with_schemes: bool = True) -> InvariantReport:
     """Full invariant report of a normal pair.
 
@@ -122,6 +145,7 @@ def invariants(seq: Sequence, with_schemes: bool = True) -> InvariantReport:
     ch3_q = b - 2 * m
 
     res = resolve_submodule(analysis.kernel.module, analysis.kernel.gens)
+    _check_betti_hilbert(res, analysis.kernel.module, analysis.target, hq)
     betti = res.betti()
     exponents = tuple(sorted(betti.exponents))
     if not exponents:

@@ -40,17 +40,20 @@ def minimal_generators(gens: Sequence[Vector]) -> list[Vector]:
     exactly when it is not contained in the span of those already kept,
     which by the graded Nakayama lemma gives a minimal generating set.
     Each degree d takes one Groebner basis, of the submodule N the kept
-    candidates of lower degree generate.  Normal form against it is k-linear
+    candidates of lower degree generate, truncated at the top candidate
+    degree: a normal form in degree d only meets members of degree at most
+    d, so the truncation changes none.  Normal form against it is k-linear
     in degree d with kernel N_d, so a candidate is kept exactly when its
     normal form is outside the span of those kept before it in degree d.
     """
     items = sorted((g for g in gens if not g.is_zero()), key=lambda g: g.degree)
+    top = items[-1].degree if items else None
     kept: list[Vector] = []
     gb: list[Vector] = []
     in_gb = 0  # how many of kept the basis gb was computed from
     for _, group in groupby(items, key=lambda g: g.degree):
         if len(kept) > in_gb:
-            gb, in_gb = groebner_basis(kept), len(kept)
+            gb, in_gb = groebner_basis(kept, up_to=top), len(kept)
         pivots: dict = {}
         for g in group:
             v = normal_form(g, gb) if gb else g

@@ -1,7 +1,8 @@
 """Reference forms kept to pin the library: the tuple term orders behind the
 packed integers, ideal membership, the capped fixpoint saturation, the colon
-and intersection read off a full syzygy module, and the normal form that
-combines field values directly instead of integers over one scale."""
+and intersection read off a full syzygy module, the normal form that
+combines field values directly instead of integers over one scale, and the
+syzygy elimination that reduces every S-pair."""
 
 from heapq import heapify, heappop, heappush
 
@@ -9,6 +10,7 @@ from logtangent.groebner import (
     COMP_MAX,
     ModuleOrder,
     _as_vectors,
+    _buchberger_terms,
     _ideal_module,
     _terms_to_vector,
     _vector_to_terms,
@@ -18,7 +20,7 @@ from logtangent.groebner import (
     normal_form,
     syzygy_basis,
 )
-from logtangent.modules import Vector
+from logtangent.modules import FreeModule, Vector
 
 SATURATION_ROUNDS = 64
 
@@ -140,3 +142,27 @@ def normal_form_by_fractions(v, basis):
     by_comp = _index_by_fractions([_monic_terms(t, field) for t in reducers], order)
     r = _normal_form_terms_by_fractions(_vector_to_terms(v, order), by_comp, order)
     return _terms_to_vector(v.module, order, r)
+
+
+def syzygies_without_skipping(gens, degrees=None):
+    """``module_gb_and_syzygies`` with the Hilbert function withheld, so the
+    elimination reduces every S-pair the pair criteria keep."""
+    if degrees is None:
+        degrees = [g.degree for g in gens]
+    target = gens[0].module
+    k = target.rank
+    syz_module = FreeModule(target.ring, degrees)
+    aug = FreeModule(target.ring, target.twists + syz_module.twists)
+    order = ModuleOrder(aug, split=k)
+    inputs = [
+        _vector_to_terms(Vector(aug, g.entries + syz_module.basis_vector(i).entries), order)
+        for i, g in enumerate(gens)
+    ]
+    image, syz = [], []
+    for terms in _buchberger_terms(inputs, order):
+        if order.unpack(terms[0][0])[0] < k:
+            head = [t for t in terms if order.unpack(t[0])[0] < k]
+            image.append(_terms_to_vector(target, order, head))
+        else:
+            syz.append(_terms_to_vector(syz_module, order, terms, first=k))
+    return image, syz_module, syz

@@ -145,3 +145,25 @@ def test_cross_check_failure_raises_consistency_error(qq4, monkeypatch):
     seq = Sequence.parse(qq4, "x0*x1", "x3*x2*(x0 - x1)")
     with pytest.raises(ConsistencyError, match="constant-kernel dimension 3"):
         module.invariants(seq, with_schemes=False)
+
+
+@pytest.mark.parametrize("step", [0, 1])
+def test_dropped_generator_breaks_the_betti_hilbert_identity(qq4, monkeypatch, step):
+    # a resolution of a nearly free pencil that lost a kernel generator
+    # (step 0) or its one syzygy (step 1)
+    module = importlib.import_module("logtangent.invariants")
+    resolution = importlib.import_module("logtangent.resolution")
+    minimal = resolution.minimal_generators
+    calls = []
+
+    def dropping(gens):
+        kept = minimal(gens)
+        calls.append(len(kept))
+        return kept[:-1] if len(calls) == step + 1 else kept
+
+    seq = Sequence.parse(qq4, "x0^2*(x1 - x2) + x2^2*(x1 - x0 + x3)", "-x1*x2*x3 + x2^2*x3")
+    report = module.invariants(seq, with_schemes=False)
+    assert report.resolution.betti().columns == ((2, 3, 3), (4,))
+    monkeypatch.setattr(resolution, "minimal_generators", dropping)
+    with pytest.raises(ConsistencyError, match="Betti numbers"):
+        module.invariants(seq, with_schemes=False)

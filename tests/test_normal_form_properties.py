@@ -1,9 +1,10 @@
-"""Property tests of normal forms and of canonical coefficients.
+"""Property tests of normal forms, canonical coefficients and skipped pairs.
 
 Over QQ, GF(32003) and GF(7), where products of coefficients wrap around the
 modulus often: a normal form against a Groebner basis has no term divisible
 by a lead, is idempotent and is linear, and every coefficient the arithmetic
-and the kernel store is nonzero and already reduced.
+and the kernel store is nonzero and already reduced.  Skipping S-pairs by
+the Hilbert function, or above a degree cap, changes no basis or syzygy.
 """
 
 from fractions import Fraction
@@ -11,10 +12,15 @@ from fractions import Fraction
 import pytest
 
 from logtangent.fields import QQ, PrimeField
-from logtangent.groebner import ModuleOrder, groebner_basis, normal_form
+from logtangent.groebner import (
+    ModuleOrder,
+    groebner_basis,
+    module_gb_and_syzygies,
+    normal_form,
+)
 from logtangent.modules import FreeModule, Vector
 from logtangent.poly import monomial_divides, monomials_of_degree, PolyRing
-from oracles import module_key
+from oracles import module_key, syzygies_without_skipping
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -130,3 +136,27 @@ def test_stored_coefficients_are_canonical(case, i):
     for p, q in zip(u.entries, v.entries):
         results += [p + q, p - q, p * q, -p, p.partial(i)]
     assert all(canonical(p) for p in results)
+
+
+@st.composite
+def columns(draw):
+    """Homogeneous columns, some of them zero, with their degrees."""
+    module = draw(st.sampled_from(MODULES))
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    return [draw(vectors(module, [d])) for d in degrees], degrees
+
+
+@SETTINGS
+@hypothesis.given(columns())
+def test_skipped_pairs_change_no_basis_or_syzygy(case):
+    gens, degrees = case
+    assert module_gb_and_syzygies(gens, degrees) == syzygies_without_skipping(gens, degrees)
+
+
+@SETTINGS
+@hypothesis.given(columns(), st.integers(0, 3))
+def test_capped_basis_of_random_columns(case, extra):
+    gens, degrees = case
+    cap = max(degrees) + extra
+    full = groebner_basis(gens)
+    assert groebner_basis(gens, up_to=cap) == [b for b in full if b.degree <= cap]
