@@ -749,12 +749,13 @@ def saturate_ideal(ring, gens: Sequence[Polynomial]) -> Basis:
     return result
 
 
-def minor(matrix: Sequence[Sequence[Polynomial]], rows, cols) -> Polynomial:
-    """Determinant of the square submatrix on the given row/column indices."""
+def minor(matrix: Sequence[Sequence[Polynomial]], rows, cols) -> Polynomial | int:
+    """Determinant of the square submatrix on the given row/column indices;
+    the empty minor is the integer 1, since no entry names the ring."""
     if len(rows) != len(cols):
         raise ValueError("minor needs a square submatrix")
-    if len(rows) == 1:
-        return matrix[rows[0]][cols[0]]
+    if not rows:
+        return 1
     out = None
     for pos, r in enumerate(rows):
         sub = minor(matrix, rows[:pos] + rows[pos + 1 :], cols[1:])
@@ -766,9 +767,11 @@ def minor(matrix: Sequence[Sequence[Polynomial]], rows, cols) -> Polynomial:
 
 
 def fitting_ideal_0(matrix: Sequence[Sequence[Polynomial]]) -> list[Polynomial]:
-    """Ideal of maximal minors of a k x m polynomial matrix with k <= m."""
-    k = len(matrix)
-    m = len(matrix[0]) if k else 0
+    """Ideal of maximal minors of a k x m polynomial matrix with k <= m.  With
+    no rows it presents the zero module, whose Fitting ideal is [1]."""
+    if not matrix:
+        return [1]
+    k, m = len(matrix), len(matrix[0])
     if k > m:
         raise ValueError("matrix has more rows than columns")
     rows = tuple(range(k))
@@ -781,11 +784,12 @@ def fitting_ideal_0(matrix: Sequence[Sequence[Polynomial]]) -> list[Polynomial]:
 
 
 def annihilator_of_cokernel(target: FreeModule, columns: Sequence[Vector]) -> Basis:
-    """Annihilator ideal of coker(columns) as intersection of colon ideals."""
+    """Annihilator ideal of coker(columns) as intersection of colon ideals;
+    the unit ideal for a target of rank zero, whose cokernel is zero."""
     ring = target.ring
     mod_gens = [c for c in columns if not c.is_zero()]
     result: Basis | None = None
     for i in range(target.rank):
         colon = module_colon(mod_gens, target.basis_vector(i))
         result = colon if result is None else ideal_intersection(ring, result, colon)
-    return result if result is not None else Basis(ring)
+    return result if result is not None else Basis(ring, [ring.one()])

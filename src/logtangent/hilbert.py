@@ -1,4 +1,4 @@
-"""Hilbert series, Hilbert polynomials, dimension and degree.
+"""Hilbert series, dimension and degree.
 
 The series of a graded quotient F/M depends only on the leading-term module
 of a Groebner basis of M, so everything reduces to monomial ideals: each
@@ -10,14 +10,13 @@ classical pivot-splitting recursion
 with a single variable as pivot.  Numerators are Laurent polynomials in z
 (twists may be negative) stored as exponent -> coefficient dicts; the series
 is N(z)/(1-z)^n.  Cancelling all (1-z) factors gives the pole order, i.e.
-the Krull dimension of the module, the degree N(1) of its top-dimensional
-support, and the Hilbert polynomial with exact rational coefficients.
+the Krull dimension of the module, and the degree N(1) of its top-dimensional
+support; a linear Hilbert polynomial is read off the reduced numerator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Sequence
 
@@ -109,43 +108,20 @@ def _laurent_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _divide_by_one_minus_z(n: dict[int, int]) -> dict[int, int]:
-    """Exact quotient N/(1-z); requires N(1) == 0."""
-    if sum(n.values()) != 0:
-        raise ConsistencyError("division by (1-z) is not exact")
-    if not n:
-        return {}
-    lo, hi = min(n), max(n)
-    carry = 0
-    out: dict[int, int] = {}
-    for k in range(lo, hi + 1):
-        carry += n.get(k, 0)
-        if carry:
-            out[k] = carry
-    return out
-
-
 @dataclass(frozen=True)
 class HilbertData:
-    """Series and polynomial data of one graded module."""
+    """Series data of one graded module."""
 
     nvars: int
     numerator: tuple[tuple[int, int], ...]
     reduced_numerator: tuple[tuple[int, int], ...]
     pole_order: int
-    polynomial: tuple[Fraction, ...]  # ascending coefficients in t
     degree: int
 
     @property
     def dim_projective(self) -> int:
         """Dimension of the projective support; -1 means empty."""
         return self.pole_order - 1
-
-    def polynomial_value(self, t: int) -> Fraction:
-        acc = Fraction(0)
-        for i, c in enumerate(self.polynomial):
-            acc += c * t**i
-        return acc
 
     def function_value(self, t: int) -> int:
         """Honest Hilbert function value from the series, any degree t."""
@@ -155,55 +131,26 @@ class HilbertData:
                 total += c * comb(t - j + self.nvars - 1, self.nvars - 1)
         return total
 
-    def function_matches_polynomial_from(self) -> int:
-        """Degree bound beyond which function and polynomial agree."""
-        if not self.reduced_numerator:
-            return 0
-        top = max(j for j, _ in self.reduced_numerator)
-        return max(top - self.pole_order + 1, 0)
-
-
-def _binomial_poly(shift: int, m: int) -> list[Fraction]:
-    """Coefficients of binom(t + shift, m) as a polynomial in t."""
-    coeffs = [Fraction(1)]
-    for i in range(m):
-        # multiply by (t + shift - i)
-        const = Fraction(shift - i)
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            nxt[k] += c * const
-            nxt[k + 1] += c
-        coeffs = nxt
-    fact = 1
-    for i in range(1, m + 1):
-        fact *= i
-    return [c / fact for c in coeffs]
-
 
 def hilbert_from_numerator(numerator: dict[int, int], nvars: int) -> HilbertData:
     n = dict(numerator)
     pole = nvars
     while n and sum(n.values()) == 0:
-        n = _divide_by_one_minus_z(n)
-        pole -= 1
+        # N(1) = 0, so N/(1-z) is exact: the running sums of N
+        carry, quotient = 0, {}
+        for k in range(min(n), max(n) + 1):
+            carry += n.get(k, 0)
+            if carry:
+                quotient[k] = carry
+        n, pole = quotient, pole - 1
     if not n:
         pole = 0
-    if pole > 0:
-        poly = [Fraction(0)] * pole
-        for j, c in n.items():
-            for k, b in enumerate(_binomial_poly(pole - 1 - j, pole - 1)):
-                poly[k] += c * b
-        degree = sum(n.values())
-    else:
-        poly = []
-        degree = 0
     return HilbertData(
         nvars=nvars,
         numerator=tuple(sorted(numerator.items())),
         reduced_numerator=tuple(sorted(n.items())),
         pole_order=pole,
-        polynomial=tuple(poly),
-        degree=degree,
+        degree=sum(n.values()) if pole > 0 else 0,
     )
 
 
@@ -247,16 +194,20 @@ def dimension_degree(ring, gens: Sequence[Polynomial]) -> tuple[int, int]:
 
 
 def linear_hilbert_polynomial(h: HilbertData) -> tuple[int, int]:
-    """Coefficients (a, b) with P(t) = a*t + b; requires support dim <= 1."""
+    """Coefficients (a, b) with P(t) = a*t + b; requires support dim <= 1.
+
+    With reduced numerator sum_j c_j z^j over (1-z)^r, the function is
+    sum_j c_j * C(t - j + r - 1, r - 1) from t = top - r + 1 on: for r = 2
+    that is degree * t + sum_j c_j (1 - j), for r = 1 the constant degree,
+    and for r = 0 (degree 0) zero.
+    """
     if h.pole_order > 2:
         raise ValueError(
             f"support has dimension {h.dim_projective}, Hilbert polynomial not linear"
         )
-    a = h.polynomial[1] if len(h.polynomial) > 1 else Fraction(0)
-    b = h.polynomial[0] if h.polynomial else Fraction(0)
-    if a.denominator != 1 or b.denominator != 1:
-        raise ConsistencyError(f"Hilbert polynomial {a}*t + {b} is not integral")
-    return (int(a), int(b))
+    if h.pole_order == 2:
+        return (h.degree, sum(c * (1 - j) for j, c in h.reduced_numerator))
+    return (0, h.degree)
 
 
 def quotient_dimension_by_counting(

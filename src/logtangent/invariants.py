@@ -26,6 +26,7 @@ from .modules import FreeModule
 from .poly import Polynomial
 from .resolution import FreeResolution, resolve_submodule
 from .sequences import (
+    DependentSequenceError,
     NonNormalSequenceError,
     Sequence,
     constant_kernel_dimension,
@@ -132,12 +133,16 @@ def _check_betti_hilbert(
 def invariants(seq: Sequence, with_schemes: bool = True) -> InvariantReport:
     """Full invariant report of a normal pair.
 
-    Raises DependentSequenceError when all Jacobian minors vanish and
-    NonNormalSequenceError (with the divisor degree) when the Jacobian
-    scheme has a codimension-one component.
+    Both refusals are read off the Hilbert series of the Jacobian cokernel.
+    DependentSequenceError when its pole order is the number of variables:
+    the cokernel has positive rank, which over any field is the same as all
+    2x2 minors vanishing.  NonNormalSequenceError (with the divisor degree)
+    when the Jacobian scheme has a codimension-one component.
     """
     analysis = jacobian_analysis(seq)
     hq = hilbert_of_quotient(analysis.target, analysis.image_gb)
+    if hq.pole_order == seq.ring.nvars:
+        raise DependentSequenceError("all Jacobian minors vanish")
     if hq.pole_order > 2:
         raise NonNormalSequenceError(divisor_degree=hq.degree)
 

@@ -6,8 +6,11 @@ membership pruning), which yields the minimal resolution directly: no
 differential can contain a nonzero constant once every step uses minimal
 generators.
 
-The resolution length is capped at four, the bound for a polynomial ring in
-four variables; exceeding the cap signals a kernel bug, not bad input.
+The resolution length is capped at two, the bound the theory gives for the
+pipeline's two inputs.  The kernel K of the Jacobian map is a second syzygy
+module, so depth K >= 2 and pd K <= 2 by Auslander-Buchsbaum.  The Bourbaki
+curve's ideal I is saturated, so depth R/I >= 1 and pd I <= 2.  Exceeding
+the cap signals a kernel bug, not bad input.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ from .linalg import extends_span
 from .modules import FreeModule, Vector, apply_columns
 from .poly import Polynomial
 
-MAX_LENGTH = 4
+MAX_LENGTH = 2
 
 
 class ResolutionLengthError(RuntimeError):
-    """Internal error: resolution exceeded the syzygy-theorem bound."""
+    """Internal error: resolution exceeded the length bound of the theory."""
 
 
 def minimal_generators(gens: Sequence[Vector]) -> list[Vector]:

@@ -190,8 +190,8 @@ class JacobianAnalysis:
 
 
 def jacobian_analysis(seq: Sequence) -> JacobianAnalysis:
-    if is_dependent(seq):
-        raise DependentSequenceError("all Jacobian minors vanish")
+    """Image basis and kernel generators of the Jacobian map.  It does not
+    test dependence: ``invariants`` reads that off the cokernel's series."""
     columns = seq.jacobian_columns()
     source = seq.source_module()
     image_gb, syz_module, syz = module_gb_and_syzygies(

@@ -171,6 +171,15 @@ def test_annihilator_of_cyclic_module(qq4):
     assert ideal_equals(qq4, ann, [f])
 
 
+def test_annihilator_of_zero_module_is_unit_ideal(qq4):
+    ann = annihilator_of_cokernel(FreeModule(qq4, ()), [])
+    assert list(ann) == [qq4.one()]
+
+
+def test_fitting_ideal_of_empty_matrix_is_unit_ideal():
+    assert fitting_ideal_0([]) == [1]
+
+
 def test_module_colon_by_basis_vector(qq4):
     F = FreeModule(qq4, (0, 0))
     gens = [

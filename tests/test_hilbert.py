@@ -1,15 +1,14 @@
-"""Hilbert series, polynomials, dimension and degree."""
+"""Hilbert series, linear Hilbert polynomials, dimension and degree."""
 
 import random
-from fractions import Fraction
 from math import comb
 
 import pytest
 
+from logtangent.fields import QQ, PrimeField
+from logtangent.fixtures import FIXTURES
 from logtangent.groebner import _as_vectors, groebner_basis, ideal_groebner
 from logtangent.hilbert import (
-    ConsistencyError,
-    HilbertData,
     dimension_degree,
     hilbert_of_ideal_quotient,
     hilbert_of_quotient,
@@ -17,14 +16,15 @@ from logtangent.hilbert import (
     quotient_dimension_by_counting,
 )
 from logtangent.modules import FreeModule
+from logtangent.poly import PolyRing
 from logtangent.sequences import Sequence, jacobian_analysis
 
 
 def test_free_ring_polynomial(qq4):
     h = hilbert_of_ideal_quotient(qq4, [])
-    assert h.pole_order == 4
+    assert (h.pole_order, h.degree) == (4, 1)
     for t in range(0, 8):
-        assert h.polynomial_value(t) == comb(t + 3, 3)
+        assert h.function_value(t) == comb(t + 3, 3)
 
 
 def test_square_of_two_variables(qq4):
@@ -49,13 +49,6 @@ def test_dimension_degree_of_linear_subspaces(qq4):
     assert dimension_degree(qq4, [qq4.one()]) == (-1, 0)
 
 
-def test_non_integral_hilbert_polynomial_raises():
-    half = Fraction(1, 2)
-    h = HilbertData(4, (), (), 2, (half, half), 1)
-    with pytest.raises(ConsistencyError):
-        linear_hilbert_polynomial(h)
-
-
 def test_linear_polynomial_rejects_surfaces(qq4):
     h = hilbert_of_ideal_quotient(qq4, [qq4.variable(0)])
     with pytest.raises(ValueError):
@@ -65,21 +58,57 @@ def test_linear_polynomial_rejects_surfaces(qq4):
 def test_zero_module_is_flat_zero(qq4):
     h = hilbert_of_ideal_quotient(qq4, [qq4.one()])
     assert h.pole_order == 0 and h.degree == 0
-    assert h.polynomial == ()
+    assert h.reduced_numerator == ()
     assert linear_hilbert_polynomial(h) == (0, 0)
+
+
+def _polynomial_value(h, t):
+    """sum_j c_j * C(t - j + r - 1, r - 1) over the reduced numerator, with
+    the binomial read as a polynomial in t of degree r - 1."""
+    r = h.pole_order
+    total = 0
+    for j, c in h.reduced_numerator:
+        falling = 1
+        for i in range(r - 1):
+            falling *= t - j + r - 1 - i
+        total += c * falling
+    fact = 1
+    for i in range(2, r):
+        fact *= i
+    return total // fact
+
+
+def _polynomial_start(h):
+    top = max((j for j, _ in h.reduced_numerator), default=0)
+    return max(top - h.pole_order + 1, 0)
+
+
+def _assert_closed_form(h):
+    """(a, b) read off the reduced numerator is the function from
+    max(top - r + 1, 0) on."""
+    a, b = linear_hilbert_polynomial(h)
+    start = _polynomial_start(h)
+    for t in range(start, start + 6):
+        assert h.function_value(t) == a * t + b
+    return a, b
 
 
 def test_function_agrees_with_polynomial_beyond_bound(qq4):
     rng = random.Random(314)
+    linear = 0
     for _ in range(12):
         gens = [qq4.random_homogeneous(rng.randint(1, 3), rng) for _ in range(rng.randint(1, 3))]
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
             continue
         h = hilbert_of_ideal_quotient(qq4, gens)
-        start = h.function_matches_polynomial_from()
+        start = _polynomial_start(h)
         for t in range(start, start + 7):
-            assert h.function_value(t) == h.polynomial_value(t)
+            assert h.function_value(t) == _polynomial_value(h, t)
+        if h.pole_order <= 2:
+            _assert_closed_form(h)
+            linear += 1
+    assert linear
 
 
 def test_function_agrees_with_direct_monomial_count(qq4):
@@ -103,8 +132,8 @@ def test_twisted_free_module_series(qq4):
     for t in range(0, 9):
         expected = comb(t + 2, 3) + comb(t, 3)
         assert h.function_value(t) == expected
-        if t >= 1:
-            assert h.polynomial_value(t) == expected
+    assert h.reduced_numerator == h.numerator == ((1, 1), (3, 1))
+    assert (h.pole_order, h.degree) == (4, 2)
 
 
 def test_degree_equals_reduced_numerator_at_one(qq4):
@@ -118,11 +147,12 @@ def test_degree_equals_reduced_numerator_at_one(qq4):
         if h.pole_order > 0:
             assert h.degree == sum(c for _, c in h.reduced_numerator)
             assert h.degree > 0
-            lead = h.polynomial[-1]
-            fact = 1
-            for i in range(1, h.pole_order):
-                fact *= i
-            assert lead == Fraction(h.degree, fact)
+            # the (r-1)-th difference of the function settles at the degree
+            start = _polynomial_start(h)
+            values = [h.function_value(t) for t in range(start, start + h.pole_order)]
+            for _ in range(h.pole_order - 1):
+                values = [b - a for a, b in zip(values, values[1:])]
+            assert values == [h.degree]
 
 
 def test_cokernel_with_unit_entries(qq4):
@@ -140,3 +170,29 @@ def test_hilbert_of_cokernel_matches_quotient_route(qq4):
     direct = hilbert_of_quotient(analysis.target, groebner_basis(analysis.columns))
     via_image = hilbert_of_quotient(analysis.target, analysis.image_gb)
     assert direct == via_image
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+def test_closed_form_on_corpus_cokernels(field):
+    ring = PolyRing(field, 4)
+    for fx in FIXTURES:
+        analysis = jacobian_analysis(Sequence.parse(ring, fx.f, fx.g))
+        h = hilbert_of_quotient(analysis.target, analysis.image_gb)
+        a, _ = _assert_closed_form(h)
+        if fx.m is not None:
+            assert a == fx.m, fx.name
+
+
+def test_closed_form_on_seeded_curve_ideals(fp4):
+    rng = random.Random(4242)
+    poles = set()
+    for _ in range(20):
+        degrees = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
+        gens = [fp4.random_homogeneous(d, rng) for d in degrees]
+        h = hilbert_of_ideal_quotient(fp4, gens)
+        a, _ = _assert_closed_form(h)
+        poles.add(h.pole_order)
+        if len(gens) == 2:
+            # a complete intersection curve has degree d1 * d2
+            assert (h.pole_order, a) == (2, degrees[0] * degrees[1])
+    assert poles == {1, 2}

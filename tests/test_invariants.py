@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from logtangent.fields import PrimeField
+from logtangent import sequences
+from logtangent.fields import QQ, PrimeField
 from logtangent.hilbert import ConsistencyError
 from logtangent.invariants import (
     STABLE,
@@ -19,10 +20,12 @@ from logtangent.invariants import (
 )
 from logtangent.linalg import matrix_rank
 from logtangent.poly import PolyRing
+from logtangent.search import sample_pair
 from logtangent.sequences import (
     DependentSequenceError,
     NonNormalSequenceError,
     Sequence,
+    is_dependent,
 )
 
 
@@ -60,6 +63,45 @@ def test_invariants_of_compressible_pencil(qq4):
 def test_dependent_pair_raises(qq4):
     with pytest.raises(DependentSequenceError):
         invariants(Sequence.parse(qq4, "x0^2", "x0^3"))
+
+
+def _dependence_cases():
+    qq, fp = PolyRing(QQ, 4), PolyRing(PrimeField(32003), 4)
+    u = qq.parse("3*x0 - x1 + 2*x2 + 5*x3")
+    h = qq.parse("x0^2 - 2*x1*x3 + x2^2 + x0*x3")
+    yield Sequence.of(u**2, u**3)
+    yield Sequence.of(h, h**2)
+    yield Sequence.parse(qq, "x0", "x0^3")
+    yield Sequence.parse(qq, "x0*x1", "x0*x2^2")  # not normal, not dependent
+    for index in range(6):
+        f, g = sample_pair(fp, 1, 2, 17, index)
+        yield Sequence.of(f, g)
+        yield Sequence.of(f, f * 5)
+
+
+def test_dependence_from_the_cokernel_matches_the_minors():
+    dependent = 0
+    for seq in _dependence_cases():
+        try:
+            invariants(seq, with_schemes=False)
+            refused = False
+        except DependentSequenceError:
+            refused = True
+        except NonNormalSequenceError:
+            refused = False
+        assert refused == is_dependent(seq), (str(seq.f), str(seq.g))
+        dependent += refused
+    assert dependent == 9
+
+
+def test_invariants_never_forms_the_minors(qq4, monkeypatch):
+    def refuse(seq):
+        raise AssertionError("jacobian_minors called")
+
+    monkeypatch.setattr(sequences, "jacobian_minors", refuse)
+    seq = Sequence.parse(qq4, "2*x1*x3 - x1^2", "3*x2*x3^2 - 3*x0*x1*x3 + x1^3")
+    rep = invariants(seq, with_schemes=False)
+    assert (rep.m, rep.e) == (5, 1)
 
 
 def test_non_normal_pair_raises_with_divisor_degree(qq4):

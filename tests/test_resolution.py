@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+from logtangent import resolution
 from logtangent.fields import QQ, PrimeField
 from logtangent.groebner import _as_vectors, groebner_basis, normal_form, syzygy_basis
 from logtangent.hilbert import hilbert_of_quotient
 from logtangent.modules import FreeModule, Vector
 from logtangent.poly import PolyRing
 from logtangent.resolution import (
+    ResolutionLengthError,
     minimal_generators,
     module_dual,
     resolve_ideal,
@@ -222,3 +224,24 @@ def test_betti_grid_format(qq4):
 def test_resolution_of_ideal_complete_intersection(qq4):
     res = resolve_ideal(qq4, [qq4.parse("x0^2 - x1*x3"), qq4.parse("x2^2")])
     assert res.betti().columns == ((2, 2), (4,))
+
+
+def test_length_two_is_the_bound(qq4):
+    # (x0, x1, x2) is the saturated ideal of a point: pd = 2
+    res = resolve_ideal(qq4, [qq4.variable(i) for i in range(3)])
+    assert res.length == 2
+    # the irrelevant ideal is not saturated and needs length 3
+    with pytest.raises(ResolutionLengthError):
+        resolve_ideal(qq4, [qq4.variable(i) for i in range(4)])
+
+
+def test_fabricated_third_syzygy_step_raises(qq4, monkeypatch):
+    real = resolution.syzygy_basis
+
+    def never_ending(gens, degrees=None):
+        module, syz = real(gens, degrees=degrees)
+        return module, syz or [module.basis_vector(0)]
+
+    monkeypatch.setattr(resolution, "syzygy_basis", never_ending)
+    with pytest.raises(ResolutionLengthError):
+        resolve_ideal(qq4, [qq4.parse("x0^2 - x1*x3"), qq4.parse("x2^2")])
