@@ -27,14 +27,12 @@ from .groebner import (
     ideal_equals,
     ideal_groebner,
     ideal_intersection,
-    kernel_of_map,
     module_colon,
     normal_form,
     saturate_ideal,
     syzygy_basis,
 )
 from .hilbert import (
-    ConsistencyError,
     HilbertData,
     dimension_degree,
     hilbert_of_ideal_quotient,
@@ -49,7 +47,7 @@ from .invariants import (
 )
 from .modules import FreeModule, Vector
 from .plane import NonReducedCurveError, tjurina_plane
-from .poly import ParseError, Polynomial, PolyRing
+from .poly import ConsistencyError, ParseError, Polynomial, PolyRing
 from .resolution import (
     BettiTable,
     FreeResolution,
@@ -66,7 +64,6 @@ from .sequences import (
     SmallCharacteristicError,
     canonical_syzygies,
     constant_kernel_dimension,
-    jacobian_minors,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -25,9 +25,8 @@ from . import __version__
 from .bourbaki import BourbakiExtractionError, bourbaki_data
 from .fields import QQ, PrimeField
 from .fixtures import FIXTURES, run_corpus
-from .hilbert import ConsistencyError
 from .invariants import InvariantReport, invariants, validate_constraints
-from .poly import ParseError, PolyRing
+from .poly import ConsistencyError, ParseError, PolyRing
 from .resolution import ResolutionLengthError
 from .search import run_search
 from .sequences import DependentSequenceError, NonNormalSequenceError, Sequence

@@ -5,7 +5,7 @@ The engine works on flat term lists sorted strictly descending under a
 first by twist-shifted degree, then grevlex on the monomial, then by
 ascending component index; an optional leading block of components turns it
 into an elimination order.  One elimination over a "tag" block (described at
-``_eliminate``) computes syzygies, kernels, colon ideals and intersections.
+``_eliminate``) computes syzygies, colon ideals and intersections.
 
 Internally a term is ``(packed, coeff)`` with one ``int`` whose integer order
 is the module order: a term of component ``c`` with packed monomial ``m``
@@ -67,7 +67,6 @@ from typing import Sequence
 from .modules import FreeModule, Vector
 from .poly import (
     EXP_MAX,
-    ConsistencyError,
     PackingOverflowError,
     Polynomial,
     monomial_divides,
@@ -443,15 +442,6 @@ def _interreduce_terms(entries, order: ModuleOrder):
 # public module-level API
 
 
-def leading_position(v: Vector, order: ModuleOrder) -> tuple[int, tuple[int, ...]]:
-    """(component, exponents) of the leading term of v under the order."""
-    terms = _vector_to_terms(v, order)
-    if not terms:
-        raise ValueError("zero vector has no leading term")
-    comp, m = order.unpack(terms[0][0])
-    return comp, order.ring.unpack(m)
-
-
 def groebner_basis(gens: Sequence[Vector], *, up_to: int | None = None) -> list[Vector]:
     """Reduced monic Groebner basis of the submodule generated by gens.
 
@@ -594,24 +584,10 @@ def module_gb_and_syzygies(
 def syzygy_basis(
     gens: Sequence[Vector], degrees: Sequence[int] | None = None
 ) -> tuple[FreeModule, list[Vector]]:
-    """Generators of the syzygy module of the given homogeneous elements."""
+    """Generators of the syzygy module of the given homogeneous elements: the
+    kernel of the map with columns gens from the free module with twists degrees."""
     _, syz_module, syz_gens = module_gb_and_syzygies(gens, degrees)
     return syz_module, syz_gens
-
-
-def kernel_of_map(columns: Sequence[Vector], source: FreeModule) -> list[Vector]:
-    """Kernel of the graded map source -> target with the given columns."""
-    if len(columns) != source.rank:
-        raise ValueError("column count does not match source rank")
-    if source.rank == 0:
-        return []
-    target = columns[0].module
-    if target.rank == 0 or all(c.is_zero() for c in columns):
-        return [source.basis_vector(i) for i in range(source.rank)]
-    syz_module, syz = syzygy_basis(columns, degrees=source.twists)
-    if syz_module.twists != source.twists:
-        raise ConsistencyError("syzygy module twists differ from the source twists")
-    return [Vector(source, v.entries) for v in syz]
 
 
 # ---------------------------------------------------------------------------

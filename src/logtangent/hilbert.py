@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .groebner import ModuleOrder, _as_vectors, ideal_groebner, leading_position
+from .groebner import ModuleOrder, _as_vectors, ideal_groebner
 from .modules import FreeModule, Vector
-from .poly import ConsistencyError, Polynomial, monomial_divides, monomials_of_degree
+from .poly import Polynomial, monomial_divides, monomials_of_degree
 
 
 def _minimalize_monomials(gens: set[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
@@ -155,13 +155,18 @@ def hilbert_from_numerator(numerator: dict[int, int], nvars: int) -> HilbertData
 
 
 def _leads(module: FreeModule, gb: Sequence[Vector]) -> list[set]:
-    """Per component, the exponents of the leads of gb under graded TOP order."""
+    """Per component, the exponents of the leads of gb under graded TOP order.
+
+    Within a component the module order is the ring's, so an entry's first
+    term leads it, and the vector's lead is the greatest of those.
+    """
     order = ModuleOrder(module)
     leads: list[set] = [set() for _ in range(module.rank)]
     for v in gb:
-        if not v.is_zero():
-            comp, exps = leading_position(v, order)
-            leads[comp].add(exps)
+        packed = [order.pack(c, p.terms[0][0]) for c, p in enumerate(v.entries) if p.terms]
+        if packed:
+            comp, m = order.unpack(max(packed))
+            leads[comp].add(module.ring.unpack(m))
     return leads
 
 

@@ -256,22 +256,6 @@ class Polynomial:
                     items.append((m + step, c))
         return Polynomial(self.ring, tuple(items))
 
-    def compose_linear(self, matrix: list[list]) -> "Polynomial":
-        """Substitute x_i -> sum_j matrix[i][j] * x_j (field entries)."""
-        ring = self.ring
-        images = [
-            sum((ring.variable(j).scaled(a) for j, a in enumerate(row)), ring.zero())
-            for row in matrix
-        ]
-        out = ring.zero()
-        for m, c in self.terms:
-            term = ring.constant(c)
-            for image, k in zip(images, ring.unpack(m)):
-                if k:
-                    term = term * image**k
-            out = out + term
-        return out
-
     # -- comparison / display ----------------------------------------------
 
     def __eq__(self, other):

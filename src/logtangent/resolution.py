@@ -19,12 +19,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Sequence
 
-from .groebner import (
-    groebner_basis,
-    kernel_of_map,
-    normal_form,
-    syzygy_basis,
-)
+from .groebner import groebner_basis, normal_form, syzygy_basis
 from .linalg import extends_span
 from .modules import FreeModule, Vector, apply_columns
 from .poly import Polynomial
@@ -175,8 +170,9 @@ def module_dual(
 ) -> tuple[FreeModule, list[Vector]]:
     """Hom(M, R) for M presented by columns : source -> target.
 
-    Computed as the kernel of the transposed matrix between the dual free
-    modules (all twists negated); returned as generators inside target-dual.
+    Computed as ``syzygy_basis`` of the rows, the kernel of the transposed
+    matrix between the dual free modules (all twists negated); returned as
+    generators inside target-dual.  A target of rank zero is a ValueError.
     """
     ring = target.ring
     dual_target = FreeModule(ring, tuple(-a for a in target.twists))
@@ -185,7 +181,7 @@ def module_dual(
         Vector(dual_source, tuple(col.entries[i] for col in columns))
         for i in range(target.rank)
     ]
-    return dual_target, kernel_of_map(transposed, dual_target)
+    return syzygy_basis(transposed, degrees=dual_target.twists)
 
 
 def verify_lifting(

@@ -10,13 +10,11 @@ sheaf of the pair, its cokernel the torsion sheaf carrying the m-invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .groebner import Submodule, module_gb_and_syzygies
-from .hilbert import ConsistencyError
+from .groebner import Submodule, minor, module_gb_and_syzygies
 from .linalg import matrix_rank
 from .modules import FreeModule, Vector, apply_columns
-from .poly import Polynomial, PolyRing
+from .poly import ConsistencyError, Polynomial, PolyRing
 
 NVARS = 4
 
@@ -119,42 +117,29 @@ class Sequence:
         return FreeModule(self.ring, (0,) * NVARS)
 
 
-def jacobian_minors(seq: Sequence) -> dict[tuple[int, int], Polynomial]:
-    """The six 2x2 minors m[i,j] = df_i * dg_j - df_j * dg_i."""
-    rows = seq.gradient_rows()
-    out = {}
-    for i, j in combinations(range(NVARS), 2):
-        out[(i, j)] = rows[0][i] * rows[1][j] - rows[0][j] * rows[1][i]
-    return out
-
-
-def is_dependent(seq: Sequence) -> bool:
-    return all(m.is_zero() for m in jacobian_minors(seq).values())
-
-
 def canonical_syzygies(seq: Sequence) -> list[Vector]:
     """Four syzygies of degree d built from the 2x2 minors of the Jacobian.
 
-    Vector i has a zero in slot i and signed minors elsewhere, arranged so
+    Vector i has a zero in slot i and the signed minors m[j,k] of the
+    gradient rows on the other columns (``groebner.minor``), arranged so
     that pairing with either gradient row is a 3x3 determinant with a
-    repeated row.  For an independent pair at least one of the four is
-    nonzero, which bounds the initial degree of the syzygy module by d.
+    repeated row.  Every minor sits in some vector, so all four are zero
+    exactly when the pair is dependent (DependentSequenceError); otherwise
+    they bound the initial degree of the syzygy module by d.
     """
-    if is_dependent(seq):
-        raise DependentSequenceError("all Jacobian minors vanish")
-    minors = jacobian_minors(seq)
+    rows = seq.gradient_rows()
+    m = {(i, j): minor(rows, (0, 1), (i, j)) for j in range(NVARS) for i in range(j)}
     zero = seq.ring.zero()
     source = seq.source_module()
 
-    def m(i, j):
-        return minors[(i, j)]
-
     vectors = [
-        Vector(source, (zero, m(2, 3), -m(1, 3), m(1, 2))),
-        Vector(source, (m(2, 3), zero, -m(0, 3), m(0, 2))),
-        Vector(source, (m(1, 3), -m(0, 3), zero, m(0, 1))),
-        Vector(source, (m(1, 2), -m(0, 2), m(0, 1), zero)),
+        Vector(source, (zero, m[2, 3], -m[1, 3], m[1, 2])),
+        Vector(source, (m[2, 3], zero, -m[0, 3], m[0, 2])),
+        Vector(source, (m[1, 3], -m[0, 3], zero, m[0, 1])),
+        Vector(source, (m[1, 2], -m[0, 2], m[0, 1], zero)),
     ]
+    if all(v.is_zero() for v in vectors):
+        raise DependentSequenceError("all Jacobian minors vanish")
     columns = seq.jacobian_columns()
     for v in vectors:
         if not v.is_zero() and not apply_columns(columns, v.entries).is_zero():
@@ -194,10 +179,9 @@ def jacobian_analysis(seq: Sequence) -> JacobianAnalysis:
     test dependence: ``invariants`` reads that off the cokernel's series."""
     columns = seq.jacobian_columns()
     source = seq.source_module()
-    image_gb, syz_module, syz = module_gb_and_syzygies(
-        columns, degrees=source.twists
-    )
-    kernel = Submodule(source, [Vector(source, v.entries) for v in syz])
+    # the syzygies live in a free module with the source's twists
+    image_gb, _, syz = module_gb_and_syzygies(columns, degrees=source.twists)
+    kernel = Submodule(source, syz)
     return JacobianAnalysis(
         target=seq.jacobian_target(),
         columns=columns,

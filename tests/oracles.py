@@ -1,9 +1,12 @@
 """Reference forms kept to pin the library: the tuple term orders behind the
-packed integers, ideal membership, the capped fixpoint saturation, the colon
-and intersection read off a full syzygy module, the normal form that
-combines field values directly instead of integers over one scale, and the
-syzygy elimination that reduces every S-pair."""
+packed integers and the leads they give, ideal membership, the capped
+fixpoint saturation, the colon and intersection read off a full syzygy
+module, the normal form that combines field values directly instead of
+integers over one scale, the syzygy elimination that reduces every S-pair,
+Chern classes by Chern-character additivity in fractions, and a linear
+change of coordinates."""
 
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from logtangent.groebner import (
@@ -38,6 +41,23 @@ def module_key(order, comp: int, exps: tuple[int, ...]):
         tuple(-e for e in reversed(exps)),
         -comp,
     )
+
+
+def leads_by_sorting(module, gb):
+    """Per component, the exponents of the greatest term of each nonzero
+    vector of gb under ``module_key``, compared over every term."""
+    order = ModuleOrder(module)
+    leads = [set() for _ in range(module.rank)]
+    for v in gb:
+        keyed = [
+            (module_key(order, comp, module.ring.unpack(m)), comp, module.ring.unpack(m))
+            for comp, p in enumerate(v.entries)
+            for m, _ in p.terms
+        ]
+        if keyed:
+            _, comp, exps = max(keyed)
+            leads[comp].add(exps)
+    return leads
 
 
 def ideal_contains(ring, gb, p) -> bool:
@@ -166,3 +186,31 @@ def syzygies_without_skipping(gens, degrees=None):
         else:
             syz.append(_terms_to_vector(syz_module, order, terms, first=k))
     return image, syz_module, syz
+
+
+def chern_classes_by_fractions(df, dg, m, ch3_q):
+    """(c1, c2, c3) of T from ch(T) = ch(O^4) - ch(O(df)) - ch(O(dg)) + ch(Q),
+    ch(Q) = (0, 0, m, ch3_q), through Newton's identities in fractions."""
+    c1 = -(df + dg)
+    ch2 = Fraction(-(df**2 + dg**2), 2) + m
+    ch3 = Fraction(-(df**3 + dg**3), 6) + ch3_q
+    c2 = Fraction(c1 * c1, 2) - ch2
+    c3 = 2 * ch3 + c1 * c2 - Fraction(c1**3, 3)
+    return c1, c2, c3
+
+
+def compose_linear(p, matrix):
+    """p with x_i replaced by sum_j matrix[i][j] * x_j (field entries)."""
+    ring = p.ring
+    images = [
+        sum((ring.variable(j).scaled(a) for j, a in enumerate(row)), ring.zero())
+        for row in matrix
+    ]
+    out = ring.zero()
+    for m, c in p.terms:
+        term = ring.constant(c)
+        for image, k in zip(images, ring.unpack(m)):
+            if k:
+                term = term * image**k
+        out = out + term
+    return out

@@ -9,8 +9,7 @@ from logtangent.cli import main
 from logtangent.fields import QQ, PrimeField
 from logtangent.fixtures import FIXTURES, run_corpus, run_fixture
 from logtangent.groebner import EXP_MAX
-from logtangent.hilbert import ConsistencyError
-from logtangent.poly import PolyRing
+from logtangent.poly import ConsistencyError, PolyRing
 from logtangent.resolution import ResolutionLengthError
 
 

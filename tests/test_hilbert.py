@@ -9,15 +9,17 @@ from logtangent.fields import QQ, PrimeField
 from logtangent.fixtures import FIXTURES
 from logtangent.groebner import _as_vectors, groebner_basis, ideal_groebner
 from logtangent.hilbert import (
+    _leads,
     dimension_degree,
     hilbert_of_ideal_quotient,
     hilbert_of_quotient,
     linear_hilbert_polynomial,
     quotient_dimension_by_counting,
 )
-from logtangent.modules import FreeModule
-from logtangent.poly import PolyRing
+from logtangent.modules import FreeModule, Vector
+from logtangent.poly import PolyRing, monomials_of_degree
 from logtangent.sequences import Sequence, jacobian_analysis
+from oracles import leads_by_sorting
 
 
 def test_free_ring_polynomial(qq4):
@@ -196,3 +198,45 @@ def test_closed_form_on_seeded_curve_ideals(fp4):
             # a complete intersection curve has degree d1 * d2
             assert (h.pole_order, a) == (2, degrees[0] * degrees[1])
     assert poles == {1, 2}
+
+
+# _leads is shared by hilbert_of_quotient and the counting cross-check, so
+# only a reference outside both can catch a wrong lead.
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+def test_leads_of_corpus_image_bases_match_reference(field):
+    ring = PolyRing(field, 4)
+    for fx in FIXTURES:
+        analysis = jacobian_analysis(Sequence.parse(ring, fx.f, fx.g))
+        target, gb = analysis.target, analysis.image_gb
+        assert _leads(target, gb) == leads_by_sorting(target, gb), fx.name
+
+
+def _random_vector(module, degree, rng):
+    """A homogeneous vector of the given degree with a few terms per entry
+    and some entries zero."""
+    ring = module.ring
+    entries = []
+    for twist in module.twists:
+        monos = list(monomials_of_degree(ring.nvars, degree - twist))
+        if degree < twist or rng.random() < 0.3:
+            entries.append(ring.zero())
+            continue
+        picked = rng.sample(monos, min(len(monos), rng.randint(1, 3)))
+        coeffs = (ring.field.of(rng.randint(1, 9)) for _ in picked)
+        entries.append(ring.poly(zip(map(ring.pack, picked), coeffs)))
+    return Vector(module, tuple(entries))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+def test_leads_of_mixed_twist_rank_3_modules_match_reference(field):
+    ring = PolyRing(field, 4)
+    rng = random.Random(4242)
+    for _ in range(12):
+        module = FreeModule(ring, [rng.randint(-2, 2) for _ in range(3)])
+        degree = max(module.twists) + rng.randint(0, 1)
+        gens = [_random_vector(module, degree + rng.randint(0, 1), rng) for _ in range(4)]
+        for vectors in (gens, groebner_basis(gens)):
+            expected = leads_by_sorting(module, vectors)
+            assert _leads(module, vectors) == expected, module.twists

@@ -6,9 +6,8 @@ import random
 
 import pytest
 
-from logtangent import sequences
 from logtangent.fields import QQ, PrimeField
-from logtangent.hilbert import ConsistencyError
+from logtangent.groebner import fitting_ideal_0
 from logtangent.invariants import (
     STABLE,
     STRICTLY_SEMISTABLE,
@@ -19,14 +18,14 @@ from logtangent.invariants import (
     validate_constraints,
 )
 from logtangent.linalg import matrix_rank
-from logtangent.poly import PolyRing
+from logtangent.poly import ConsistencyError, PolyRing
 from logtangent.search import sample_pair
 from logtangent.sequences import (
     DependentSequenceError,
     NonNormalSequenceError,
     Sequence,
-    is_dependent,
 )
+from oracles import chern_classes_by_fractions, compose_linear
 
 
 def test_invariants_of_worked_example(qq4):
@@ -89,18 +88,20 @@ def test_dependence_from_the_cokernel_matches_the_minors():
             refused = True
         except NonNormalSequenceError:
             refused = False
-        assert refused == is_dependent(seq), (str(seq.f), str(seq.g))
+        dependent_by_minors = not fitting_ideal_0(seq.gradient_rows())
+        assert refused == dependent_by_minors, (str(seq.f), str(seq.g))
         dependent += refused
     assert dependent == 9
 
 
 def test_invariants_never_forms_the_minors(qq4, monkeypatch):
-    def refuse(seq):
-        raise AssertionError("jacobian_minors called")
+    def refuse(matrix):
+        raise AssertionError("fitting_ideal_0 called")
 
-    monkeypatch.setattr(sequences, "jacobian_minors", refuse)
+    module = importlib.import_module("logtangent.invariants")
+    monkeypatch.setattr(module, "fitting_ideal_0", refuse)
     seq = Sequence.parse(qq4, "2*x1*x3 - x1^2", "3*x2*x3^2 - 3*x0*x1*x3 + x1^3")
-    rep = invariants(seq, with_schemes=False)
+    rep = module.invariants(seq, with_schemes=False)
     assert (rep.m, rep.e) == (5, 1)
 
 
@@ -137,7 +138,7 @@ def test_linear_change_of_coordinates_invariance():
         mat = [[K.of(rng.randrange(32003)) for _ in range(4)] for _ in range(4)]
         if matrix_rank(mat, K) < 4:
             continue
-        moved = Sequence.of(seq.f.compose_linear(mat), seq.g.compose_linear(mat))
+        moved = Sequence.of(compose_linear(seq.f, mat), compose_linear(seq.g, mat))
         rep = invariants(moved, with_schemes=False)
         for name in ("m", "e", "exponents", "bour", "c3"):
             assert getattr(rep, name) == getattr(base, name)
@@ -147,6 +148,18 @@ def test_linear_change_of_coordinates_invariance():
 def test_chern_classes_of_generic_pencil_numbers():
     assert chern_classes(2, 2, 0, 32) == (-4, 12, 32)
     assert chern_classes(1, 2, 5, 0) == (-3, 2, 0)
+
+
+def test_chern_classes_closed_form_matches_additivity():
+    for dg in range(6):
+        for df in range(dg + 1):
+            m0 = df * df + df * dg + dg * dg
+            for m in range(m0 + 1):
+                for ch3_q in range(-40, 41):
+                    got = chern_classes(df, dg, m, ch3_q)
+                    assert got == chern_classes_by_fractions(df, dg, m, ch3_q)
+                    assert all(type(c) is int for c in got)
+                    assert got[1] == m0 - m
 
 
 def test_stability_rule():
