@@ -21,10 +21,12 @@ Coefficients inside are integers, as in fraction-free elimination (Geddes,
 Czapor & Labahn 1992): a basis member is stored over QQ as its primitive
 integer multiple with a positive lead, over GF(p) as monic.  QQ values are
 cleared to integers on entry and built back, one ``field.of`` per term, only
-in the bases and normal forms handed back.  Normal forms use a max-heap plus
-a dict of integers over one running scale, which grows when a reducer's lead
-coefficient needs it.  The sums stay unreduced until a term is popped, when
-one ``field.reduce`` makes its coefficient canonical for the zero test.
+in the bases and normal forms handed back.  A normal form keeps its pending
+terms in a dict of integers over one running scale, which grows when a
+reducer's lead coefficient needs it.  Only terms of a component in which
+some reducer leads enter the max-heap; the others (the tag terms of an
+elimination before its first syzygy) wait in the dict until the end.  Sums
+stay unreduced until a term leaves, when ``% p`` makes it canonical over GF(p).
 
 Pair handling follows Gebauer-Moeller: the chain criterion prunes the pair
 queue on every insertion, and the coprimality criterion is applied in the
@@ -99,10 +101,11 @@ class ModuleOrder:
         # every exponent of a term is at most its shifted degree minus the least twist
         self.max_sdeg = min(DEG_BIAS - 1, EXP_MAX + low)
         deg_shift = ring.deg_shift + COMP_BITS
-        block_bit = 1 << (deg_shift + DEG_BITS)
+        # set in the terms of the first block, the components below split
+        self.block_bit = 1 << (deg_shift + DEG_BITS)
         # a term is base[comp] + (monomial << COMP_BITS)
         self.base = tuple(
-            (block_bit if comp < self.split else 0)
+            (self.block_bit if comp < self.split else 0)
             + ((twist + DEG_BIAS) << deg_shift)
             + COMP_MAX
             - comp
@@ -172,9 +175,9 @@ def _normalize(terms, field):
     lc = terms[0][1]
     if lc == 1:  # inputs are often members of an earlier, monic basis
         return terms
-    if field.characteristic:
-        inv, reduce = field.inv(lc), field.reduce
-        return [(p, reduce(c * inv)) for p, c in terms]
+    if char := field.characteristic:
+        inv = field.inv(lc)
+        return [(p, c * inv % char) for p, c in terms]
     g = gcd(*[c for _, c in terms])
     if lc < 0:
         g = -g
@@ -191,32 +194,35 @@ def _field_values(terms, d, field):
 def _normal_form_terms(terms, reducers_by_comp, order: ModuleOrder):
     """Full normal form of integer terms against indexed reducer entries.
 
-    The largest pending term is reduced by the first reducer, in insertion
-    order, whose lead divides it.  A key enters the heap once: every term a
-    reduction adds is smaller than the one it removes.  Input coefficients
-    may be unreduced; output coefficients are reduced and nonzero.
-
-    Returns ``(out, s)``: the normal form of the input is out / s.  The
-    scale s starts at 1.  A reducer entry stands for its member divided by
-    its lead coefficient d (see :func:`_index_reducer`); reducing a pending
-    integer a by it multiplies every pending and emitted integer, and s, by
-    f = d / gcd(a, d) when f is not 1, then subtracts a / gcd(a, d) times
-    the integer tail.  Over GF(p) every d is 1, so s stays 1.
+    Returns ``(out, s)``, out sorted with reduced nonzero coefficients: the
+    normal form is out / s.  Pending terms of a component where a reducer
+    leads are popped from a heap, largest first, and reduced by the first
+    reducer, in insertion order, whose lead divides them; every term a
+    reduction adds is smaller, so a key enters the heap once.  The other
+    terms wait in the dict and leave at the end.  The scale s starts at 1.
+    A reducer entry stands for its member divided by its lead coefficient d
+    (see :func:`_index_reducer`); reducing a pending integer a by it scales
+    every pending and emitted integer, and s, by f = d / gcd(a, d) when f
+    is not 1, then subtracts a / gcd(a, d) times the integer tail.  Over
+    GF(p) every d is 1, so s stays 1.
     """
     acc = dict(terms)
     scale = 1
-    heap = [-p for p in acc]
+    heap = [-p for p in acc if p & COMP_MAX in reducers_by_comp]
     heapify(heap)
     out = []
-    reduce = order.ring.field.reduce
+    char = order.ring.field.characteristic
     exp_mask, guards = order.exp_mask, order.guards
+    get = acc.get
     while heap:
         p = -heappop(heap)
-        c = reduce(acc.pop(p))
+        c = acc.pop(p)
+        if char:
+            c %= char
         if not c:
             continue
         exps = p & exp_mask
-        for guarded, lead, tail, d in reducers_by_comp.get(p & COMP_MAX, ()):
+        for guarded, lead, tail, d in reducers_by_comp[p & COMP_MAX]:
             if (guarded - exps) & guards == guards:
                 break
         else:
@@ -229,16 +235,22 @@ def _normal_form_terms(terms, reducers_by_comp, order: ModuleOrder):
             if f != 1:
                 scale *= f
                 acc = {q: qc * f for q, qc in acc.items()}
+                get = acc.get
                 out = [(q, qc * f) for q, qc in out]
         shift = p - lead
         c = -c
         for q, qc in tail:
             q += shift
-            if q in acc:
-                acc[q] += qc * c
-            else:
+            a = get(q)
+            if a is None:
                 acc[q] = qc * c
-                heappush(heap, -q)
+                if q & COMP_MAX in reducers_by_comp:
+                    heappush(heap, -q)
+            else:
+                acc[q] = a + qc * c
+    if acc:  # the terms that waited outside the heap
+        out += [(q, c) for q, a in acc.items() if (c := a % char if char else a)]
+        out.sort(key=itemgetter(0), reverse=True)
     return out, scale
 
 
@@ -423,13 +435,20 @@ def _interreduce_terms(entries, order: ModuleOrder):
     Every tail is reduced against one index of the whole minimal basis: no
     minimal lead divides another, and a lead divides no smaller term, so each
     term meets the reducer it would meet among the other members alone.
+    Members led in the first block of an elimination keep only their
+    first-block terms, as results and as reducers: second-block terms never
+    reduce to first-block ones, and members led in the second block have none.
     """
     minimal: list = []
     by_comp: dict[int, list] = {}
+    block_bit = order.block_bit
     for entry in sorted(entries, key=itemgetter(1)):
         if not any(_divides(kept[1], entry[1], order) for kept in minimal):
+            guarded, lead, tail, d = entry
+            if lead & block_bit and tail and not tail[-1][0] & block_bit:
+                entry = guarded, lead, [t for t in tail if t[0] & block_bit], d
             minimal.append(entry)
-            by_comp.setdefault(entry[1] & COMP_MAX, []).append(entry)
+            by_comp.setdefault(lead & COMP_MAX, []).append(entry)
     basis = []
     for _, lead, tail, d in minimal:
         rest, scale = _normal_form_terms(tail, by_comp, order)
@@ -468,7 +487,7 @@ def groebner_basis(gens: Sequence[Vector], *, up_to: int | None = None) -> list[
 
 def normal_form(v: Vector, basis: Sequence[Vector]) -> Vector:
     """Normal form of v against a Groebner basis of its parent module."""
-    if basis and basis[0].module != v.module:
+    if any(g.module != v.module for g in basis):
         raise ValueError("vector and basis live in different modules")
     order = ModuleOrder(v.module)
     field = v.module.ring.field
@@ -548,9 +567,9 @@ def _eliminate(gens: Sequence[Vector], tags: Sequence[Vector]):
         inputs.append(_vector_to_terms(v, order))
     image, tag_parts = [], []
     for terms in _buchberger_terms(inputs, order, _free_tag_degrees(tags)):
-        if order.unpack(terms[0][0])[0] < k:
-            head = [t for t in terms if order.unpack(t[0])[0] < k]
-            image.append(_terms_to_vector(target, order, head))
+        if terms[0][0] & order.block_bit:
+            # interreduction left the image members their target terms only
+            image.append(_terms_to_vector(target, order, terms))
         else:
             tag_parts.append(_terms_to_vector(tag, order, terms, first=k))
     return image, tag_parts

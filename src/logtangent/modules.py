@@ -124,6 +124,8 @@ def apply_columns(columns: Sequence[Vector], coefficients: Sequence[Polynomial])
     """Evaluate a matrix given by columns on a coefficient vector."""
     if not columns:
         raise ValueError("no columns")
+    if len(coefficients) != len(columns):
+        raise ValueError(f"{len(coefficients)} coefficients for {len(columns)} columns")
     out = columns[0].module.zero()
     for col, c in zip(columns, coefficients):
         if not c.is_zero():

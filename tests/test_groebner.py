@@ -84,6 +84,23 @@ def test_normal_form_rejects_parent_mismatch(qq4):
         normal_form(Vector(other, (qq4.variable(0),)), gb)
 
 
+def test_normal_form_rejects_a_later_member_from_another_module(qq4):
+    x0, x1 = qq4.variable(0), qq4.variable(1)
+    other = FreeModule(qq4, (1,))
+    basis = vecs(qq4, [x0]) + [Vector(other, (x1,))]
+    with pytest.raises(ValueError):
+        normal_form(vecs(qq4, [x1])[0], basis)
+
+
+def test_apply_columns_refuses_a_coefficient_list_of_another_length(qq4):
+    columns = vecs(qq4, [qq4.variable(0), qq4.variable(1)])
+    # (x1, -x0) is a syzygy; cut to (x1,) it is not, and a longer list is no column
+    assert apply_columns(columns, [qq4.variable(1), -qq4.variable(0)]).is_zero()
+    for coefficients in ([qq4.variable(1)], [qq4.variable(1), -qq4.variable(0), qq4.one()]):
+        with pytest.raises(ValueError):
+            apply_columns(columns, coefficients)
+
+
 def test_koszul_syzygy(qq4):
     module, syz = syzygy_basis(vecs(qq4, [qq4.variable(0), qq4.variable(1)]))
     assert module.twists == (1, 1)

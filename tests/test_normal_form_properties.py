@@ -3,24 +3,39 @@
 Over QQ, GF(32003) and GF(7), where products of coefficients wrap around the
 modulus often: a normal form against a Groebner basis has no term divisible
 by a lead, is idempotent and is linear, and every coefficient the arithmetic
-and the kernel store is nonzero and already reduced.  Skipping S-pairs by
-the Hilbert function, or above a degree cap, changes no basis or syzygy.
+and the kernel store is nonzero and already reduced.  Terms of a component
+in which no reducer leads wait outside the heap, are rescaled with the rest
+and are emitted at the end, as the oracle that reduces with field values
+finds.  Skipping S-pairs by the Hilbert function, or above a degree cap,
+changes no basis or syzygy, and the elimination's image members carry no
+tag term while its syzygies map to zero.
 """
 
 from fractions import Fraction
 
 import pytest
 
+from logtangent import groebner
 from logtangent.fields import QQ, PrimeField
+from logtangent.fixtures import FIXTURES
 from logtangent.groebner import (
+    COMP_MAX,
     ModuleOrder,
+    _field_values,
+    _index_by_comp,
+    _integers,
+    _normal_form_terms,
+    _terms_to_vector,
+    _vector_to_terms,
     groebner_basis,
     module_gb_and_syzygies,
     normal_form,
 )
-from logtangent.modules import FreeModule, Vector
+from logtangent.modules import FreeModule, Vector, apply_columns
 from logtangent.poly import monomial_divides, monomials_of_degree, PolyRing
-from oracles import module_key, syzygies_without_skipping
+from logtangent.search import sample_pair
+from logtangent.sequences import Sequence
+from oracles import module_key, normal_form_by_fractions, syzygies_without_skipping
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -160,3 +175,97 @@ def test_capped_basis_of_random_columns(case, extra):
     cap = max(degrees) + extra
     full = groebner_basis(gens)
     assert groebner_basis(gens, up_to=cap) == [b for b in full if b.degree <= cap]
+
+
+# Reducers with terms of degree up to 2 in components 0 and 1 and below 2 in
+# component 2, so that (as the property assumes) none leads there and the
+# terms of component 2 wait.
+WAITING_MODULES = [FreeModule(PolyRing(field, 3), (0, 0, 0)) for field in FIELDS]
+WAITING = COMP_MAX - 2
+
+
+@st.composite
+def waiting_case(draw):
+    """A module, reducers none of which leads in component 2, and a vector
+    with terms in every component; over QQ the reducers are rarely monic."""
+    module = draw(st.sampled_from(WAITING_MODULES))
+    ring = module.ring
+    reducers = [
+        Vector(module, tuple(draw(polynomials(ring, ds)) for ds in ([1, 2], [2], [0, 1])))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    v = Vector(module, tuple(draw(polynomials(ring, range(4), 6)) for _ in range(3)))
+    return module, reducers, v
+
+
+def integer_normal_form(v, reducers):
+    """(out, s, d, waits) for the kernel on v's integers over d; waits says
+    that no reducer leads in component 2."""
+    order = ModuleOrder(v.module)
+    by_comp = _index_by_comp(reducers, order)
+    terms, d = _integers(_vector_to_terms(v, order), v.module.ring.field)
+    out, s = _normal_form_terms(terms, by_comp, order)
+    return out, s, d, WAITING not in by_comp
+
+
+@SETTINGS
+@hypothesis.given(waiting_case())
+def test_waiting_terms_leave_scaled_reduced_and_sorted(case):
+    module, reducers, v = case
+    field = module.ring.field
+    out, s, d, waits = integer_normal_form(v, reducers)
+    hypothesis.assume(waits)
+    keys = [p for p, _ in out]
+    assert keys == sorted(set(keys), reverse=True)
+    assert all(c and (not field.characteristic or 0 < c < field.characteristic) for _, c in out)
+    got = _terms_to_vector(module, ModuleOrder(module), _field_values(out, d * s, field))
+    assert got == normal_form_by_fractions(v, reducers)
+
+
+def test_waiting_terms_are_rescaled_with_the_heap():
+    module = WAITING_MODULES[0]
+    ring, zero = module.ring, module.ring.zero()
+    # stored as (6 x0^2 + 3 x1 x2, 0, 2 x2): its lead coefficient is 6
+    reducer = Vector(module, (ring.parse("x0^2 + 1/2*x1*x2"), zero, ring.parse("1/3*x2")))
+    v = Vector(module, (ring.parse("x0^2"), zero, ring.parse("x1")))
+    out, s, d, waits = integer_normal_form(v, [reducer])
+    # x1 e2 waited through the rescale by 6 and x2 e2 joined it
+    assert waits and (s, d, len(out)) == (6, 1, 3)
+    expected = Vector(module, (ring.parse("-1/2*x1*x2"), zero, ring.parse("x1 - 1/3*x2")))
+    assert normal_form(v, [reducer]) == expected == normal_form_by_fractions(v, [reducer])
+
+
+def jacobian_cases():
+    """(label, sequence): the corpus rows over QQ and GF(32003), and seeded
+    (1, 2) and (2, 2) pairs over GF(32003)."""
+    for field in (QQ, PrimeField(32003)):
+        ring = PolyRing(field, 4)
+        for fx in FIXTURES:
+            yield f"{fx.name} {field}", Sequence.parse(ring, fx.f, fx.g)
+    ring = PolyRing(PrimeField(32003), 4)
+    for df, dg in ((1, 2), (2, 2)):
+        for index in range(4):
+            pair = sample_pair(ring, df, dg, 7, index)
+            yield f"({df}, {dg}) #{index}", Sequence.of(*pair)
+
+
+def test_elimination_image_is_tag_free_and_syzygies_map_to_zero(monkeypatch):
+    recorded = []
+    buchberger = groebner._buchberger_terms
+
+    def recording(inputs, order, *args, **kwargs):
+        basis = buchberger(inputs, order, *args, **kwargs)
+        recorded.append((order, basis))
+        return basis
+
+    monkeypatch.setattr(groebner, "_buchberger_terms", recording)
+    for label, seq in jacobian_cases():
+        recorded.clear()
+        columns = seq.jacobian_columns()
+        image, _, syz = module_gb_and_syzygies(columns, seq.source_module().twists)
+        ((order, basis),) = recorded
+        for terms in basis:
+            if terms[0][0] & order.block_bit:
+                assert all(p & order.block_bit for p, _ in terms), label
+        assert image == groebner_basis(columns), label
+        assert syz and all(apply_columns(columns, s.entries).is_zero() for s in syz), label
