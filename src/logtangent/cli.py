@@ -25,7 +25,7 @@ from . import __version__
 from .bourbaki import BourbakiExtractionError, bourbaki_data
 from .fields import QQ, PrimeField
 from .fixtures import FIXTURES, run_corpus
-from .invariants import InvariantReport, invariants, validate_constraints
+from .invariants import FLAGS, InvariantReport, invariants, validate_constraints
 from .poly import ConsistencyError, ParseError, PolyRing
 from .resolution import ResolutionLengthError
 from .search import run_search
@@ -53,7 +53,16 @@ def _field_label(field) -> str:
     return "rational" if field == QQ else f"fp:{field.p}"
 
 
-def _json_number(value):
+# the report fields both reports show, in the text report's order
+REPORT_KEYS = (
+    "df", "dg", "d", "m0", "compressible", "h0", "exponents", "e", "m", "ch3_q",
+    "c1", "c2", "c3", "bour", "gpdim", "generator_count", "stability", "slope",
+)
+
+
+def _json_value(value):
+    if isinstance(value, tuple):
+        return list(value)
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return int(value)
@@ -66,30 +75,9 @@ def report_document(seq, report: InvariantReport, bd, field, elapsed: float) -> 
         "version": __version__,
         "field": _field_label(field),
         "input": {"f": str(seq.f), "g": str(seq.g)},
-        "df": report.df,
-        "dg": report.dg,
-        "d": report.d,
-        "m0": report.m0,
         "normal": report.normal,
-        "compressible": report.compressible,
-        "h0": report.h0,
-        "exponents": list(report.exponents),
-        "e": report.e,
-        "m": report.m,
-        "ch3_q": report.ch3_q,
-        "c1": report.c1,
-        "c2": report.c2,
-        "c3": report.c3,
-        "bour": report.bour,
-        "gpdim": report.gpdim,
-        "generator_count": report.generator_count,
-        "flags": {
-            "free": report.free,
-            "nearly_free": report.nearly_free,
-            "three_syzygy": report.three_syzygy,
-        },
-        "stability": report.stability,
-        "slope": _json_number(report.slope),
+        **{key: _json_value(getattr(report, key)) for key in REPORT_KEYS},
+        "flags": {flag: getattr(report, flag) for flag in FLAGS},
         "timing_seconds": round(elapsed, 4),
     }
     if report.fitting_scheme is not None:
@@ -120,14 +108,9 @@ def report_document(seq, report: InvariantReport, bd, field, elapsed: float) -> 
 
 
 def _print_text_report(doc: dict, betti_text: str | None):
-    order = [
-        "field", "df", "dg", "d", "m0", "compressible", "h0", "exponents",
-        "e", "m", "ch3_q", "c1", "c2", "c3", "bour", "gpdim",
-        "generator_count", "stability", "slope",
-    ]
     print(f"pair: f = {doc['input']['f']}")
     print(f"      g = {doc['input']['g']}")
-    for key in order:
+    for key in ("field", *REPORT_KEYS):
         print(f"{key:16s} {doc[key]}")
     flags = [k for k, v in doc["flags"].items() if v]
     print(f"{'flags':16s} {', '.join(flags) if flags else '-'}")

@@ -10,6 +10,7 @@ row, so the corpus doubles as the regression gate of the whole pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .bourbaki import BourbakiData, bourbaki_data
 from .fields import QQ
@@ -283,6 +284,30 @@ FIXTURES: tuple[Fixture, ...] = (
 )
 
 
+# Each pinned Fixture field, with its mismatch label and how the value it pins
+# is read off the report, or off the Bourbaki data for BOURBAKI_PINS (None for
+# a free pair).  The schemes are computed only when a SCHEME_PINS field is set.
+REPORT_PINS = {
+    name: (name, attrgetter(name))
+    for name in ("e", "m", "bour", "c3", "exponents", "gpdim", "generator_count",
+                 "compressible", "free", "nearly_free", "three_syzygy", "stability")
+} | {"betti": ("betti", lambda report: report.resolution.betti().columns)}
+SCHEME_PINS = {
+    "annihilator_saturation": (
+        "annihilator saturation", attrgetter("annihilator_scheme.ideal")),
+    "fitting_saturation": ("fitting saturation", attrgetter("fitting_scheme.ideal")),
+    "scheme_degrees": ("scheme degree set", lambda report: frozenset(
+        {report.fitting_scheme.degree, report.annihilator_scheme.degree})),
+}
+BOURBAKI_PINS = {
+    "bourbaki_degree": ("bourbaki degree", attrgetter("degree")),
+    "bourbaki_genus": ("bourbaki genus", attrgetter("genus")),
+    "complete_intersection": ("complete intersection", attrgetter("complete_intersection")),
+}
+# pins that list generators of an ideal, compared as ideals
+IDEAL_PINS = ("annihilator_saturation", "fitting_saturation")
+
+
 @dataclass
 class FixtureResult:
     fixture: Fixture
@@ -296,58 +321,28 @@ class FixtureResult:
 
 def run_fixture(fx: Fixture, field_obj=QQ) -> FixtureResult:
     ring = PolyRing(field_obj, 4)
-    mismatches: list[str] = []
     try:
-        want_schemes = fx.annihilator_saturation is not None or fx.scheme_degrees is not None
         seq = Sequence.parse(ring, fx.f, fx.g)
-        report = invariants(seq, with_schemes=want_schemes)
+        with_schemes = any(getattr(fx, name) is not None for name in SCHEME_PINS)
+        report = invariants(seq, with_schemes=with_schemes)
         bd = bourbaki_data(seq, report)
     except Exception as exc:  # a crash is a failed row, not a failed corpus run
         return FixtureResult(
             fixture=fx, passed=False, mismatches=[], violations=[], error=repr(exc)
         )
 
-    def check(label: str, pinned, got):
-        if pinned is not None and got != pinned:
-            mismatches.append(f"{label}: expected {pinned}, computed {got}")
-
-    check("e", fx.e, report.e)
-    check("m", fx.m, report.m)
-    check("bour", fx.bour, report.bour)
-    check("c3", fx.c3, report.c3)
-    check("exponents", fx.exponents, report.exponents)
-    check("gpdim", fx.gpdim, report.gpdim)
-    check("generator_count", fx.generator_count, report.generator_count)
-    check("compressible", fx.compressible, report.compressible)
-    check("free", fx.free, report.free)
-    check("nearly_free", fx.nearly_free, report.nearly_free)
-    check("three_syzygy", fx.three_syzygy, report.three_syzygy)
-    check("stability", fx.stability, report.stability)
-    if fx.betti is not None:
-        check("betti", fx.betti, report.resolution.betti().columns)
-    if fx.annihilator_saturation is not None:
-        expected = [ring.parse(s) for s in fx.annihilator_saturation]
-        if not ideal_equals(ring, report.annihilator_scheme.ideal, expected):
-            mismatches.append("annihilator saturation differs from pinned ideal")
-    if fx.fitting_saturation is not None:
-        expected = [ring.parse(s) for s in fx.fitting_saturation]
-        if not ideal_equals(ring, report.fitting_scheme.ideal, expected):
-            mismatches.append("fitting saturation differs from pinned ideal")
-    if fx.scheme_degrees is not None:
-        got = frozenset(
-            {report.fitting_scheme.degree, report.annihilator_scheme.degree}
-        )
-        check("scheme degree set", fx.scheme_degrees, got)
-    if fx.bourbaki_degree is not None:
-        check("bourbaki degree", fx.bourbaki_degree, None if bd is None else bd.degree)
-    if fx.bourbaki_genus is not None:
-        check("bourbaki genus", fx.bourbaki_genus, None if bd is None else bd.genus)
-    if fx.complete_intersection is not None:
-        check(
-            "complete intersection",
-            fx.complete_intersection,
-            None if bd is None else bd.complete_intersection,
-        )
+    mismatches: list[str] = []
+    for pins, source in ((REPORT_PINS, report), (SCHEME_PINS, report), (BOURBAKI_PINS, bd)):
+        for name, (label, computed) in pins.items():
+            pinned = getattr(fx, name)
+            if pinned is None:
+                continue
+            got = None if source is None else computed(source)
+            if name in IDEAL_PINS:
+                if not ideal_equals(ring, got, [ring.parse(s) for s in pinned]):
+                    mismatches.append(f"{label} differs from pinned ideal")
+            elif got != pinned:
+                mismatches.append(f"{label}: expected {pinned}, computed {got}")
 
     violations = validate_constraints(report)
     passed = not mismatches and not violations

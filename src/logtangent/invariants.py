@@ -35,6 +35,8 @@ from .sequences import (
 STABLE = "stable"
 STRICTLY_SEMISTABLE = "strictly_semistable"
 UNSTABLE = "unstable"
+# the classification flags of a report, in the order reports list them
+FLAGS = ("free", "nearly_free", "three_syzygy")
 
 
 @dataclass(frozen=True)

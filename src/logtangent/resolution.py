@@ -20,7 +20,6 @@ from itertools import groupby
 from typing import Sequence
 
 from .groebner import groebner_basis, normal_form, syzygy_basis
-from .linalg import extends_span
 from .modules import FreeModule, Vector, apply_columns
 from .poly import Polynomial
 
@@ -40,24 +39,26 @@ def minimal_generators(gens: Sequence[Vector]) -> list[Vector]:
     Each degree d takes one Groebner basis, of the submodule N the kept
     candidates of lower degree generate, truncated at the top candidate
     degree: a normal form in degree d only meets members of degree at most
-    d, so the truncation changes none.  Normal form against it is k-linear
-    in degree d with kernel N_d, so a candidate is kept exactly when its
-    normal form is outside the span of those kept before it in degree d.
+    d, so the truncation changes none.  Within degree d the normal form of
+    each kept candidate joins the reducers.  No basis lead divides its terms
+    and its lead differs from those that joined before it, so the reducer
+    leads span the initial space of N_d plus the kept candidates of degree
+    d.  A candidate's normal form is therefore zero exactly when it lies in
+    that space: the normal form is the only span test.
     """
     items = sorted((g for g in gens if not g.is_zero()), key=lambda g: g.degree)
     top = items[-1].degree if items else None
     kept: list[Vector] = []
-    gb: list[Vector] = []
-    in_gb = 0  # how many of kept the basis gb was computed from
+    reducers: list[Vector] = []
+    in_gb = 0  # how many of kept the basis in reducers was computed from
     for _, group in groupby(items, key=lambda g: g.degree):
         if len(kept) > in_gb:
-            gb, in_gb = groebner_basis(kept, up_to=top), len(kept)
-        pivots: dict = {}
+            reducers, in_gb = groebner_basis(kept, up_to=top), len(kept)
         for g in group:
-            v = normal_form(g, gb) if gb else g
-            row = {(i, e): c for i, p in enumerate(v.entries) for e, c in p.terms}
-            if extends_span(pivots, row, v.module.ring.field):
+            v = normal_form(g, reducers) if reducers else g
+            if not v.is_zero():
                 kept.append(g)
+                reducers.append(v)
     return kept
 
 

@@ -19,9 +19,14 @@ from dataclasses import dataclass, field
 from multiprocessing import Pool
 
 from .fields import PrimeField
-from .invariants import invariants, validate_constraints
+from .invariants import FLAGS, invariants, validate_constraints
 from .poly import PolyRing
-from .sequences import DependentSequenceError, NonNormalSequenceError, Sequence
+from .sequences import (
+    DependentSequenceError,
+    NonNormalSequenceError,
+    Sequence,
+    check_characteristic,
+)
 
 SKIP_DEPENDENT = "dependent"
 SKIP_NON_NORMAL = "non_normal"
@@ -108,17 +113,9 @@ def sample_pair(ring: PolyRing, df: int, dg: int, seed: int, index: int):
 
 
 def _flags_string(report) -> str:
-    flags = []
-    if report.compressible:
-        flags.append("compressible")
-    if report.free:
-        flags.append("free")
-    if report.nearly_free:
-        flags.append("nearly_free")
-    if report.three_syzygy:
-        flags.append("three_syzygy")
-    flags.append(report.stability)
-    return "|".join(flags)
+    flags = ["compressible"] if report.compressible else []
+    flags += [flag for flag in FLAGS if getattr(report, flag)]
+    return "|".join([*flags, report.stability])
 
 
 def analyze_sample(args) -> SearchRow:
@@ -171,7 +168,10 @@ def run_search(
         raise ValueError("count must be at least 1")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    if df < 0 or dg < 0:
+        raise ValueError("df and dg must be non-negative")
     PrimeField(p)  # validates the modulus
+    check_characteristic(p, max(df, dg) + 1)
     tasks = [(min(df, dg), max(df, dg), seed, i, p) for i in range(count)]
     workers = min(jobs, count)
     if workers > 1:

@@ -41,6 +41,12 @@ class NonNormalSequenceError(ValueError):
         self.divisor_degree = divisor_degree
 
 
+def check_characteristic(p: int, degree: int) -> None:
+    """Refuse a positive characteristic p <= degree, the largest degree of a pair."""
+    if 0 < p <= degree:
+        raise SmallCharacteristicError(f"characteristic {p} must exceed deg g = {degree}")
+
+
 @dataclass(frozen=True)
 class Sequence:
     """Normalized pair (f, g) with deg f <= deg g."""
@@ -63,11 +69,7 @@ class Sequence:
             low, high = self.g, self.f
             object.__setattr__(self, "f", low)
             object.__setattr__(self, "g", high)
-        p = ring.field.characteristic
-        if 0 < p <= self.g.degree:
-            raise SmallCharacteristicError(
-                f"characteristic {p} must exceed deg g = {self.g.degree}"
-            )
+        check_characteristic(ring.field.characteristic, self.g.degree)
 
     @classmethod
     def of(cls, f: Polynomial, g: Polynomial) -> "Sequence":

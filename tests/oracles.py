@@ -3,11 +3,13 @@ packed integers and the leads they give, ideal membership, the capped
 fixpoint saturation, the colon and intersection read off a full syzygy
 module, the normal form that combines field values directly instead of
 integers over one scale, the syzygy elimination that reduces every S-pair,
-Chern classes by Chern-character additivity in fractions, and a linear
-change of coordinates."""
+Chern classes by Chern-character additivity in fractions, a linear change
+of coordinates, and minimal generators whose span test within a degree is a
+row echelon of normal forms."""
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import groupby
 
 from logtangent.groebner import (
     COMP_MAX,
@@ -17,6 +19,7 @@ from logtangent.groebner import (
     _ideal_module,
     _terms_to_vector,
     _vector_to_terms,
+    groebner_basis,
     ideal_colon,
     ideal_groebner,
     ideal_intersection,
@@ -214,3 +217,42 @@ def compose_linear(p, matrix):
                 term = term * image**k
         out = out + term
     return out
+
+
+def _extends_span(pivots, row, field):
+    """Add row to the echelon rows unless it lies in their span.
+
+    A row maps keys to nonzero field values and leads with its largest key;
+    ``pivots`` maps each lead to its monic row.  The row is consumed.
+    """
+    while row:
+        lead = max(row)
+        if lead not in pivots:
+            inv = field.inv(row[lead])
+            pivots[lead] = {t: field.reduce(c * inv) for t, c in row.items()}
+            return True
+        c = row[lead]
+        for t, b in pivots[lead].items():
+            row[t] = field.reduce(row.get(t, 0) - c * b)
+            if not row[t]:
+                del row[t]
+    return False
+
+
+def minimal_generators_by_echelon(gens):
+    """``resolution.minimal_generators`` with a second span test: the normal
+    form against a basis of the kept candidates of lower degree, then a row
+    echelon of those normal forms, as coefficient rows, within the degree."""
+    items = sorted((g for g in gens if not g.is_zero()), key=lambda g: g.degree)
+    top = items[-1].degree if items else None
+    kept, gb, in_gb = [], [], 0
+    for _, group in groupby(items, key=lambda g: g.degree):
+        if len(kept) > in_gb:
+            gb, in_gb = groebner_basis(kept, up_to=top), len(kept)
+        pivots = {}
+        for g in group:
+            v = normal_form(g, gb) if gb else g
+            row = {(i, e): c for i, p in enumerate(v.entries) for e, c in p.terms}
+            if _extends_span(pivots, row, v.module.ring.field):
+                kept.append(g)
+    return kept

@@ -11,6 +11,7 @@ from logtangent.fixtures import FIXTURES, run_corpus, run_fixture
 from logtangent.groebner import EXP_MAX
 from logtangent.poly import ConsistencyError, PolyRing
 from logtangent.resolution import ResolutionLengthError
+from logtangent.sequences import SmallCharacteristicError
 
 
 def fixture_by_name(name):
@@ -116,6 +117,21 @@ def test_corpus_detects_corrupted_pin():
     assert any("m:" in m for m in result.mismatches)
     results = run_corpus(QQ, fixtures=(fx,))
     assert not results[0].passed
+
+
+def test_corpus_checks_a_lone_fitting_saturation_pin():
+    """A fitting_saturation pin alone still computes the schemes it needs."""
+    fx = dataclasses.replace(
+        fixture_by_name("schematic-difference"),
+        annihilator_saturation=None,
+        scheme_degrees=None,
+    )
+    result = run_fixture(fx, QQ)
+    assert result.passed and result.error is None
+    wrong = dataclasses.replace(fx, fitting_saturation=("x3^2", "x1*x3", "x0*x1^2 - x1^3"))
+    (result,) = run_corpus(QQ, fixtures=(wrong,))
+    assert not result.passed and result.error is None
+    assert result.mismatches == ["fitting saturation differs from pinned ideal"]
 
 
 def test_corpus_command_exits_1_on_mismatch(capsys, monkeypatch):
@@ -285,6 +301,27 @@ def test_search_rejects_small_characteristic(capsys):
         main(["search", "--df", "2", "--dg", "2", "--count", "1", "--seed", "1", "--fp", "3"])
     assert exc.value.code == 2
     assert "--fp must exceed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "df, p, error",
+    [(2, 3, SmallCharacteristicError), (-1, 32003, ValueError)],
+    ids=["small_characteristic", "negative_degree"],
+)
+def test_run_search_refuses_before_sampling(monkeypatch, jobs, df, p, error):
+    import logtangent.search as search_mod
+
+    def no_sample(task):
+        raise AssertionError("a sample was analyzed")
+
+    def no_pool(processes):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(search_mod, "analyze_sample", no_sample)
+    monkeypatch.setattr(search_mod, "Pool", no_pool)
+    with pytest.raises(error):
+        search_mod.run_search(df, 2, 3, 0, p=p, jobs=jobs)
 
 
 def test_version_flag(capsys):

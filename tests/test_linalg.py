@@ -1,4 +1,4 @@
-"""matrix_rank, the row echelon routine that minimal generators share."""
+"""matrix_rank, the row echelon rank behind the constant-kernel dimension."""
 
 import random
 from fractions import Fraction

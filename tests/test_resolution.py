@@ -19,7 +19,11 @@ from logtangent.resolution import (
     verify_lifting,
 )
 from logtangent.invariants import invariants
+from logtangent.fixtures import FIXTURES
+from logtangent.poly import monomials_of_degree
 from logtangent.sequences import Sequence, jacobian_analysis
+
+from oracles import minimal_generators_by_echelon
 
 
 def resolve_pair(ring, f, g):
@@ -120,6 +124,73 @@ def test_minimal_generators_match_per_generator_reference(field):
             got = minimal_generators(gens)
             assert got == reference_minimal_generators(gens)
             gens = syzygy_basis(got, degrees=[v.degree for v in got])[1]
+
+
+def assert_same_kept(gens, context):
+    got = minimal_generators(gens)
+    want = minimal_generators_by_echelon(gens)
+    assert len(got) == len(want) and all(g is w for g, w in zip(got, want)), context
+    return got
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+def test_minimal_generators_match_echelon_oracle_on_corpus(field):
+    """The corpus kernels and their first syzygy modules keep the same vectors."""
+    ring = PolyRing(field, 4)
+    for fx in FIXTURES:
+        gens = jacobian_analysis(Sequence.parse(ring, fx.f, fx.g)).kernel.gens
+        kept = assert_same_kept(gens, fx.name)
+        syz = syzygy_basis(kept, degrees=[v.degree for v in kept])[1]
+        assert_same_kept(syz, f"{fx.name}, first syzygies")
+
+
+def random_candidates(rng, field):
+    """A shuffled candidate list that is not a Groebner basis: sparse vectors
+    of a few degrees in a module of rank 1 to 3 with mixed twists, plus
+    duplicates, scalar multiples, same-degree combinations, monomial
+    multiples and zero vectors."""
+    ring = PolyRing(field, 3)
+    module = FreeModule(ring, [rng.randint(-1, 1) for _ in range(rng.randint(1, 3))])
+    low = min(module.twists)
+
+    def sparse(degree):
+        monomials = list(monomials_of_degree(3, degree))
+        picked = rng.sample(monomials, min(len(monomials), rng.randint(1, 2)))
+        return ring.poly((ring.pack(e), field.of(rng.randint(1, 5))) for e in picked)
+
+    def vector(degree):
+        return Vector(module, tuple(
+            sparse(degree - a) if degree >= a and rng.random() < 0.7 else ring.zero()
+            for a in module.twists
+        ))
+
+    base = [vector(rng.randint(low, low + 2)) for _ in range(5)]
+    base = [v for v in base if not v.is_zero()] or [vector(max(module.twists))]
+    cands = list(base)
+    for a in rng.choices(base, k=rng.randint(3, 8)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            cands.append(a)
+        elif kind == 1:
+            cands.append(a.scaled(field.of(rng.randint(2, 5))))
+        elif kind == 2:
+            b = rng.choice([b for b in base if b.degree == a.degree])
+            cands.append(a + b.scaled(field.of(rng.randint(-3, 3))))
+        elif kind == 3:
+            cands.append(a.poly_mul(ring.variable(rng.randrange(3))))
+        else:
+            cands.append(module.zero())
+    rng.shuffle(cands)
+    return cands
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, PrimeField(7), PrimeField(32003)], ids=["QQ", "GF7", "GF32003"]
+)
+def test_minimal_generators_match_echelon_oracle_on_seeded_candidates(field):
+    for seed in range(60):
+        cands = random_candidates(random.Random(seed), field)
+        assert_same_kept(cands, f"seed {seed}")
 
 
 def test_resolution_euler_characteristic_matches_hilbert(qq4):
