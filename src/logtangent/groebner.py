@@ -71,6 +71,8 @@ from .poly import (
     EXP_MAX,
     PackingOverflowError,
     Polynomial,
+    dot,
+    integer_terms,
     monomial_divides,
     monomials_of_degree,
 )
@@ -159,14 +161,6 @@ def _terms_to_vector(module: FreeModule, order: ModuleOrder, terms, first=0) -> 
         buckets[comp - first].append(((p - base[comp]) >> COMP_BITS, c))
     # within a component the module order is the ring's, so each bucket is sorted
     return Vector(module, tuple(Polynomial(module.ring, tuple(b)) for b in buckets))
-
-
-def _integers(terms, field):
-    """(integer terms, s) with terms / s the field values; s is 1 over GF(p)."""
-    if field.characteristic:
-        return terms, 1
-    scale = lcm(*[c.denominator for _, c in terms])
-    return [(p, c.numerator * (scale // c.denominator)) for p, c in terms], scale
 
 
 def _normalize(terms, field):
@@ -271,7 +265,7 @@ def _index_by_comp(vectors, order: ModuleOrder):
     field = order.ring.field
     by_comp: dict[int, list] = {}
     for v in vectors:
-        terms, _ = _integers(_vector_to_terms(v, order), field)
+        terms, _ = integer_terms(_vector_to_terms(v, order), field)
         if terms:
             _index_reducer(by_comp, _normalize(terms, field), order)
     return by_comp
@@ -400,7 +394,7 @@ def _buchberger_terms(inputs, order: ModuleOrder, free_degrees=None, up_to=None)
 
     for terms in inputs:
         if terms:
-            insert(_integers(terms, field)[0])
+            insert(integer_terms(terms, field)[0])
 
     n = order.ring.nvars
     degree, covered, hilbert = None, 0, -1
@@ -491,7 +485,7 @@ def normal_form(v: Vector, basis: Sequence[Vector]) -> Vector:
         raise ValueError("vector and basis live in different modules")
     order = ModuleOrder(v.module)
     field = v.module.ring.field
-    terms, d = _integers(_vector_to_terms(v, order), field)
+    terms, d = integer_terms(_vector_to_terms(v, order), field)
     r, s = _normal_form_terms(terms, _index_by_comp(basis, order), order)
     return _terms_to_vector(v.module, order, _field_values(r, d * s, field))
 
@@ -745,20 +739,15 @@ def saturate_ideal(ring, gens: Sequence[Polynomial]) -> Basis:
 
 
 def minor(matrix: Sequence[Sequence[Polynomial]], rows, cols) -> Polynomial | int:
-    """Determinant of the square submatrix on the given row/column indices;
-    the empty minor is the integer 1, since no entry names the ring."""
+    """Determinant of the square submatrix on the given rows and columns, one
+    ``dot`` per expansion; the empty minor is 1, as no entry names the ring."""
     if len(rows) != len(cols):
         raise ValueError("minor needs a square submatrix")
-    if not rows:
-        return 1
-    out = None
-    for pos, r in enumerate(rows):
-        sub = minor(matrix, rows[:pos] + rows[pos + 1 :], cols[1:])
-        term = matrix[r][cols[0]] * sub
-        if pos % 2 == 1:
-            term = -term
-        out = term if out is None else out + term
-    return out
+    if len(rows) < 2:
+        return matrix[rows[0]][cols[0]] if rows else 1
+    subs = [minor(matrix, rows[:k] + rows[k + 1 :], cols[1:]) for k in range(len(rows))]
+    signed = [-sub if k % 2 else sub for k, sub in enumerate(subs)]
+    return dot([matrix[r][cols[0]] for r in rows], signed)
 
 
 def fitting_ideal_0(matrix: Sequence[Sequence[Polynomial]]) -> list[Polynomial]:

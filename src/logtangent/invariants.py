@@ -18,7 +18,6 @@ from .groebner import annihilator_of_cokernel, fitting_ideal_0, ideal_equals, sa
 from .hilbert import (
     HilbertData,
     dimension_degree,
-    hilbert_of_quotient,
     linear_hilbert_polynomial,
 )
 from .modules import FreeModule
@@ -132,15 +131,16 @@ def _check_betti_hilbert(
 def invariants(seq: Sequence, with_schemes: bool = True) -> InvariantReport:
     """Full invariant report of a normal pair.
 
-    Both refusals are read off the Hilbert series of the Jacobian cokernel.
-    DependentSequenceError when its pole order is the number of variables:
-    the cokernel has positive rank, which over any field is the same as all
-    2x2 minors vanishing.  NonNormalSequenceError (with the divisor degree)
-    when the Jacobian scheme has a codimension-one component.  The Fitting
-    scheme saturates ``fitting_ideal_0`` of the gradient rows (the minors).
+    Both refusals are read off the Hilbert series of the Jacobian cokernel,
+    which ``jacobian_analysis`` returns with the kernel it chose by that
+    series.  DependentSequenceError when its pole order is the number of
+    variables: the cokernel has positive rank, which over any field is the
+    same as all 2x2 minors vanishing.  NonNormalSequenceError (with the
+    divisor degree) when the Jacobian scheme has a codimension-one component.
+    The Fitting scheme saturates ``fitting_ideal_0`` of the gradient rows.
     """
     analysis = jacobian_analysis(seq)
-    hq = hilbert_of_quotient(analysis.target, analysis.image_gb)
+    hq = analysis.cokernel_hilbert
     if hq.pole_order == seq.ring.nvars:
         raise DependentSequenceError("all Jacobian minors vanish")
     if hq.pole_order > 2:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, PolyRing, dot
 
 
 class FreeModule:
@@ -96,9 +96,6 @@ class Vector:
     def __neg__(self) -> "Vector":
         return Vector(self.module, tuple(-p for p in self.entries))
 
-    def poly_mul(self, p: Polynomial) -> "Vector":
-        return Vector(self.module, tuple(q * p for q in self.entries))
-
     def scaled(self, c) -> "Vector":
         return Vector(self.module, tuple(p.scaled(c) for p in self.entries))
 
@@ -121,13 +118,12 @@ class Vector:
 
 
 def apply_columns(columns: Sequence[Vector], coefficients: Sequence[Polynomial]) -> Vector:
-    """Evaluate a matrix given by columns on a coefficient vector."""
+    """Evaluate a matrix given by columns on a coefficient vector: one
+    ``poly.dot`` per row, which refuses a coefficient list of another length."""
     if not columns:
         raise ValueError("no columns")
-    if len(coefficients) != len(columns):
-        raise ValueError(f"{len(coefficients)} coefficients for {len(columns)} columns")
-    out = columns[0].module.zero()
-    for col, c in zip(columns, coefficients):
-        if not c.is_zero():
-            out = out + col.poly_mul(c)
-    return out
+    module = columns[0].module
+    if any(col.module != module for col in columns):
+        raise ValueError("columns live in different modules")
+    rows = zip(*(col.entries for col in columns))
+    return Vector(module, tuple(dot(row, coefficients) for row in rows))

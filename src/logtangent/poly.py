@@ -21,7 +21,8 @@ is always explicit (``2*x1``, never ``2x1``).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from math import lcm
+from typing import Iterable, Iterator, Sequence
 
 from .fields import check_same_field
 
@@ -202,18 +203,7 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scaled(self.ring.field.of(other))
-        self._check(other)
-        if not self.terms or not other.terms:
-            return self.ring.zero()
-        _check_degree(self.degree + other.degree)
-        acc: dict[int, object] = {}
-        unit = self.ring.unit
-        for ma, ca in self.terms:
-            ma -= unit
-            for mb, cb in other.terms:
-                m = ma + mb
-                acc[m] = acc[m] + ca * cb if m in acc else ca * cb
-        return self.ring.poly(acc.items())
+        return dot((self,), (other,))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -280,6 +270,44 @@ class Polynomial:
         check_same_field(self.ring.field, other.ring.field)
         if other.ring.nvars != self.ring.nvars:
             raise ValueError("mixed variable counts")
+
+
+def integer_terms(terms, field) -> tuple[list, int]:
+    """(integer terms, s) with terms / s the field values; s is 1 over GF(p)."""
+    if field.characteristic:
+        return terms, 1
+    s = lcm(*[c.denominator for _, c in terms])
+    if s == 1:
+        return [(m, c.numerator) for m, c in terms], 1
+    return [(m, c.numerator * (s // c.denominator)) for m, c in terms], s
+
+
+def dot(left: Sequence[Polynomial], right: Sequence[Polynomial]) -> Polynomial:
+    """sum_i left[i] * right[i]: every product term joins one integer
+    accumulator over a common denominator, reduced and sorted once."""
+    if not left or len(left) != len(right):
+        raise ValueError(f"dot of {len(left)} left and {len(right)} right factors")
+    ring, field = left[0].ring, left[0].ring.field
+    for p in (*left[1:], *right):
+        left[0]._check(p)
+    factors = []
+    for a, b in zip(left, right):
+        if a.terms and b.terms:
+            _check_degree(a.degree + b.degree)
+            factors.append((*integer_terms(a.terms, field), *integer_terms(b.terms, field)))
+    scale = lcm(*[sa * sb for _, sa, _, sb in factors])
+    acc: dict[int, int] = {}
+    get = acc.get
+    for ta, sa, tb, sb in factors:
+        w = scale // (sa * sb)
+        for ma, ca in ta:
+            ma -= ring.unit
+            ca *= w
+            for mb, cb in tb:
+                m = ma + mb
+                acc[m] = get(m, 0) + ca * cb
+    terms = [(m, c) for m, a in acc.items() if (c := field.of(a, scale))]
+    return Polynomial(ring, tuple(sorted(terms, reverse=True)))
 
 
 # ---------------------------------------------------------------------------

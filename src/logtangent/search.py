@@ -7,8 +7,11 @@ hit over a small prime may be a bad prime rather than a counterexample),
 cubic pencils landing on the open (m, e) = (7, 1) stratum, any pair
 with a vanishing m-invariant whose initial degree is below the total
 degree, and any sample whose analysis raised (an "error" row, so one bad
-sample does not end the search).  Sampling is per-index seeded, so results
-are byte-identical for a fixed seed regardless of worker count.
+sample does not end the search).  The vanishing-m check can no longer
+fire: m = 0 makes the Buchsbaum-Rim complex exact, so the kernel comes
+from the wedge syzygies of degree d and e = d.  It stays as a guard.
+Sampling is per-index seeded, so results are byte-identical for a fixed
+seed regardless of worker count.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groebner import Submodule, minor, module_gb_and_syzygies
+from .groebner import Submodule, groebner_basis, minor, module_gb_and_syzygies
+from .hilbert import HilbertData, hilbert_of_quotient
 from .linalg import matrix_rank
 from .modules import FreeModule, Vector, apply_columns
 from .poly import ConsistencyError, Polynomial, PolyRing
@@ -168,25 +169,34 @@ def constant_kernel_dimension(seq: Sequence) -> int:
 
 @dataclass
 class JacobianAnalysis:
-    """Shared Groebner data of one sequence: image basis and kernel generators."""
+    """Shared Groebner data of one sequence: image basis, cokernel series, kernel."""
 
     target: FreeModule
     columns: list[Vector]
     image_gb: list[Vector]
+    cokernel_hilbert: HilbertData
     kernel: Submodule
 
 
 def jacobian_analysis(seq: Sequence) -> JacobianAnalysis:
-    """Image basis and kernel generators of the Jacobian map.  It does not
-    test dependence: ``invariants`` reads that off the cokernel's series."""
-    columns = seq.jacobian_columns()
-    source = seq.source_module()
-    # the syzygies live in a free module with the source's twists
-    image_gb, _, syz = module_gb_and_syzygies(columns, degrees=source.twists)
-    kernel = Submodule(source, syz)
-    return JacobianAnalysis(
-        target=seq.jacobian_target(),
-        columns=columns,
-        image_gb=image_gb,
-        kernel=kernel,
-    )
+    """Image basis, cokernel Hilbert data and kernel K of the Jacobian map;
+    ``invariants`` reads dependence off the cokernel's series.
+
+    Pole order <= 1 means m = 0.  The 2x2 minors then have grade 3, so the
+    Buchsbaum-Rim complex is exact (Eisenbud, Commutative Algebra, A2.10)
+    and the wedge syzygies w_i generate K in degree d.  A linear entry h
+    gives the constant relation sum_i (dh/dx_i) w_i = 0, so K_d has rank 4
+    less the number of linear entries.  Otherwise one elimination gives K.
+    """
+    columns, target, source = seq.jacobian_columns(), seq.jacobian_target(), seq.source_module()
+    image_gb = groebner_basis(columns)
+    hq = hilbert_of_quotient(target, image_gb)
+    if hq.pole_order <= 1:
+        syz = groebner_basis(canonical_syzygies(seq), up_to=seq.d)
+        rank = NVARS - (seq.df == 0) - (seq.dg == 0)
+        if len(syz) != rank:
+            raise ConsistencyError(f"{len(syz)} wedge syzygies span K_d, want {rank}")
+    else:
+        # the syzygies live in a free module with the source's twists
+        _, _, syz = module_gb_and_syzygies(columns, degrees=source.twists)
+    return JacobianAnalysis(target, columns, image_gb, hq, Submodule(source, syz))

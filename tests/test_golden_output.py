@@ -1,6 +1,7 @@
 """Byte-identical CLI reports: `analyze` text and JSON (without its timing)
 for the README pair and the schematic-difference pair, and `corpus
---verbose` over both fields, against outputs recorded in tests/golden."""
+--verbose` over both fields, and one (1, 2) `search`, against outputs
+recorded in tests/golden."""
 
 from pathlib import Path
 
@@ -38,3 +39,9 @@ def test_analyze_reports_are_unchanged(capsys, name):
 def test_corpus_report_is_unchanged(capsys, name, field):
     out = run(capsys, ["corpus", "--verbose", "--field", field])
     assert out == (GOLDEN / f"{name}.txt").read_text()
+
+
+def test_search_report_beyond_cubic_pencils_is_unchanged(capsys):
+    # (1, 2) pairs: the CI checks the installed script against the same file
+    argv = ["search", "--df", "1", "--dg", "2", "--count", "8", "--seed", "0"]
+    assert run(capsys, argv) == (GOLDEN / "search_1_2.json").read_text()

@@ -23,7 +23,6 @@ from logtangent.groebner import (
     ModuleOrder,
     _field_values,
     _index_by_comp,
-    _integers,
     _normal_form_terms,
     _terms_to_vector,
     _vector_to_terms,
@@ -32,7 +31,7 @@ from logtangent.groebner import (
     normal_form,
 )
 from logtangent.modules import FreeModule, Vector, apply_columns
-from logtangent.poly import monomial_divides, monomials_of_degree, PolyRing
+from logtangent.poly import integer_terms, monomial_divides, monomials_of_degree, PolyRing
 from logtangent.search import sample_pair
 from logtangent.sequences import Sequence
 from oracles import module_key, normal_form_by_fractions, syzygies_without_skipping
@@ -203,7 +202,7 @@ def integer_normal_form(v, reducers):
     that no reducer leads in component 2."""
     order = ModuleOrder(v.module)
     by_comp = _index_by_comp(reducers, order)
-    terms, d = _integers(_vector_to_terms(v, order), v.module.ring.field)
+    terms, d = integer_terms(_vector_to_terms(v, order), v.module.ring.field)
     out, s = _normal_form_terms(terms, by_comp, order)
     return out, s, d, WAITING not in by_comp
 

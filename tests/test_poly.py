@@ -7,7 +7,7 @@ import pytest
 
 from logtangent.fields import QQ, FieldMismatchError, PrimeField
 from logtangent import PackingOverflowError, groebner
-from logtangent.poly import ParseError, PolyRing, monomials_of_degree
+from logtangent.poly import ParseError, PolyRing, dot, monomials_of_degree
 from oracles import compose_linear, grevlex_key
 
 
@@ -235,3 +235,64 @@ def test_scaled_reduces_the_scalar_before_the_zero_test():
     assert zero.is_zero() and zero == ring.zero()
     assert p.scaled(8) == p
     assert p.scaled(-6) == p
+
+
+def random_sparse(ring, rng):
+    """Up to four terms of degree at most 3 with coefficients a/b, |a| <= 9,
+    1 <= b <= 4 (reduced mod p over GF(p)); zero about one time in five."""
+    if rng.random() < 0.2:
+        return ring.zero()
+    monomials = [rng.choice(list(monomials_of_degree(4, rng.randint(0, 3)))) for _ in range(4)]
+    field = ring.field
+    return ring.poly(
+        (ring.pack(e), field.of(rng.randint(-9, 9), rng.randint(1, 4))) for e in monomials
+    )
+
+
+def schoolbook(a, b):
+    ring = a.ring
+    return ring.poly((ma + mb - ring.unit, ca * cb) for ma, ca in a.terms for mb, cb in b.terms)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+def test_dot_is_the_sum_of_products(field):
+    ring = PolyRing(field, 4)
+    rng = random.Random(61)
+    zeros = 0
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        left = [random_sparse(ring, rng) for _ in range(n)]
+        right = [random_sparse(ring, rng) for _ in range(n)]
+        zeros += sum(p.is_zero() for p in left + right)
+        by_star, by_hand = ring.zero(), ring.zero()
+        for a, b in zip(left, right):
+            by_star = by_star + a * b
+            by_hand = by_hand + schoolbook(a, b)
+        got = dot(left, right)
+        assert got.terms == by_star.terms == by_hand.terms
+        assert all(type(c) is type(field.one) for _, c in got.terms)
+        if field.characteristic:
+            assert all(0 < c < field.characteristic for _, c in got.terms)
+    assert zeros > 40
+
+
+def test_dot_refuses_what_star_refuses(qq4, fp4, qq3):
+    x, y = qq4.variable(0), qq4.variable(1)
+    for run in (lambda: x * fp4.variable(0), lambda: dot([x, y], [y, fp4.variable(0)])):
+        with pytest.raises(FieldMismatchError):
+            run()
+    for run in (lambda: x * qq3.variable(0), lambda: dot([x, y], [qq3.variable(0), y])):
+        with pytest.raises(ValueError, match="mixed variable counts"):
+            run()
+    for run in (lambda: x * "x1", lambda: dot([x], ["x1"])):
+        with pytest.raises(TypeError):
+            run()
+    high, low = x**200, y**56
+    for run in (lambda: high * low, lambda: dot([y, high], [x, low])):
+        with pytest.raises(PackingOverflowError, match="packed degree bound"):
+            run()
+    # a zero factor makes no product, so no degree to bound
+    assert dot([high, y], [qq4.zero(), x]) == x * y
+    for left, right in (([x], [x, y]), ([x, y], [x]), ([], [])):
+        with pytest.raises(ValueError, match="left and"):
+            dot(left, right)

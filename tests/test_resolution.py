@@ -31,6 +31,11 @@ def resolve_pair(ring, f, g):
     return resolve_submodule(kernel.module, kernel.gens)
 
 
+def times(v, p):
+    """v with every entry multiplied by p, a polynomial or an integer."""
+    return Vector(v.module, tuple(q * p for q in v.entries))
+
+
 def test_free_submodule_has_length_zero(qq4):
     F = FreeModule(qq4, (0, 0))
     res = resolve_submodule(F, [F.basis_vector(0), F.basis_vector(1)])
@@ -103,10 +108,10 @@ def test_minimal_generators_match_per_generator_reference(field):
         a, b, c = rand(2), rand(2), rand(3)
         x0, x2 = ring.variable(0), ring.variable(2)
         cases = [
-            a, b, a + b, b.scaled(field.of(2)) - a,  # dependent within one degree
-            a.poly_mul(x0), b.poly_mul(x2),  # monomial multiples of lower degree
-            F.zero(), c, rand(3), a.poly_mul(x2) + c, F.zero(),
-            c.poly_mul(x0),  # needs the basis of the degree-3 candidates too
+            a, b, a + b, times(b, 2) - a,  # dependent within one degree
+            times(a, x0), times(b, x2),  # monomial multiples of lower degree
+            F.zero(), c, rand(3), times(a, x2) + c, F.zero(),
+            times(c, x0),  # needs the basis of the degree-3 candidates too
         ]
         rng.shuffle(cases)  # not sorted by degree
         got = minimal_generators(cases)
@@ -172,12 +177,12 @@ def random_candidates(rng, field):
         if kind == 0:
             cands.append(a)
         elif kind == 1:
-            cands.append(a.scaled(field.of(rng.randint(2, 5))))
+            cands.append(times(a, rng.randint(2, 5)))
         elif kind == 2:
             b = rng.choice([b for b in base if b.degree == a.degree])
-            cands.append(a + b.scaled(field.of(rng.randint(-3, 3))))
+            cands.append(a + times(b, rng.randint(-3, 3)))
         elif kind == 3:
-            cands.append(a.poly_mul(ring.variable(rng.randrange(3))))
+            cands.append(times(a, ring.variable(rng.randrange(3))))
         else:
             cands.append(module.zero())
     rng.shuffle(cands)
