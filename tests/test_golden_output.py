@@ -1,13 +1,15 @@
 """Byte-identical CLI reports: `analyze` text and JSON (without its timing)
-for the README pair and the schematic-difference pair, and `corpus
---verbose` over both fields, and one (1, 2) `search`, against outputs
-recorded in tests/golden."""
+for the README pair and the schematic-difference pair, the `analyze` JSON of
+every corpus row over QQ, and `corpus --verbose` over both fields, and one
+(1, 2) `search`, against outputs recorded in tests/golden."""
 
+import json
 from pathlib import Path
 
 import pytest
 
 from logtangent.cli import main
+from logtangent.fixtures import FIXTURES
 
 GOLDEN = Path(__file__).parent / "golden"
 README = ["--f", "x0^2+x3^2", "--g", "x0^3+x0*x1*x2+x3^3"]
@@ -33,6 +35,17 @@ def test_analyze_reports_are_unchanged(capsys, name):
     assert len(timing) == 1
     lines.remove(timing[0])
     assert "".join(lines) == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_corpus_analyze_reports_over_qq_are_unchanged(capsys):
+    # the corpus pins few ideals; this pins every printed scheme and Bourbaki ideal
+    docs = {}
+    for fx in FIXTURES:
+        argv = ["analyze", "--f", fx.f, "--g", fx.g, "--bourbaki", "--betti", "--json"]
+        docs[fx.name] = doc = json.loads(run(capsys, argv))
+        del doc["timing_seconds"]
+    got = json.dumps(docs, indent=2, sort_keys=True) + "\n"
+    assert got == (GOLDEN / "corpus_analyze_qq.json").read_text()
 
 
 @pytest.mark.parametrize("name, field", [("corpus_qq", "rational"), ("corpus_fp", "fp:32003")])
