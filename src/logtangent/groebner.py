@@ -4,8 +4,8 @@ The engine works on flat term lists sorted strictly descending under a
 :class:`ModuleOrder`.  The order is graded term-over-position: terms compare
 first by twist-shifted degree, then grevlex on the monomial, then by
 ascending component index; an optional leading block of components turns it
-into an elimination order.  One elimination over a "tag" block (described at
-``_eliminate``) computes syzygies, colon ideals and intersections.
+into an elimination order.  One elimination over a "tag" block, built only in
+its tag half (``_eliminate``), computes syzygies, colon ideals and intersections.
 
 Internally a term is ``(packed, coeff)`` with one ``int`` whose integer order
 is the module order: a term of component ``c`` with packed monomial ``m``
@@ -372,7 +372,8 @@ def _covered_terms(basis, leads, degree: int, order: ModuleOrder) -> int:
 
 
 def _buchberger_terms(inputs, order: ModuleOrder, free_degrees=None, up_to=None):
-    """Reduced basis of the submodule the field-valued term lists generate.
+    """Reduced basis of the submodule the field-valued term lists generate;
+    under an elimination order, its members led in the second block only.
 
     With ``free_degrees``, the inputs are a free basis of their span with
     those degrees, and pairs are skipped by its Hilbert function (see the
@@ -429,20 +430,20 @@ def _interreduce_terms(entries, order: ModuleOrder):
     Every tail is reduced against one index of the whole minimal basis: no
     minimal lead divides another, and a lead divides no smaller term, so each
     term meets the reducer it would meet among the other members alone.
-    Members led in the first block of an elimination keep only their
-    first-block terms, as results and as reducers: second-block terms never
-    reduce to first-block ones, and members led in the second block have none.
+    Under an elimination order the members led in the first block are
+    dropped first, and the others come out the same without them: a member
+    led in the second block has no first-block term, as those are larger
+    than its lead, and divisibility never crosses components, so no
+    first-block lead divides any of its terms.
     """
+    if order.split < len(order.twists):
+        entries = [entry for entry in entries if not entry[1] & order.block_bit]
     minimal: list = []
     by_comp: dict[int, list] = {}
-    block_bit = order.block_bit
     for entry in sorted(entries, key=itemgetter(1)):
         if not any(_divides(kept[1], entry[1], order) for kept in minimal):
-            guarded, lead, tail, d = entry
-            if lead & block_bit and tail and not tail[-1][0] & block_bit:
-                entry = guarded, lead, [t for t in tail if t[0] & block_bit], d
             minimal.append(entry)
-            by_comp.setdefault(lead & COMP_MAX, []).append(entry)
+            by_comp.setdefault(entry[1] & COMP_MAX, []).append(entry)
     basis = []
     for _, lead, tail, d in minimal:
         rest, scale = _normal_form_terms(tail, by_comp, order)
@@ -518,12 +519,12 @@ class Submodule:
 # syzygies, colons and intersections: one elimination over a tag block
 #
 # Each generator g_i of the target module is paired with a tag t_i, a vector
-# in an extra block of components ordered after the target's.  The basis of
-# the vectors (g_i | t_i) splits by the block of its leads: the members led
-# in the target block give a basis of the image (g_i), and the members led
-# in the tag block have no target part, so their tags are a basis of
-# {sum r_i t_i : sum r_i g_i = 0}.  Basis-vector tags give the syzygies,
-# (t | 1) with (g | 0) gives M : t, and (f | f) with (g | 0) gives I cap J.
+# in an extra block of components ordered after the target's.  The members of
+# the basis of the (g_i | t_i) led in the tag block have no target part, so
+# their tags are a basis of {sum r_i t_i : sum r_i g_i = 0}.  The members led
+# in the target block, a basis of the image (g_i), are dropped unbuilt.
+# Basis-vector tags give the syzygies, (t | 1) with (g | 0) gives M : t, and
+# (f | f) with (g | 0) gives I cap J.
 
 
 def _free_tag_degrees(tags: Sequence[Vector]) -> list[int] | None:
@@ -542,8 +543,9 @@ def _free_tag_degrees(tags: Sequence[Vector]) -> list[int] | None:
     return [tags[0].module.twists[c] for c in comps]
 
 
-def _eliminate(gens: Sequence[Vector], tags: Sequence[Vector]):
-    """(image basis, tag parts) of the elimination basis of the (g_i | t_i).
+def _eliminate(gens: Sequence[Vector], tags: Sequence[Vector]) -> list[Vector]:
+    """The tag parts of the members led in the tag block of the elimination
+    basis of the (g_i | t_i), as vectors of the tags' module.
 
     Basis-vector tags make the Hilbert function of the span known, which
     skips the S-pairs that would reduce to zero (see the module docstring).
@@ -559,26 +561,24 @@ def _eliminate(gens: Sequence[Vector], tags: Sequence[Vector]):
         if not v.is_homogeneous():
             raise ValueError("generators must be homogeneous")
         inputs.append(_vector_to_terms(v, order))
-    image, tag_parts = [], []
-    for terms in _buchberger_terms(inputs, order, _free_tag_degrees(tags)):
-        if terms[0][0] & order.block_bit:
-            # interreduction left the image members their target terms only
-            image.append(_terms_to_vector(target, order, terms))
-        else:
-            tag_parts.append(_terms_to_vector(tag, order, terms, first=k))
-    return image, tag_parts
+    basis = _buchberger_terms(inputs, order, _free_tag_degrees(tags))
+    return [_terms_to_vector(tag, order, terms, first=k) for terms in basis]
 
 
 def module_gb_and_syzygies(
     gens: Sequence[Vector], degrees: Sequence[int] | None = None
-):
-    """One elimination Groebner run giving both the image basis and syzygies.
+) -> tuple[FreeModule, list[Vector]]:
+    """The syzygies of gens from one elimination Groebner run.
 
-    Returns ``(image_gb, syzygy_module, syzygy_gens)`` where the syzygy module
-    is free on the input generators with twists equal to their degrees, so all
+    Returns ``(syzygy_module, syzygy_gens)`` where the syzygy module is free
+    on the input generators with twists equal to their degrees, so all
     syzygies are homogeneous.  Zero input generators are allowed when explicit
     degrees are supplied.  The basis-vector tags make the span of the
-    (g_i | e_i) free, so pairs are skipped by its Hilbert function.
+    (g_i | e_i) free, so pairs are skipped by its Hilbert function.  The
+    elimination builds no image basis; ``groebner_basis(gens)`` gives it.
+
+    ``syzygy_basis`` is this function under the name the resolution steps
+    call; both names stay while the benchmark traces each as its own span.
     """
     if not gens:
         raise ValueError("no generators")
@@ -590,17 +590,16 @@ def module_gb_and_syzygies(
         raise ValueError("degree list does not match generators")
     syz_module = FreeModule(gens[0].module.ring, degrees)
     tags = [syz_module.basis_vector(i) for i in range(len(gens))]
-    image_gb, syz_gens = _eliminate(gens, tags)
-    return image_gb, syz_module, syz_gens
+    return syz_module, _eliminate(gens, tags)
 
 
 def syzygy_basis(
     gens: Sequence[Vector], degrees: Sequence[int] | None = None
 ) -> tuple[FreeModule, list[Vector]]:
     """Generators of the syzygy module of the given homogeneous elements: the
-    kernel of the map with columns gens from the free module with twists degrees."""
-    _, syz_module, syz_gens = module_gb_and_syzygies(gens, degrees)
-    return syz_module, syz_gens
+    kernel of the map with columns gens from the free module with twists
+    degrees: ``module_gb_and_syzygies`` under a second traced name (see there)."""
+    return module_gb_and_syzygies(gens, degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +654,7 @@ def module_colon(mod_gens: Sequence[Vector], target: Vector) -> Basis:
     ring = target.module.ring
     tag = FreeModule(ring, (target.degree,))
     tags = [tag.basis_vector(0)] + [tag.zero()] * len(mod_gens)
-    _, colon = _eliminate([target, *mod_gens], tags)
+    colon = _eliminate([target, *mod_gens], tags)
     return Basis(ring, [v.entries[0] for v in colon])
 
 
@@ -702,7 +701,7 @@ def ideal_intersection(ring, a: Sequence[Polynomial], b: Sequence[Polynomial]) -
     if not a or not b:
         return Basis(ring)
     zero = _ideal_module(ring).zero()
-    _, both = _eliminate(a + b, a + [zero] * len(b))
+    both = _eliminate(a + b, a + [zero] * len(b))
     return Basis(ring, [v.entries[0] for v in both])
 
 

@@ -198,5 +198,5 @@ def jacobian_analysis(seq: Sequence) -> JacobianAnalysis:
             raise ConsistencyError(f"{len(syz)} wedge syzygies span K_d, want {rank}")
     else:
         # the syzygies live in a free module with the source's twists
-        _, _, syz = module_gb_and_syzygies(columns, degrees=source.twists)
+        _, syz = module_gb_and_syzygies(columns, degrees=source.twists)
     return JacobianAnalysis(target, columns, image_gb, hq, Submodule(source, syz))

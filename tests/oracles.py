@@ -181,14 +181,8 @@ def syzygies_without_skipping(gens, degrees=None):
         _vector_to_terms(Vector(aug, g.entries + syz_module.basis_vector(i).entries), order)
         for i, g in enumerate(gens)
     ]
-    image, syz = [], []
-    for terms in _buchberger_terms(inputs, order):
-        if order.unpack(terms[0][0])[0] < k:
-            head = [t for t in terms if order.unpack(t[0])[0] < k]
-            image.append(_terms_to_vector(target, order, head))
-        else:
-            syz.append(_terms_to_vector(syz_module, order, terms, first=k))
-    return image, syz_module, syz
+    basis = _buchberger_terms(inputs, order)
+    return syz_module, [_terms_to_vector(syz_module, order, t, first=k) for t in basis]
 
 
 def chern_classes_by_fractions(df, dg, m, ch3_q):

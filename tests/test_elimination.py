@@ -1,11 +1,12 @@
 """Colon ideals and intersections by one tagged elimination, against the
-references that read them off a full syzygy module; and the refusal of
-inhomogeneous generators."""
+references that read them off a full syzygy module; the Vectors an
+elimination builds; and the refusal of inhomogeneous generators."""
 
 import random
 
 import pytest
 
+from logtangent import groebner
 from logtangent.fields import QQ, PrimeField
 from logtangent.fixtures import FIXTURES
 from logtangent.groebner import (
@@ -17,6 +18,7 @@ from logtangent.groebner import (
     ideal_intersection,
     module_colon,
     module_gb_and_syzygies,
+    syzygy_basis,
 )
 from logtangent.modules import FreeModule, Vector
 from logtangent.poly import PolyRing
@@ -60,6 +62,38 @@ def test_corpus_colons_and_intersections_match_reference(field):
             colons.append(got)
         check_intersection(ring, *colons)
         check_intersection(ring, minors, colons[0])
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_eliminations_build_a_vector_only_per_returned_member(monkeypatch, field):
+    # the members led in the target block, a basis of the image, are dropped
+    # before interreduction, so none of them is ever converted to a Vector
+    built = []
+    to_vector = groebner._terms_to_vector
+
+    def counting(*args, **kwargs):
+        built.append(to_vector(*args, **kwargs))
+        return built[-1]
+
+    def members(run):
+        built.clear()
+        out = run()
+        assert out and len(built) == len(out)
+        return out
+
+    monkeypatch.setattr(groebner, "_terms_to_vector", counting)
+    ring = PolyRing(field, 4)
+    (fx,) = [fx for fx in FIXTURES if fx.name == "schematic-difference"]
+    assert fx.m > 0
+    seq = Sequence.parse(ring, fx.f, fx.g)
+    columns = [c for c in seq.jacobian_columns() if not c.is_zero()]
+    members(lambda: syzygy_basis(columns)[1])
+    target = seq.jacobian_target()
+    colons = [
+        members(lambda: module_colon(columns, target.basis_vector(i)))
+        for i in range(target.rank)
+    ]
+    members(lambda: ideal_intersection(ring, *colons))
 
 
 @pytest.mark.parametrize("field", FIELDS)

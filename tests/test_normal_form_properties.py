@@ -7,8 +7,8 @@ and the kernel store is nonzero and already reduced.  Terms of a component
 in which no reducer leads wait outside the heap, are rescaled with the rest
 and are emitted at the end, as the oracle that reduces with field values
 finds.  Skipping S-pairs by the Hilbert function, or above a degree cap,
-changes no basis or syzygy, and the elimination's image members carry no
-tag term while its syzygies map to zero.
+changes no basis or syzygy, and an elimination returns only members led in
+its tag block, whose syzygies map to zero.
 """
 
 from fractions import Fraction
@@ -248,7 +248,7 @@ def jacobian_cases():
             yield f"({df}, {dg}) #{index}", Sequence.of(*pair)
 
 
-def test_elimination_image_is_tag_free_and_syzygies_map_to_zero(monkeypatch):
+def test_elimination_returns_tag_led_syzygies_that_map_to_zero(monkeypatch):
     recorded = []
     buchberger = groebner._buchberger_terms
 
@@ -261,10 +261,7 @@ def test_elimination_image_is_tag_free_and_syzygies_map_to_zero(monkeypatch):
     for label, seq in jacobian_cases():
         recorded.clear()
         columns = seq.jacobian_columns()
-        image, _, syz = module_gb_and_syzygies(columns, seq.source_module().twists)
+        _, syz = module_gb_and_syzygies(columns, seq.source_module().twists)
         ((order, basis),) = recorded
-        for terms in basis:
-            if terms[0][0] & order.block_bit:
-                assert all(p & order.block_bit for p, _ in terms), label
-        assert image == groebner_basis(columns), label
+        assert not any(p & order.block_bit for terms in basis for p, _ in terms), label
         assert syz and all(apply_columns(columns, s.entries).is_zero() for s in syz), label
