@@ -36,15 +36,16 @@ here are homogeneous) computed once when it is formed, so ``min(pairs)``
 selects by degree with index tie-breaks.  Two more rules drop pairs whose
 reduction the answer cannot use:
 
-* Hilbert-driven (Traverso 1996).  When the inputs are a free basis of
-  their span, of degrees a_i, the span has the Hilbert function
-  H(D) = sum_i C(D - a_i + n - 1, n - 1) before any reduction runs.  The
-  terms of degree D that the current leads divide, counted on reaching D
-  and raised by one per insertion there, number at most H(D); once they
-  number H(D) they span the initial module in degree D, so every pair left
-  in degree D reduces to zero and is dropped.  ``_eliminate`` applies it
-  when the tags are distinct basis vectors, as for every syzygy module;
-  colons and intersections carry other tags and reduce every pair.
+* Hilbert-driven (Traverso 1996).  When the Hilbert function H of the
+  span is known before any reduction runs, the terms of degree D that the
+  current leads divide, counted on reaching D and raised by one per
+  insertion there, number at most H(D); once they number H(D) they span
+  the initial module in degree D, so every pair left in degree D reduces
+  to zero and is dropped.  Leaving a degree in which pairs were reduced,
+  the count must equal H(D), else ``ConsistencyError``: that catches an H
+  too large.  Syzygies know H as a free module's, a colon M : t given H_M
+  as H_R(D - deg t) + H_M(D), and I cap J as H_I + H_J; the elimination
+  of ``ideal_colon`` is given no H and reduces every pair.
 * A degree cap: ``groebner_basis(gens, up_to=d)`` reduces no pair above d,
   which leaves the members of degree at most d of the full basis.
 
@@ -69,6 +70,7 @@ from typing import Sequence
 from .modules import FreeModule, Vector
 from .poly import (
     EXP_MAX,
+    ConsistencyError,
     PackingOverflowError,
     Polynomial,
     dot,
@@ -358,26 +360,31 @@ def _monomial_shifts(ring, degree: int) -> tuple[int, ...]:
     )
 
 
-def _covered_terms(basis, leads, degree: int, order: ModuleOrder) -> int:
-    """How many terms of shifted degree ``degree`` some lead of basis divides."""
+def _covered_terms(leads, degree: int, order: ModuleOrder) -> int:
+    """How many terms of shifted degree ``degree`` some packed lead divides."""
     covered: set = set()
-    for entry, (comp, exps) in zip(basis, leads):
+    for lead in leads:
+        comp, m = order.unpack(lead)
         monomial_degree = degree - order.twists[comp]
-        if monomial_degree >= sum(exps):
+        if (k := monomial_degree - (m >> order.ring.deg_shift)) >= 0:
             order.check_degree(comp, monomial_degree)
-            lead = entry[1]
-            shifts = _monomial_shifts(order.ring, monomial_degree - sum(exps))
-            covered.update([lead + s for s in shifts])
+            covered.update([lead + s for s in _monomial_shifts(order.ring, k)])
     return len(covered)
 
 
-def _buchberger_terms(inputs, order: ModuleOrder, free_degrees=None, up_to=None):
+def _free_hilbert(n: int, degrees, plus=lambda d: 0):
+    """The Hilbert function of the free module on generators of the given
+    degrees over n variables, plus the function ``plus``."""
+    return lambda d: plus(d) + sum(comb(d - a + n - 1, n - 1) for a in degrees if a <= d)
+
+
+def _buchberger_terms(inputs, order: ModuleOrder, span_hilbert=None, up_to=None):
     """Reduced basis of the submodule the field-valued term lists generate;
     under an elimination order, its members led in the second block only.
 
-    With ``free_degrees``, the inputs are a free basis of their span with
-    those degrees, and pairs are skipped by its Hilbert function (see the
-    module docstring).  With ``up_to``, no pair of degree above it is reduced.
+    With ``span_hilbert``, the Hilbert function of that submodule, pairs are
+    skipped by it and it is checked (see the module docstring).  With
+    ``up_to``, no pair of degree above it is reduced.
     """
     field, unpack = order.ring.field, order.ring.unpack
     basis: list = []
@@ -393,32 +400,38 @@ def _buchberger_terms(inputs, order: ModuleOrder, free_degrees=None, up_to=None)
         leads.append((comp, unpack(m)))
         pairs = _update_pairs(leads, pairs, len(basis) - 1, order.twists)
 
+    def leave_degree():  # every pair of the degree is done, so the leads span it
+        if reduced and covered != hilbert:
+            raise ConsistencyError(f"degree {degree}: {covered} terms covered, not {hilbert}")
+
     for terms in inputs:
         if terms:
             insert(integer_terms(terms, field)[0])
 
-    n = order.ring.nvars
-    degree, covered, hilbert = None, 0, -1
+    degree, covered, hilbert, reduced = None, 0, -1, False
     while pairs:
         pair = min(pairs)
         pairs.discard(pair)
         d, i, j = pair
         if up_to is not None and d > up_to:
             break
-        if free_degrees is not None:
+        if span_hilbert is not None:
             if d != degree:
-                degree = d
-                covered = _covered_terms(basis, leads, d, order)
-                hilbert = sum(comb(d - a + n - 1, n - 1) for a in free_degrees if a <= d)
+                leave_degree()
+                degree, reduced = d, False
+                covered = _covered_terms([entry[1] for entry in basis], d, order)
+                hilbert = span_hilbert(d)
             if covered == hilbert:
                 # the leads span the initial module in degree d
                 pairs = {p for p in pairs if p[0] != d}
                 continue
+            reduced = True
         s = _spair_terms(basis[i], basis[j], order)
         r, _ = _normal_form_terms(s, by_comp, order)
         if r:
             insert(r)
             covered += 1
+    leave_degree()
 
     return _interreduce_terms(basis, order)
 
@@ -527,28 +540,12 @@ class Submodule:
 # (f | f) with (g | 0) gives I cap J.
 
 
-def _free_tag_degrees(tags: Sequence[Vector]) -> list[int] | None:
-    """The degrees of the tags if they are distinct basis vectors, else None.
-
-    Then no R-combination of the (g_i | t_i) vanishes in the tag block, so
-    they are a free basis of their span.
-    """
-    one = tags[0].module.ring.one()
-    comps: set[int] = set()
-    for t in tags:
-        nonzero = [c for c, p in enumerate(t.entries) if not p.is_zero()]
-        if len(nonzero) != 1 or t.entries[nonzero[0]] != one or nonzero[0] in comps:
-            return None
-        comps.add(nonzero[0])
-    return [tags[0].module.twists[c] for c in comps]
-
-
-def _eliminate(gens: Sequence[Vector], tags: Sequence[Vector]) -> list[Vector]:
+def _eliminate(gens: Sequence[Vector], tags: Sequence[Vector], span_hilbert) -> list[Vector]:
     """The tag parts of the members led in the tag block of the elimination
     basis of the (g_i | t_i), as vectors of the tags' module.
 
-    Basis-vector tags make the Hilbert function of the span known, which
-    skips the S-pairs that would reduce to zero (see the module docstring).
+    ``span_hilbert``, the span's Hilbert function or None, skips the
+    S-pairs that would reduce to zero (see the module docstring).
     """
     target, tag = gens[0].module, tags[0].module
     k = target.rank
@@ -561,7 +558,7 @@ def _eliminate(gens: Sequence[Vector], tags: Sequence[Vector]) -> list[Vector]:
         if not v.is_homogeneous():
             raise ValueError("generators must be homogeneous")
         inputs.append(_vector_to_terms(v, order))
-    basis = _buchberger_terms(inputs, order, _free_tag_degrees(tags))
+    basis = _buchberger_terms(inputs, order, span_hilbert)
     return [_terms_to_vector(tag, order, terms, first=k) for terms in basis]
 
 
@@ -590,7 +587,7 @@ def module_gb_and_syzygies(
         raise ValueError("degree list does not match generators")
     syz_module = FreeModule(gens[0].module.ring, degrees)
     tags = [syz_module.basis_vector(i) for i in range(len(gens))]
-    return syz_module, _eliminate(gens, tags)
+    return syz_module, _eliminate(gens, tags, _free_hilbert(syz_module.ring.nvars, degrees))
 
 
 def syzygy_basis(
@@ -647,14 +644,19 @@ def ideal_equals(ring, a: Sequence[Polynomial], b: Sequence[Polynomial]) -> bool
     return ideal_groebner(ring, a) == ideal_groebner(ring, b)
 
 
-def module_colon(mod_gens: Sequence[Vector], target: Vector) -> Basis:
-    """The ideal {r in R : r * target lies in the submodule spanned by mod_gens}."""
+def module_colon(mod_gens: Sequence[Vector], target: Vector, image_hilbert=None) -> Basis:
+    """The ideal {r in R : r * target lies in the submodule M spanned by mod_gens}.
+
+    ``image_hilbert``, the Hilbert function of M, skips pairs: the span of
+    (target | 1) and the (g | 0) maps onto R(-deg target) with kernel M.
+    """
     if target.is_zero():
         raise ValueError("colon by the zero element")
     ring = target.module.ring
     tag = FreeModule(ring, (target.degree,))
     tags = [tag.basis_vector(0)] + [tag.zero()] * len(mod_gens)
-    colon = _eliminate([target, *mod_gens], tags)
+    span = image_hilbert and _free_hilbert(ring.nvars, tag.twists, image_hilbert)
+    colon = _eliminate([target, *mod_gens], tags, span)
     return Basis(ring, [v.entries[0] for v in colon])
 
 
@@ -696,12 +698,21 @@ def ideal_colon(ring, gens: Sequence[Polynomial], h: Polynomial) -> Basis:
 
 
 def ideal_intersection(ring, a: Sequence[Polynomial], b: Sequence[Polynomial]) -> Basis:
-    """Intersection of two homogeneous ideals, as a reduced Groebner basis."""
-    a, b = _as_vectors(ring, a), _as_vectors(ring, b)
+    """Intersection of two homogeneous ideals, as a reduced Groebner basis.
+
+    The span of the (f | f), f in I, and (g | 0), g in J, is the injective
+    image of I (+) J under (x, y) -> (x + y | x), so it has the Hilbert
+    function H_I + H_J: the terms the leads of I and J divide, counted in
+    two components.
+    """
+    a, b = (x if _is_basis(ring, x) else ideal_groebner(ring, x) for x in (a, b))
     if not a or not b:
         return Basis(ring)
+    order = ModuleOrder(FreeModule(ring, (0, 0)))
+    leads = [order.pack(c, p.terms[0][0]) for c, ideal in enumerate((a, b)) for p in ideal]
+    a, b = _as_vectors(ring, a), _as_vectors(ring, b)
     zero = _ideal_module(ring).zero()
-    both = _eliminate(a + b, a + [zero] * len(b))
+    both = _eliminate(a + b, a + [zero] * len(b), lambda d: _covered_terms(leads, d, order))
     return Basis(ring, [v.entries[0] for v in both])
 
 
@@ -766,13 +777,20 @@ def fitting_ideal_0(matrix: Sequence[Sequence[Polynomial]]) -> list[Polynomial]:
     return out
 
 
-def annihilator_of_cokernel(target: FreeModule, columns: Sequence[Vector]) -> Basis:
+def annihilator_of_cokernel(
+    target: FreeModule, columns: Sequence[Vector], coker_hilbert
+) -> Basis:
     """Annihilator ideal of coker(columns) as intersection of colon ideals;
-    the unit ideal for a target of rank zero, whose cokernel is zero."""
+    the unit ideal for a target of rank zero, whose cokernel is zero.
+
+    ``coker_hilbert``, the cokernel's HilbertData, gives the image's
+    Hilbert function H_F - H_coker, by which every colon skips pairs.
+    """
     ring = target.ring
+    image = _free_hilbert(ring.nvars, target.twists, lambda d: -coker_hilbert.function_value(d))
     mod_gens = [c for c in columns if not c.is_zero()]
     result: Basis | None = None
     for i in range(target.rank):
-        colon = module_colon(mod_gens, target.basis_vector(i))
+        colon = module_colon(mod_gens, target.basis_vector(i), image)
         result = colon if result is None else ideal_intersection(ring, result, colon)
     return result if result is not None else Basis(ring, [ring.one()])

@@ -203,7 +203,7 @@ def invariants(seq: Sequence, with_schemes: bool = True) -> InvariantReport:
     if with_schemes:
         ring = seq.ring
         fitting_sat = saturate_ideal(ring, fitting_ideal_0(seq.gradient_rows()))
-        ann = annihilator_of_cokernel(analysis.target, analysis.columns)
+        ann = annihilator_of_cokernel(analysis.target, analysis.columns, hq)
         ann_sat = saturate_ideal(ring, ann)
         fdim, fdeg = dimension_degree(ring, fitting_sat)
         adim, adeg = dimension_degree(ring, ann_sat)

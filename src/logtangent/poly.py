@@ -22,6 +22,7 @@ is always explicit (``2*x1``, never ``2x1``).
 from __future__ import annotations
 
 from math import lcm
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .fields import check_same_field
@@ -408,41 +409,49 @@ class _Parser:
         return tok
 
     def expression(self) -> Polynomial:
-        kind, val, off = self.peek()
-        if kind == _TOK_OP and val in "+-":
+        """The sum of its terms, merged in one ``ring.poly``."""
+        items = []
+        kind, sign, off = self.peek()
+        if kind == _TOK_OP and sign in "+-":
             self.advance()
-            result = self.term()
-            if val == "-":
-                result = -result
-        else:
-            result = self.term()
         while True:
-            kind, val, off = self.peek()
-            if kind == _TOK_OP and val in "+-":
-                self.advance()
-                rhs = self.term()
-                result = result + rhs if val == "+" else result - rhs
-            else:
-                return result
+            terms = self.term().terms
+            items += [(m, -c) for m, c in terms] if sign == "-" else terms
+            kind, sign, off = self.peek()
+            if not (kind == _TOK_OP and sign in "+-"):
+                return self.ring.poly(items)
+            self.advance()
 
     def term(self) -> Polynomial:
-        result = self.factor()
+        """The product of its factors: numbers, variables and their powers fold
+        into one term, and only parenthesized factors multiply as polynomials."""
+        ring = self.ring
+        coeff, exps, product = 1, (0,) * ring.nvars, None
         while True:
+            f = self.factor()
+            if isinstance(f, Polynomial):
+                product = f if product is None else product * f
+            else:
+                coeff, exps = coeff * f[0], tuple(map(add, exps, f[1]))
             kind, val, off = self.peek()
             if kind == _TOK_OP and val == "*":
                 self.advance()
-                result = result * self.factor()
             elif kind in (_TOK_INT, _TOK_VAR) or (kind == _TOK_OP and val == "("):
                 raise ParseError("missing '*' between factors", off)
             else:
-                return result
+                monomial = ring.poly([(ring.pack(exps), ring.field.of(coeff))])
+                return monomial if product is None else monomial * product
 
-    def factor(self) -> Polynomial:
+    def factor(self):
+        """A Polynomial, or (coefficient, exponents) for a number, a variable
+        or a power of one, where only a QQ fraction is not a plain int."""
         kind, val, off = self.peek()
         if kind == _TOK_OP and val in "+-":
             self.advance()
-            inner = self.factor()
-            return -inner if val == "-" else inner
+            f = self.factor()
+            if val == "+":
+                return f
+            return -f if isinstance(f, Polynomial) else (-f[0], f[1])
         base = self.primary()
         kind, val, off = self.peek()
         if kind == _TOK_OP and val == "^":
@@ -451,11 +460,16 @@ class _Parser:
             if kind != _TOK_INT:
                 raise ParseError("exponent must be a non-negative integer", off2)
             self.advance()
-            return base**exp
+            if isinstance(base, Polynomial):
+                return base**exp
+            # modular powering keeps a huge exponent cheap over GF(p)
+            p = self.ring.field.characteristic
+            return pow(base[0], exp, p) if p else base[0] ** exp, [e * exp for e in base[1]]
         return base
 
-    def primary(self) -> Polynomial:
+    def primary(self):
         kind, val, off = self.advance()
+        ring = self.ring
         if kind == _TOK_INT:
             kind2, val2, off2 = self.peek()
             if kind2 == _TOK_OP and val2 == "/":
@@ -464,14 +478,14 @@ class _Parser:
                 if kind3 != _TOK_INT:
                     raise ParseError("division is only allowed in rational literals", off2)
                 self.advance()
-                field = self.ring.field
+                field = ring.field
                 try:
-                    return self.ring.constant(field.of(val, den))
+                    return field.of(val, den), (0,) * ring.nvars
                 except ZeroDivisionError:
                     raise ParseError(f"denominator {den} vanishes in {field!r}", off3) from None
-            return self.ring.from_int(val)
+            return val, (0,) * ring.nvars
         if kind == _TOK_VAR:
-            return self.ring.variable(val)
+            return 1, tuple(int(i == val) for i in range(ring.nvars))
         if kind == _TOK_OP and val == "(":
             inner = self.expression()
             kind2, val2, off2 = self.advance()

@@ -1,11 +1,12 @@
 """Reference forms kept to pin the library: the tuple term orders behind the
 packed integers and the leads they give, ideal membership, the capped
 fixpoint saturation, the colon and intersection read off a full syzygy
-module, the normal form that combines field values directly instead of
-integers over one scale, the syzygy elimination that reduces every S-pair,
-Chern classes by Chern-character additivity in fractions, a linear change
-of coordinates, and minimal generators whose span test within a degree is a
-row echelon of normal forms."""
+module, the annihilator from colons that reduce every S-pair, the normal
+form that combines field values directly instead of integers over one
+scale, the syzygy elimination that reduces every S-pair, Chern classes by
+Chern-character additivity in fractions, a linear change of coordinates,
+and minimal generators whose span test within a degree is a row echelon of
+normal forms."""
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -19,13 +20,16 @@ from logtangent.groebner import (
     _ideal_module,
     _terms_to_vector,
     _vector_to_terms,
+    annihilator_of_cokernel,
     groebner_basis,
     ideal_colon,
     ideal_groebner,
     ideal_intersection,
+    module_colon,
     normal_form,
     syzygy_basis,
 )
+from logtangent.hilbert import hilbert_of_quotient
 from logtangent.modules import FreeModule, Vector
 
 SATURATION_ROUNDS = 64
@@ -108,6 +112,25 @@ def intersection_by_syzygies(ring, a, b):
         if not p.is_zero():
             out.append(p)
     return out
+
+
+def annihilator(target, columns):
+    """``annihilator_of_cokernel`` given the cokernel series, computed here."""
+    coker = hilbert_of_quotient(target, groebner_basis(columns))
+    return annihilator_of_cokernel(target, columns, coker)
+
+
+def annihilator_by_colons(target, columns):
+    """Ann coker(columns) as the intersection over i of im : e_i, from
+    colons run with no Hilbert function and intersections read off
+    syzygies, so no elimination of its own skips a pair."""
+    ring = target.ring
+    mod_gens = [c for c in columns if not c.is_zero()]
+    result = [ring.one()]
+    for i in range(target.rank):
+        colon = module_colon(mod_gens, target.basis_vector(i))
+        result = colon if i == 0 else intersection_by_syzygies(ring, result, colon)
+    return ideal_groebner(ring, result)
 
 
 def _monic_terms(terms, field):

@@ -18,7 +18,6 @@ from logtangent.fields import QQ, PrimeField
 from logtangent.fixtures import run_corpus
 from logtangent.groebner import (
     _as_vectors,
-    annihilator_of_cokernel,
     fitting_ideal_0,
     groebner_basis,
     ideal_groebner,
@@ -37,7 +36,7 @@ from logtangent.poly import PolyRing
 from logtangent.resolution import resolve_submodule
 from logtangent.search import run_search
 from logtangent.sequences import Sequence
-from oracles import ideal_contains
+from oracles import annihilator, ideal_contains
 
 SEED = 20260808
 PRIME = 32003
@@ -265,7 +264,7 @@ def test_criterion_5_fitting_inside_annihilator():
         columns = [
             Vector(target, (rows[0][j], rows[1][j])) for j in range(4)
         ]
-        ann_gb = ideal_groebner(ring, annihilator_of_cokernel(target, columns))
+        ann_gb = ideal_groebner(ring, annihilator(target, columns))
         for p in fitt:
             assert ideal_contains(ring, ann_gb, p)
         runs += 1

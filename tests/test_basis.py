@@ -15,7 +15,6 @@ from logtangent.groebner import (
     Basis,
     _as_vectors,
     _ideal_module,
-    annihilator_of_cokernel,
     fitting_ideal_0,
     groebner_basis,
     ideal_colon,
@@ -30,7 +29,7 @@ from logtangent.hilbert import (
 from logtangent.modules import Vector
 from logtangent.poly import Polynomial, PolyRing
 from logtangent.sequences import Sequence
-from oracles import colon_by_syzygies
+from oracles import annihilator, colon_by_syzygies
 
 FIELDS = [pytest.param(QQ, id="QQ"), pytest.param(PrimeField(32003), id="GF32003")]
 
@@ -75,7 +74,7 @@ def corpus_ideals(ring):
     for fx in FIXTURES:
         seq = Sequence.parse(ring, fx.f, fx.g)
         minors = fitting_ideal_0(seq.gradient_rows())
-        ann = annihilator_of_cokernel(seq.jacobian_target(), seq.jacobian_columns())
+        ann = annihilator(seq.jacobian_target(), seq.jacobian_columns())
         yield fx.name, minors, ann
 
 

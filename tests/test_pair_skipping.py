@@ -1,10 +1,12 @@
 """S-pairs the answer cannot use are not reduced.
 
-A syzygy elimination skips the pairs of a degree once the leads cover the
-Hilbert function of the free span of its tagged inputs, and
-``groebner_basis(..., up_to=d)`` reduces no pair above degree d.  Both are
-pinned against the engine that reduces every pair: bases and syzygies must
-come out identical, not merely equivalent.
+An elimination skips the pairs of a degree once the leads cover the
+Hilbert function of the span of its tagged inputs: a free module's for
+syzygies, one read off the image's series for the annihilator's colons,
+and H_I + H_J for an intersection.  ``groebner_basis(..., up_to=d)``
+reduces no pair above degree d.  Each is pinned against an engine that
+reduces every pair: bases, syzygies, colons and intersections must come
+out identical, not merely equivalent.
 """
 
 import importlib
@@ -15,9 +17,16 @@ from logtangent import groebner, resolution
 from logtangent.bourbaki import bourbaki_data
 from logtangent.fields import QQ, PrimeField
 from logtangent.fixtures import FIXTURES
-from logtangent.groebner import groebner_basis, module_gb_and_syzygies
+from logtangent.groebner import (
+    _free_hilbert,
+    annihilator_of_cokernel,
+    groebner_basis,
+    ideal_groebner,
+    module_colon,
+    module_gb_and_syzygies,
+)
 from logtangent.modules import FreeModule, Vector
-from logtangent.poly import PolyRing
+from logtangent.poly import ConsistencyError, PolyRing
 from logtangent.resolution import minimal_generators
 from logtangent.search import sample_pair
 from logtangent.sequences import (
@@ -26,7 +35,13 @@ from logtangent.sequences import (
     Sequence,
     jacobian_analysis,
 )
-from oracles import syzygies_without_skipping
+from oracles import (
+    annihilator,
+    annihilator_by_colons,
+    colon_by_syzygies,
+    intersection_by_syzygies,
+    syzygies_without_skipping,
+)
 
 FIELDS = [pytest.param(QQ, id="QQ"), pytest.param(PrimeField(32003), id="GF32003")]
 
@@ -103,24 +118,12 @@ def test_zero_column_with_explicit_degree(field):
     assert got[0].basis_vector(2) in got[1]
 
 
-def test_colon_and_intersection_tags_are_not_free(qq4):
-    x = [qq4.variable(i) for i in range(4)]
-    module = FreeModule(qq4, (0,))
-    tags = [module.basis_vector(0), module.zero()]
-    assert groebner._free_tag_degrees(tags) is None
-    assert groebner._free_tag_degrees([Vector(module, (x[0],))]) is None
-    twice = FreeModule(qq4, (0, 1))
-    assert groebner._free_tag_degrees([twice.basis_vector(1)] * 2) is None
-    assert sorted(groebner._free_tag_degrees([twice.basis_vector(1), twice.basis_vector(0)])) == [0, 1]
-
-
-def test_zero_reductions_in_a_cubic_pencil_sample(monkeypatch):
-    # with the Hilbert skip, 2 of the 21 S-pairs of the Jacobian elimination
-    # of an m = 0 search sample reduce to zero; the elimination is called
-    # directly, as the pipeline takes that kernel from the wedge syzygies
-    seq = Sequence.of(*sample_pair(PolyRing(PrimeField(32003), 4), 2, 2, 7, 0))
+def count_reductions(monkeypatch, run, skip=True):
+    """(S-pairs reduced, of which to zero) while run runs; with skip False,
+    every elimination runs with its Hilbert function withheld."""
     made, zeros = [], []
     spair, reduce = groebner._spair_terms, groebner._normal_form_terms
+    buchberger = groebner._buchberger_terms
 
     def recording_spair(*args):
         made.append(spair(*args))
@@ -132,11 +135,142 @@ def test_zero_reductions_in_a_cubic_pencil_sample(monkeypatch):
             zeros.append(terms)
         return out
 
-    monkeypatch.setattr(groebner, "_spair_terms", recording_spair)
-    monkeypatch.setattr(groebner, "_normal_form_terms", counting_reduce)
-    module_gb_and_syzygies(seq.jacobian_columns(), degrees=(0,) * 4)
-    assert len(made) == 21
-    assert len(zeros) == 2
+    def unskipped(inputs, order, span_hilbert=None, up_to=None):
+        return buchberger(inputs, order, None, up_to)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner, "_spair_terms", recording_spair)
+        patch.setattr(groebner, "_normal_form_terms", counting_reduce)
+        if not skip:
+            patch.setattr(groebner, "_buchberger_terms", unskipped)
+        run()
+    return len(made), len(zeros)
+
+
+def test_zero_reductions_in_a_cubic_pencil_sample(monkeypatch):
+    # with the Hilbert skip, 2 of the 21 S-pairs of the Jacobian elimination
+    # of an m = 0 search sample reduce to zero; the elimination is called
+    # directly, as the pipeline takes that kernel from the wedge syzygies
+    seq = Sequence.of(*sample_pair(PolyRing(PrimeField(32003), 4), 2, 2, 7, 0))
+    run = lambda: module_gb_and_syzygies(seq.jacobian_columns(), degrees=(0,) * 4)
+    assert count_reductions(monkeypatch, run) == (21, 2)
+
+
+# ---------------------------------------------------------------------------
+# colons and intersections
+
+
+def schemes_analysis():
+    """The Jacobian analysis of the first dense (1, 2) pair of seed 0 over
+    GF(32003), as the schemes benchmark draws it."""
+    ring = PolyRing(PrimeField(32003), 4)
+    return jacobian_analysis(Sequence.of(*sample_pair(ring, 1, 2, 0, 0)))
+
+
+def image_hilbert(analysis):
+    free = _free_hilbert(4, analysis.target.twists)
+    return lambda d: free(d) - analysis.cokernel_hilbert.function_value(d)
+
+
+def recorded_pipeline_calls(monkeypatch, seq):
+    """(name, args, result) of every annihilator_of_cokernel, module_colon
+    and ideal_intersection call of a full analyze with schemes."""
+    calls = []
+    invariants = importlib.import_module("logtangent.invariants")
+
+    def recording(name, inner):
+        def wrapper(*args):
+            out = inner(*args)
+            calls.append((name, args, out))
+            return out
+
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for name in ("annihilator_of_cokernel", "module_colon", "ideal_intersection"):
+            wrapper = recording(name, getattr(groebner, name))
+            patch.setattr(groebner, name, wrapper)
+            if hasattr(invariants, name):
+                patch.setattr(invariants, name, wrapper)
+        invariants.invariants(seq, with_schemes=True)
+    return calls
+
+
+def assert_calls_match_oracles(calls):
+    names = {name for name, _, _ in calls}
+    assert {"annihilator_of_cokernel", "module_colon", "ideal_intersection"} <= names
+    for name, args, out in calls:
+        if name == "annihilator_of_cokernel":
+            assert out == annihilator_by_colons(*args[:2])
+        elif name == "module_colon":
+            ring = args[1].module.ring
+            assert out == ideal_groebner(ring, colon_by_syzygies(*args[:2]))
+        else:
+            assert out == ideal_groebner(args[0], intersection_by_syzygies(*args))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_corpus_colons_and_intersections_match_oracles(monkeypatch, field):
+    ring = PolyRing(field, 4)
+    for fx in FIXTURES:
+        seq = Sequence.parse(ring, fx.f, fx.g)
+        assert_calls_match_oracles(recorded_pipeline_calls(monkeypatch, seq))
+
+
+@pytest.mark.parametrize("df, dg", [(1, 2), (2, 2)])
+def test_seeded_colons_and_intersections_match_oracles(monkeypatch, df, dg):
+    ring = PolyRing(PrimeField(32003), 4)
+    checked = 0
+    for index in range(4):
+        seq = Sequence.of(*sample_pair(ring, df, dg, 11, index))
+        try:
+            calls = recorded_pipeline_calls(monkeypatch, seq)
+        except (DependentSequenceError, NonNormalSequenceError):
+            continue
+        assert_calls_match_oracles(calls)
+        checked += 1
+    assert checked
+
+
+def test_annihilators_of_a_zero_cokernel_and_with_a_zero_column_match_oracle(qq4):
+    # the rank-one and rank-zero cases are in test_groebner
+    pair = FreeModule(qq4, (0, 1))
+    zero_cokernel = [pair.basis_vector(0), pair.basis_vector(1)]
+    assert list(annihilator(pair, zero_cokernel)) == [qq4.one()]
+    assert annihilator(pair, zero_cokernel) == annihilator_by_colons(pair, zero_cokernel)
+    seq = Sequence.parse(qq4, "x0*x1 - x2*x3", "x1*x3*(x0 - x2)")
+    target, columns = seq.jacobian_target(), seq.jacobian_columns()
+    with_zero = columns[:2] + [columns[0].module.zero()] + columns[2:]
+    assert annihilator(target, with_zero) == annihilator(target, columns)
+    assert annihilator(target, with_zero) == annihilator_by_colons(target, with_zero)
+
+
+def test_skip_cuts_the_annihilator_reductions(monkeypatch):
+    # the annihilator of the first schemes input reduces 109 S-pairs, 64
+    # of them to zero, with every pair kept; the skip leaves 59, 14 to zero
+    analysis = schemes_analysis()
+    args = (analysis.target, analysis.columns, analysis.cokernel_hilbert)
+    run = lambda: annihilator_of_cokernel(*args)
+    assert count_reductions(monkeypatch, run, skip=False) == (109, 64)
+    assert count_reductions(monkeypatch, run) == (59, 14)
+
+
+def test_hilbert_function_too_large_in_one_degree_raises():
+    analysis = schemes_analysis()
+    columns, target = analysis.columns, analysis.target.basis_vector(0)
+    image = image_hilbert(analysis)
+    with pytest.raises(ConsistencyError, match="terms covered"):
+        module_colon(columns, target, lambda d: image(d) + (d == 3))
+
+
+def test_hilbert_function_too_small_in_one_degree_changes_the_colon():
+    # a skip that stops one lead short drops a member: the skip is live
+    analysis = schemes_analysis()
+    columns, target = analysis.columns, analysis.target.basis_vector(0)
+    image = image_hilbert(analysis)
+    colon = module_colon(columns, target, image)
+    assert colon == module_colon(columns, target)
+    assert module_colon(columns, target, lambda d: image(d) - (d == 3)) != colon
 
 
 def corpus_kernels(ring):

@@ -1,6 +1,7 @@
 """Polynomial arithmetic, the grevlex order, parser and printer."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,66 @@ def test_parse_error_offset_points_at_problem(qq4):
     with pytest.raises(ParseError) as err:
         qq4.parse("x0 + x7^2")
     assert err.value.offset == 5
+
+
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        ("2*x0 x1", "missing '*' between factors", 5),
+        ("x0^x1", "exponent must be a non-negative integer", 3),
+        ("-(x1 - 1/2*x2)^", "exponent must be a non-negative integer", 15),
+        ("3/x0", "division is only allowed in rational literals", 1),
+        ("-x0^2/3", "division is only allowed in rational literals", 5),
+        ("4*x1^2*(x0 - 3)^2 / 2", "division is only allowed in rational literals", 18),
+        ("x0 + 2*(x1", "expected ')'", 10),
+        ("x0 * * x1", "expected a number, variable or '('", 5),
+    ],
+)
+def test_parse_error_messages_and_offsets(qq4, text, message, offset):
+    with pytest.raises(ParseError) as err:
+        qq4.parse(text)
+    assert str(err.value) == f"{message} (at offset {offset})"
+    assert err.value.offset == offset
+
+
+def random_expression(rng, depth=2):
+    """A signed sum of products of numbers, rational literals, variables,
+    their powers and parenthesized subexpressions."""
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            roll = rng.random()
+            if roll < 0.3:
+                factor = str(rng.randint(0, 40))
+            elif roll < 0.4:
+                factor = f"{rng.randint(0, 9)}/{rng.randint(1, 9)}"
+            elif roll < 0.85 or not depth:
+                factor = f"x{rng.randrange(4)}"
+            else:
+                factor = f"({random_expression(rng, depth - 1)})"
+            if rng.random() < 0.3:
+                factor += f"^{rng.randint(0, 4)}"
+            factors.append(rng.choice(["", "", "", "-", "+"]) + factor)
+        terms.append(rng.choice([" + ", " - "]) + "*".join(factors))
+    return "".join(terms).removeprefix(" + ")
+
+
+# every number, rational literal and variable but an exponent
+ATOM = re.compile(r"(?<![\^\d])(\d+/\d+|\d+|x\d)")
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+def test_folded_terms_match_polynomial_arithmetic(field):
+    """Parenthesized, every atom is a Polynomial, so each product and power
+    runs through Polynomial arithmetic instead of the folded term."""
+    ring = PolyRing(field, 4)
+    rng = random.Random(17)
+    for _ in range(300):
+        text = random_expression(rng)
+        general = ATOM.sub(r"(\1)", text)
+        assert "(" in general
+        assert ring.parse(text) == ring.parse(general), text
 
 
 def test_mul_difference_of_squares(qq4):
