@@ -1,6 +1,7 @@
 """Byte-identical CLI reports: `analyze` text and JSON (without its timing)
 for the README pair and the schematic-difference pair, the `analyze` JSON of
-every corpus row over QQ, and `corpus --verbose` over both fields, and one
+every corpus row over QQ and over GF(32003), and `corpus --verbose` over both
+fields, and one
 (1, 2) `search`, against outputs recorded in tests/golden."""
 
 import json
@@ -37,15 +38,16 @@ def test_analyze_reports_are_unchanged(capsys, name):
     assert "".join(lines) == (GOLDEN / f"{name}.json").read_text()
 
 
-def test_corpus_analyze_reports_over_qq_are_unchanged(capsys):
+@pytest.mark.parametrize("name, field", [("qq", "rational"), ("fp", "fp:32003")])
+def test_corpus_analyze_reports_are_unchanged(capsys, name, field):
     # the corpus pins few ideals; this pins every printed scheme and Bourbaki ideal
     docs = {}
     for fx in FIXTURES:
-        argv = ["analyze", "--f", fx.f, "--g", fx.g, "--bourbaki", "--betti", "--json"]
+        argv = ["analyze", "--f", fx.f, "--g", fx.g, "--field", field, "--bourbaki", "--betti", "--json"]
         docs[fx.name] = doc = json.loads(run(capsys, argv))
         del doc["timing_seconds"]
     got = json.dumps(docs, indent=2, sort_keys=True) + "\n"
-    assert got == (GOLDEN / "corpus_analyze_qq.json").read_text()
+    assert got == (GOLDEN / f"corpus_analyze_{name}.json").read_text()
 
 
 @pytest.mark.parametrize("name, field", [("corpus_qq", "rational"), ("corpus_fp", "fp:32003")])
