@@ -52,10 +52,10 @@ reduction the answer cannot use:
 Every returned basis is fully interreduced and monic, hence canonical for
 the given order, so neither rule changes an output.
 
-The ideal layer returns each basis as a :class:`Basis`, which
-``ideal_groebner`` hands back as it is, so no basis is reduced twice.  As
-grevlex puts x_{n-1} last, I : x_{n-1} is read off a Basis (Bayer & Stillman
-1987); every other colon is the tagged elimination.
+The ideal layer returns each basis as a canonical :class:`Basis`, which
+``ideal_groebner`` hands back as it is and I cap I returns, so no basis is
+reduced twice.  As grevlex puts x_{n-1} last, I : x_{n-1} is read off a
+Basis (Bayer & Stillman 1987); every other colon is the tagged elimination.
 """
 
 from __future__ import annotations
@@ -700,12 +700,15 @@ def ideal_colon(ring, gens: Sequence[Polynomial], h: Polynomial) -> Basis:
 def ideal_intersection(ring, a: Sequence[Polynomial], b: Sequence[Polynomial]) -> Basis:
     """Intersection of two homogeneous ideals, as a reduced Groebner basis.
 
-    The span of the (f | f), f in I, and (g | 0), g in J, is the injective
-    image of I (+) J under (x, y) -> (x + y | x), so it has the Hilbert
-    function H_I + H_J: the terms the leads of I and J divide, counted in
-    two components.
+    Equal Bases are one ideal, returned with no elimination.  Otherwise the
+    span of the (f | f), f in I, and (g | 0), g in J, is the injective image
+    of I (+) J under (x, y) -> (x + y | x), so it has the Hilbert function
+    H_I + H_J: the terms the leads of I and J divide, counted in two
+    components.
     """
-    a, b = (x if _is_basis(ring, x) else ideal_groebner(ring, x) for x in (a, b))
+    a, b = (ideal_groebner(ring, x) for x in (a, b))
+    if a == b:
+        return a
     if not a or not b:
         return Basis(ring)
     order = ModuleOrder(FreeModule(ring, (0, 0)))
@@ -785,6 +788,7 @@ def annihilator_of_cokernel(
 
     ``coker_hilbert``, the cokernel's HilbertData, gives the image's
     Hilbert function H_F - H_coker, by which every colon skips pairs.
+    Equal colons, as on dense pairs, intersect with no elimination.
     """
     ring = target.ring
     image = _free_hilbert(ring.nvars, target.twists, lambda d: -coker_hilbert.function_value(d))

@@ -138,6 +138,7 @@ def invariants(seq: Sequence, with_schemes: bool = True) -> InvariantReport:
     same as all 2x2 minors vanishing.  NonNormalSequenceError (with the
     divisor degree) when the Jacobian scheme has a codimension-one component.
     The Fitting scheme saturates ``fitting_ideal_0`` of the gradient rows.
+    Equal schemes have their dimension and degree counted once.
     """
     analysis = jacobian_analysis(seq)
     hq = analysis.cokernel_hilbert
@@ -205,11 +206,11 @@ def invariants(seq: Sequence, with_schemes: bool = True) -> InvariantReport:
         fitting_sat = saturate_ideal(ring, fitting_ideal_0(seq.gradient_rows()))
         ann = annihilator_of_cokernel(analysis.target, analysis.columns, hq)
         ann_sat = saturate_ideal(ring, ann)
-        fdim, fdeg = dimension_degree(ring, fitting_sat)
-        adim, adeg = dimension_degree(ring, ann_sat)
-        report.fitting_scheme = SchemeSummary(fdim, fdeg, fitting_sat)
-        report.annihilator_scheme = SchemeSummary(adim, adeg, ann_sat)
         report.schemes_equal = ideal_equals(ring, fitting_sat, ann_sat)
+        fitting = dimension_degree(ring, fitting_sat)
+        annihilator = fitting if report.schemes_equal else dimension_degree(ring, ann_sat)
+        report.fitting_scheme = SchemeSummary(*fitting, fitting_sat)
+        report.annihilator_scheme = SchemeSummary(*annihilator, ann_sat)
 
     return report
 

@@ -93,7 +93,11 @@ def test_eliminations_build_a_vector_only_per_returned_member(monkeypatch, field
         members(lambda: module_colon(columns, target.basis_vector(i)))
         for i in range(target.rank)
     ]
-    members(lambda: ideal_intersection(ring, *colons))
+    # the two colons are equal, and intersect with no elimination; the
+    # Fitting ideal's basis differs from them, so that intersection eliminates
+    fitting = ideal_groebner(ring, fitting_ideal_0(seq.gradient_rows()))
+    assert colons[0] == colons[1] != fitting
+    members(lambda: ideal_intersection(ring, colons[0], fitting))
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -38,7 +38,7 @@ def test_analyze_reports_are_unchanged(capsys, name):
     assert "".join(lines) == (GOLDEN / f"{name}.json").read_text()
 
 
-@pytest.mark.parametrize("name, field", [("qq", "rational"), ("fp", "fp:32003")])
+@pytest.mark.parametrize("name, field", [("qq", "rational"), ("fp", "fp:32003")], ids=["qq", "fp"])
 def test_corpus_analyze_reports_are_unchanged(capsys, name, field):
     # the corpus pins few ideals; this pins every printed scheme and Bourbaki ideal
     docs = {}

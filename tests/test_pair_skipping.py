@@ -246,13 +246,16 @@ def test_annihilators_of_a_zero_cokernel_and_with_a_zero_column_match_oracle(qq4
 
 
 def test_skip_cuts_the_annihilator_reductions(monkeypatch):
-    # the annihilator of the first schemes input reduces 109 S-pairs, 64
-    # of them to zero, with every pair kept; the skip leaves 59, 14 to zero
+    # the annihilator of the first schemes input reduces 69 S-pairs, 34
+    # of them to zero, with every pair kept; the skip leaves 36, 1 to zero.
+    # Both are its two colons': they are equal, so the intersection reduces none
     analysis = schemes_analysis()
     args = (analysis.target, analysis.columns, analysis.cokernel_hilbert)
     run = lambda: annihilator_of_cokernel(*args)
-    assert count_reductions(monkeypatch, run, skip=False) == (109, 64)
-    assert count_reductions(monkeypatch, run) == (59, 14)
+    unskipped, skipped = (count_reductions(monkeypatch, run, skip) for skip in (False, True))
+    assert unskipped == (69, 34)
+    assert skipped == (36, 1)
+    assert skipped[0] < unskipped[0] and skipped[1] < unskipped[1]
 
 
 def test_hilbert_function_too_large_in_one_degree_raises():
