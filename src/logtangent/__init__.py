@@ -13,6 +13,8 @@ Bourbaki degree, freeness classification and slope stability.
 
 __version__ = "1.0.0"
 
+from types import ModuleType as _Module
+
 from .bourbaki import BourbakiData, BourbakiExtractionError, bourbaki_data
 from .fields import QQ, FieldMismatchError, PrimeField, RationalField
 from .groebner import (
@@ -66,4 +68,5 @@ from .sequences import (
     constant_kernel_dimension,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the re-exported names, not the submodules that importing them binds
+__all__ = [n for n, v in dict(globals()).items() if n[0] != "_" and not isinstance(v, _Module)]

@@ -6,11 +6,14 @@ and ``search`` to sample random pairs over a prime field and histogram
 their invariants.
 
 Exit codes are part of the contract so CI can tell input problems from
-mathematical anomalies: 0 success, 2 dependent/non-normal/unparseable
-input or a characteristic p <= the largest degree, 3 Bourbaki extraction
-failure, 4 constraint violation under ``--validate``, 5 a failed internal
+mathematical anomalies: 0 success, 1 corpus mismatch, 4 constraint
+violation under ``--validate``.  Every library refusal becomes its exit
+code in one place, the except chain of ``main``: 2 for any ``ValueError``
+(unparseable, dependent or non-normal input, a characteristic p <= the
+largest degree, a degree past the packing bound, a refused ``search``
+argument), 3 for a Bourbaki extraction failure, 5 for a failed internal
 cross-check (``ConsistencyError``) or a resolution past its length bound
-(``ResolutionLengthError``), 1 corpus mismatch.
+(``ResolutionLengthError``).
 """
 
 from __future__ import annotations
@@ -26,10 +29,10 @@ from .bourbaki import BourbakiExtractionError, bourbaki_data
 from .fields import QQ, PrimeField
 from .fixtures import FIXTURES, run_corpus
 from .invariants import FLAGS, InvariantReport, invariants, validate_constraints
-from .poly import ConsistencyError, ParseError, PolyRing
+from .poly import ConsistencyError, PolyRing
 from .resolution import ResolutionLengthError
 from .search import run_search
-from .sequences import DependentSequenceError, NonNormalSequenceError, Sequence
+from .sequences import NonNormalSequenceError, Sequence, check_characteristic
 
 
 def _parse_field_arg(text: str):
@@ -64,9 +67,7 @@ def _json_value(value):
     if isinstance(value, tuple):
         return list(value)
     if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        return f"{value.numerator}/{value.denominator}"
+        return int(value) if value.denominator == 1 else str(value)
     return value
 
 
@@ -81,19 +82,12 @@ def report_document(seq, report: InvariantReport, bd, field, elapsed: float) -> 
         "timing_seconds": round(elapsed, 4),
     }
     if report.fitting_scheme is not None:
+        schemes = {"fitting": report.fitting_scheme, "annihilator": report.annihilator_scheme}
         doc["schemes"] = {
-            "fitting": {
-                "dim": report.fitting_scheme.dim,
-                "degree": report.fitting_scheme.degree,
-                "ideal": [str(p) for p in report.fitting_scheme.ideal],
-            },
-            "annihilator": {
-                "dim": report.annihilator_scheme.dim,
-                "degree": report.annihilator_scheme.degree,
-                "ideal": [str(p) for p in report.annihilator_scheme.ideal],
-            },
-            "equal": report.schemes_equal,
+            name: {"dim": s.dim, "degree": s.degree, "ideal": [str(p) for p in s.ideal]}
+            for name, s in schemes.items()
         }
+        doc["schemes"]["equal"] = report.schemes_equal
     if bd is not None:
         doc["bourbaki"] = {
             "generator_index": bd.generator_index,
@@ -136,29 +130,18 @@ def _print_text_report(doc: dict, betti_text: str | None):
 
 
 def _refuse(args, exc, code: int, **extra) -> int:
-    print(json.dumps({"error": str(exc), **extra}) if args.json else f"error: {exc}")
+    as_json = getattr(args, "json", False)  # only analyze has --json
+    print(json.dumps({"error": str(exc), **extra}) if as_json else f"error: {exc}")
     return code
 
 
 def cmd_analyze(args) -> int:
-    field = args.field
-    ring = PolyRing(field, 4)
     started = time.perf_counter()
-    try:
-        seq = Sequence.parse(ring, args.f, args.g)
-        report = invariants(seq, with_schemes=not args.no_schemes)
-        bd = bourbaki_data(seq, report) if args.bourbaki else None
-    except NonNormalSequenceError as exc:
-        return _refuse(args, exc, 2, divisor_degree=exc.divisor_degree)
-    except (ParseError, ValueError, DependentSequenceError) as exc:
-        return _refuse(args, exc, 2)
-    except BourbakiExtractionError as exc:
-        return _refuse(args, exc, 3)
-    except (ConsistencyError, ResolutionLengthError) as exc:
-        return _refuse(args, exc, 5)
-
+    seq = Sequence.parse(PolyRing(args.field, 4), args.f, args.g)
+    report = invariants(seq, with_schemes=not args.no_schemes)
+    bd = bourbaki_data(seq, report) if args.bourbaki else None
     elapsed = time.perf_counter() - started
-    doc = report_document(seq, report, bd, field, elapsed)
+    doc = report_document(seq, report, bd, args.field, elapsed)
 
     violations = validate_constraints(report) if args.validate else []
     if violations:
@@ -183,9 +166,7 @@ def cmd_corpus(args) -> int:
     field = args.field
     ring = PolyRing(QQ, 4)
     top = max(ring.parse(text).degree for fx in FIXTURES for text in (fx.f, fx.g))
-    if 0 < field.characteristic <= top:
-        print(f"error: the corpus needs characteristic 0 or a prime above {top}")
-        return 2
+    check_characteristic(field.characteristic, top)
     failures = 0
     name_width = max(len(fx.name) for fx in FIXTURES)
     for result in run_corpus(field):
@@ -286,20 +267,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "search":
-        if args.count < 1:
-            parser.error("--count must be at least 1")
-        if args.jobs < 1:
-            parser.error("--jobs must be at least 1")
-        if args.df < 0 or args.dg < 0:
-            parser.error("--df and --dg must be non-negative")
-        try:
-            PrimeField(args.fp)
-        except ValueError as exc:
-            parser.error(str(exc))
-        if args.fp <= max(args.df, args.dg) + 1:
-            parser.error("--fp must exceed the largest degree max(df, dg) + 1")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except NonNormalSequenceError as exc:
+        return _refuse(args, exc, 2, divisor_degree=exc.divisor_degree)
+    except ValueError as exc:
+        return _refuse(args, exc, 2)
+    except BourbakiExtractionError as exc:
+        return _refuse(args, exc, 3)
+    except (ConsistencyError, ResolutionLengthError) as exc:
+        return _refuse(args, exc, 5)
 
 
 if __name__ == "__main__":

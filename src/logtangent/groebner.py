@@ -563,26 +563,22 @@ def _eliminate(gens: Sequence[Vector], tags: Sequence[Vector], span_hilbert) -> 
 
 
 def module_gb_and_syzygies(
-    gens: Sequence[Vector], degrees: Sequence[int] | None = None
+    gens: Sequence[Vector], degrees: Sequence[int]
 ) -> tuple[FreeModule, list[Vector]]:
     """The syzygies of gens from one elimination Groebner run.
 
     Returns ``(syzygy_module, syzygy_gens)`` where the syzygy module is free
-    on the input generators with twists equal to their degrees, so all
-    syzygies are homogeneous.  Zero input generators are allowed when explicit
-    degrees are supplied.  The basis-vector tags make the span of the
-    (g_i | e_i) free, so pairs are skipped by its Hilbert function.  The
-    elimination builds no image basis; ``groebner_basis(gens)`` gives it.
+    on the input generators with twists ``degrees``, each generator's degree
+    (a zero generator's too), so all syzygies are homogeneous.  The
+    basis-vector tags make the span of the (g_i | e_i) free, so pairs are
+    skipped by its Hilbert function.  The elimination builds no image
+    basis; ``groebner_basis(gens)`` gives it.
 
     ``syzygy_basis`` is this function under the name the resolution steps
     call; both names stay while the benchmark traces each as its own span.
     """
     if not gens:
         raise ValueError("no generators")
-    if degrees is None:
-        if any(g.is_zero() for g in gens):
-            raise ValueError("zero generator needs an explicit degree")
-        degrees = [g.degree for g in gens]
     if len(degrees) != len(gens):
         raise ValueError("degree list does not match generators")
     syz_module = FreeModule(gens[0].module.ring, degrees)
@@ -591,7 +587,7 @@ def module_gb_and_syzygies(
 
 
 def syzygy_basis(
-    gens: Sequence[Vector], degrees: Sequence[int] | None = None
+    gens: Sequence[Vector], degrees: Sequence[int]
 ) -> tuple[FreeModule, list[Vector]]:
     """Generators of the syzygy module of the given homogeneous elements: the
     kernel of the map with columns gens from the free module with twists

@@ -34,14 +34,12 @@ def _minimalize_monomials(gens: set[tuple[int, ...]]) -> frozenset[tuple[int, ..
 
 
 def monomial_quotient_numerator(
-    gens: Sequence[tuple[int, ...]], nvars: int, _memo=None
+    gens: Sequence[tuple[int, ...]], nvars: int, memo: dict
 ) -> dict[int, int]:
-    """Numerator of Hilb(R/I) for a monomial ideal I, over (1-z)^nvars."""
-    if _memo is None:
-        _memo = {}
+    """Numerator of Hilb(R/I) for a monomial ideal I, over (1-z)^nvars, memoized in ``memo``."""
     key = _minimalize_monomials(set(gens))
-    if key in _memo:
-        return _memo[key]
+    if key in memo:
+        return memo[key]
     if not key:
         result = {0: 1}
     elif any(sum(m) == 0 for m in key):
@@ -60,10 +58,10 @@ def monomial_quotient_numerator(
             ]
             var = tuple(1 if i == pivot else 0 for i in range(nvars))
             plus = [m for m in key if m[pivot] == 0] + [var]
-            n_colon = monomial_quotient_numerator(colon, nvars, _memo)
-            n_plus = monomial_quotient_numerator(plus, nvars, _memo)
+            n_colon = monomial_quotient_numerator(colon, nvars, memo)
+            n_plus = monomial_quotient_numerator(plus, nvars, memo)
             result = _laurent_add(_laurent_shift(n_colon, 1), n_plus)
-    _memo[key] = result
+    memo[key] = result
     return result
 
 

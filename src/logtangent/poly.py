@@ -138,9 +138,6 @@ class PolyRing:
         exps = tuple(1 if j == i else 0 for j in range(self.nvars))
         return Polynomial(self, ((self.pack(exps), self.field.one),))
 
-    def from_int(self, n: int) -> "Polynomial":
-        return self.constant(self.field.of(n))
-
     def parse(self, text: str) -> "Polynomial":
         return _parse(self, text)
 

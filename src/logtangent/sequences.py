@@ -111,10 +111,7 @@ class Sequence:
 
     def jacobian_columns(self) -> list[Vector]:
         target = self.jacobian_target()
-        return [
-            Vector(target, (self.f.partial(j), self.g.partial(j)))
-            for j in range(NVARS)
-        ]
+        return [Vector(target, column) for column in zip(*self.gradient_rows())]
 
     def source_module(self) -> FreeModule:
         return FreeModule(self.ring, (0,) * NVARS)

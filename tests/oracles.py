@@ -5,12 +5,13 @@ module, the annihilator from colons that reduce every S-pair, the normal
 form that combines field values directly instead of integers over one
 scale, the syzygy elimination that reduces every S-pair, Chern classes by
 Chern-character additivity in fractions, a linear change of coordinates,
-and minimal generators whose span test within a degree is a row echelon of
-normal forms."""
+minimal generators whose span test within a degree is a row echelon of
+normal forms, and the graded Betti numbers of a cokernel from Koszul
+homology."""
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import groupby
+from itertools import combinations, groupby
 
 from logtangent.groebner import (
     COMP_MAX,
@@ -30,6 +31,7 @@ from logtangent.groebner import (
     syzygy_basis,
 )
 from logtangent.hilbert import hilbert_of_quotient
+from logtangent.linalg import matrix_rank
 from logtangent.modules import FreeModule, Vector
 
 SATURATION_ROUNDS = 64
@@ -102,7 +104,8 @@ def intersection_by_syzygies(ring, a, b):
     b = [p for p in b if not p.is_zero()]
     if not a or not b:
         return []
-    _, syz = syzygy_basis(_as_vectors(ring, a) + _as_vectors(ring, b))
+    gens = _as_vectors(ring, a) + _as_vectors(ring, b)
+    _, syz = syzygy_basis(gens, degrees=[g.degree for g in gens])
     out = []
     for s in syz:
         p = ring.zero()
@@ -190,11 +193,9 @@ def normal_form_by_fractions(v, basis):
     return _terms_to_vector(v.module, order, r)
 
 
-def syzygies_without_skipping(gens, degrees=None):
+def syzygies_without_skipping(gens, degrees):
     """``module_gb_and_syzygies`` with the Hilbert function withheld, so the
     elimination reduces every S-pair the pair criteria keep."""
-    if degrees is None:
-        degrees = [g.degree for g in gens]
     target = gens[0].module
     k = target.rank
     syz_module = FreeModule(target.ring, degrees)
@@ -273,3 +274,74 @@ def minimal_generators_by_echelon(gens):
             if _extends_span(pivots, row, v.module.ring.field):
                 kept.append(g)
     return kept
+
+
+def graded_pieces(target, image_gb, top):
+    """The pieces M_t of M = target / im for t <= top, and multiplication by
+    the variables between them, from ``image_gb``, a Groebner basis of im.
+
+    M_t has the standard monomials (c, m) of degree t as basis (m packed).
+    A standard monomial above its component's twist is x_k times one a
+    degree lower, and it is standard exactly when it is its own normal form.
+    Returns the bases {t: [(c, m), ...]} and the maps x_k: M_t -> M_{t+1}
+    as {(t, k): {s: {u: coefficient}}}."""
+    ring, one = target.ring, target.ring.field.one
+
+    def reduced(c, exps):  # the monomial's (c, m) and its normal form's coordinates
+        entries = [ring.zero()] * target.rank
+        entries[c] = ring.poly([(ring.pack(exps), one)])
+        nf = normal_form(Vector(target, tuple(entries)), image_gb)
+        return (c, ring.pack(exps)), {(i, u): a for i, p in enumerate(nf.entries) for u, a in p.terms}
+
+    bases, maps = {}, {}
+    for t in range(min(target.twists), top + 1):
+        found = dict(reduced(c, (0,) * ring.nvars) for c, a in enumerate(target.twists) if a == t)
+        for c, m in bases.get(t - 1, ()):
+            for k in range(ring.nvars):
+                exps = list(ring.unpack(m))
+                exps[k] += 1
+                product, image = reduced(c, tuple(exps))
+                maps.setdefault((t - 1, k), {})[c, m] = found[product] = image
+        bases[t] = sorted(mono for mono, image in found.items() if image == {mono: one})
+        if not all(set(image) <= set(bases[t]) for image in found.values()):
+            raise AssertionError("a normal form has a term that is not standard")
+    return bases, maps
+
+
+def koszul_betti(target, image_gb, top):
+    """beta_{i,j}(M) = dim H_i(x_0, ..., x_{n-1}; M)_j for M = target / im,
+    with ``image_gb`` a Groebner basis of im, for every j <= top: one sorted
+    tuple per i = 0..n that lists j beta_{i,j} times.
+
+    In degree j the Koszul complex has C_i = wedge^i k^n (x) M_{j-i} and
+    d(e_S (x) s) = sum_r (-1)^r e_{S - s_r} (x) x_{s_r} s, so beta_{i,j} is
+    dim C_i less the ranks of d_i and d_{i+1} (Eisenbud, The Geometry of
+    Syzygies, Ch. 1).  No syzygy is computed."""
+    field, n = target.ring.field, target.ring.nvars
+    bases, maps = graded_pieces(target, image_gb, top)
+
+    def cells(i, j):
+        return [(S, s) for S in combinations(range(n), i) for s in bases.get(j - i, ())]
+
+    def rank(i, j):  # of d_i: C_{i,j} -> C_{i-1,j}
+        if not 1 <= i <= n:
+            return 0
+        index = {cell: at for at, cell in enumerate(cells(i - 1, j))}
+        rows = []
+        for S, s in cells(i, j):
+            row = [field.zero] * len(index)
+            for r, k in enumerate(S):
+                for u, coeff in maps[j - i, k][s].items():
+                    at = index[S[:r] + S[r + 1 :], u]
+                    row[at] = field.reduce(row[at] + (-coeff if r % 2 else coeff))
+            rows.append(row)
+        return matrix_rank(rows, field)
+
+    return [
+        tuple(
+            j
+            for j in range(min(target.twists), top + 1)
+            for _ in range(len(cells(i, j)) - rank(i, j) - rank(i + 1, j))
+        )
+        for i in range(n + 1)
+    ]

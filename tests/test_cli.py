@@ -240,22 +240,42 @@ def test_search_records_a_failing_sample_and_goes_on(monkeypatch):
     ]
 
 
-def test_search_rejects_zero_count(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["search", "--df", "2", "--dg", "2", "--count", "0", "--seed", "1"])
-    assert exc.value.code == 2
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """Fails the test if a sample is analyzed or a worker pool started."""
+    import logtangent.search as search_mod
+
+    def no_sample(task):
+        raise AssertionError("a sample was analyzed")
+
+    def no_pool(processes):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(search_mod, "analyze_sample", no_sample)
+    monkeypatch.setattr(search_mod, "Pool", no_pool)
+
+
+def refused_search(capsys, argv):
+    """Stdout of ``search`` with the arguments in argv, which must exit 2."""
+    code, out = run_cli(capsys, "search", *argv.split())
+    assert code == 2
+    return out
+
+
+def test_search_rejects_zero_count(capsys, no_sampling):
+    out = refused_search(capsys, "--df 2 --dg 2 --count 0 --seed 1")
+    assert out == "error: count must be at least 1\n"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_search_rejects_nonpositive_jobs(capsys, jobs):
-    from logtangent.search import run_search
+def test_search_rejects_nonpositive_jobs(capsys, no_sampling, jobs):
+    out = refused_search(capsys, f"--df 2 --dg 2 --count 4 --seed 1 --jobs {jobs}")
+    assert out == "error: jobs must be at least 1\n"
 
-    with pytest.raises(SystemExit) as exc:
-        main(["search", "--df", "2", "--dg", "2", "--count", "4", "--seed", "1", "--jobs", jobs])
-    assert exc.value.code == 2
-    assert "--jobs must be at least 1" in capsys.readouterr().err
-    with pytest.raises(ValueError, match="jobs must be at least 1"):
-        run_search(df=1, dg=2, count=4, seed=1, jobs=int(jobs))
+
+def test_search_rejects_negative_degree(capsys, no_sampling):
+    out = refused_search(capsys, "--df -1 --dg 2 --count 4 --seed 1")
+    assert out == "error: df and dg must be non-negative\n"
 
 
 def test_search_starts_no_more_workers_than_samples(monkeypatch):
@@ -288,19 +308,15 @@ def test_search_starts_no_more_workers_than_samples(monkeypatch):
     assert sizes == [3, 2]
 
 
-def test_search_rejects_composite_modulus(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(
-            ["search", "--df", "2", "--dg", "2", "--count", "1", "--seed", "1", "--fp", "32004"]
-        )
-    assert exc.value.code == 2
+def test_search_rejects_composite_modulus(capsys, no_sampling):
+    out = refused_search(capsys, "--df 2 --dg 2 --count 1 --seed 1 --fp 32004")
+    assert out == "error: modulus must be an odd prime, got 32004\n"
 
 
-def test_search_rejects_small_characteristic(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["search", "--df", "2", "--dg", "2", "--count", "1", "--seed", "1", "--fp", "3"])
-    assert exc.value.code == 2
-    assert "--fp must exceed" in capsys.readouterr().err
+def test_search_rejects_small_characteristic(capsys, no_sampling):
+    # deg g = dg + 1 = 3, so p = 3 is refused
+    out = refused_search(capsys, "--df 2 --dg 2 --count 1 --seed 1 --fp 3")
+    assert out == "error: characteristic 3 must exceed deg g = 3\n"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -309,19 +325,11 @@ def test_search_rejects_small_characteristic(capsys):
     [(2, 3, SmallCharacteristicError), (-1, 32003, ValueError)],
     ids=["small_characteristic", "negative_degree"],
 )
-def test_run_search_refuses_before_sampling(monkeypatch, jobs, df, p, error):
-    import logtangent.search as search_mod
+def test_run_search_refuses_before_sampling(no_sampling, jobs, df, p, error):
+    from logtangent.search import run_search
 
-    def no_sample(task):
-        raise AssertionError("a sample was analyzed")
-
-    def no_pool(processes):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr(search_mod, "analyze_sample", no_sample)
-    monkeypatch.setattr(search_mod, "Pool", no_pool)
     with pytest.raises(error):
-        search_mod.run_search(df, 2, 3, 0, p=p, jobs=jobs)
+        run_search(df, 2, 3, 0, p=p, jobs=jobs)
 
 
 def test_version_flag(capsys):
@@ -343,3 +351,30 @@ def test_analyze_internal_failure_exits_5(capsys, monkeypatch, error):
     code, out = run_cli(capsys, "analyze", "--f", "x0^2+x3^2", "--g", "x0^3+x1^3", "--json")
     assert code == 5
     assert json.loads(out) == {"error": "cross-check failed"}
+
+
+def test_analyze_bourbaki_failure_exits_3(capsys, monkeypatch):
+    import logtangent.cli as cli_mod
+    from logtangent.bourbaki import BourbakiExtractionError
+
+    def fail(seq, report):
+        raise BourbakiExtractionError("no section found")
+
+    monkeypatch.setattr(cli_mod, "bourbaki_data", fail)
+    argv = ("analyze", "--f", "x0^2+x3^2", "--g", "x0^3+x0*x1*x2+x3^3", "--no-schemes")
+    argv += ("--bourbaki",)
+    assert run_cli(capsys, *argv, "--json") == (3, '{"error": "no section found"}\n')
+    assert run_cli(capsys, *argv) == (3, "error: no section found\n")
+
+
+def test_analyze_validate_violation_exits_4(capsys, monkeypatch):
+    import logtangent.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "validate_constraints", lambda report: ["e out of range"])
+    argv = ("analyze", "--f", "x0^2+x3^2", "--g", "x0^3+x0*x1*x2+x3^3", "--no-schemes")
+    code, out = run_cli(capsys, *argv, "--validate", "--json")
+    assert code == 4 and json.loads(out)["violations"] == ["e out of range"]
+    code, out = run_cli(capsys, *argv, "--validate")
+    assert code == 4 and out.endswith("constraint violations:\n  - e out of range\n")
+    # without --validate nothing is checked
+    assert run_cli(capsys, *argv)[0] == 0
