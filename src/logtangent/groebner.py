@@ -75,8 +75,6 @@ from .poly import (
     Polynomial,
     dot,
     integer_terms,
-    monomial_divides,
-    monomials_of_degree,
 )
 
 
@@ -277,49 +275,47 @@ def _index_by_comp(vectors, order: ModuleOrder):
 # Buchberger driver with Gebauer-Moeller pair updates
 
 
-def _update_pairs(leads, pairs, t, twists):
+def _update_pairs(leads, pairs, t, order: ModuleOrder):
     """Add generator index t, pruning pairs per Gebauer-Moeller.
 
-    ``leads`` holds the (component, exponents) of each generator's lead, and a
-    pair is (S-pair degree, i, j), so ``min(pairs)`` is the next to reduce.
+    ``leads`` holds the (component, packed monomial) of each generator's
+    lead, and a pair is (S-pair degree, i, j), so ``min(pairs)`` is the next
+    to reduce.  A coprime pair, whose lcm has the degree of the product, is
+    dropped before ``_spair_terms`` could refuse its lcm as too large.
     """
-    comp_t, e_t = leads[t]
+    lcm, divides, deg_shift = order.ring.lcm, order.ring.divides, order.ring.deg_shift
+    comp_t, m_t = leads[t]
 
     kept = set()
     for pair in pairs:
         _, i, j = pair
-        (ci, ei), (_, ej) = leads[i], leads[j]
+        (ci, mi), (_, mj) = leads[i], leads[j]
         if ci != comp_t:
             kept.add(pair)
             continue
-        l_ij = tuple(map(max, ei, ej))
-        if (
-            not monomial_divides(e_t, l_ij)
-            or l_ij == tuple(map(max, ei, e_t))
-            or l_ij == tuple(map(max, ej, e_t))
-        ):
+        l_ij = lcm(mi, mj)
+        if not divides(m_t, l_ij) or l_ij == lcm(mi, m_t) or l_ij == lcm(mj, m_t):
             kept.add(pair)
 
-    lcm_groups: dict[tuple[int, ...], list[int]] = {}
+    lcm_groups: dict[int, list[int]] = {}
     for i in range(t):
-        ci, ei = leads[i]
+        ci, mi = leads[i]
         if ci == comp_t:
-            lcm_groups.setdefault(tuple(map(max, ei, e_t)), []).append(i)
+            lcm_groups.setdefault(lcm(mi, m_t), []).append(i)
 
-    # by degree, so a proper divisor of an lcm comes before it
-    minimal: list[tuple[int, ...]] = []
-    for lcm in sorted(lcm_groups, key=sum):
-        if not any(monomial_divides(prev, lcm) for prev in minimal):
-            minimal.append(lcm)
+    # ascending, so by degree, and a proper divisor of an lcm comes before it
+    minimal: list[int] = []
+    for l_t in sorted(lcm_groups):
+        if not any(divides(prev, l_t) for prev in minimal):
+            minimal.append(l_t)
 
-    for lcm in minimal:
-        members = lcm_groups[lcm]
+    deg_t = m_t >> deg_shift
+    for l_t in minimal:
+        members, degree = lcm_groups[l_t], l_t >> deg_shift
         # the coprimality criterion holds in the rank-one (ideal) case only
-        if len(twists) == 1 and any(
-            all(a == 0 or b == 0 for a, b in zip(leads[i][1], e_t)) for i in members
-        ):
-            continue
-        kept.add((twists[comp_t] + sum(lcm), min(members), t))
+        coprime = (degree == (leads[i][1] >> deg_shift) + deg_t for i in members)
+        if len(order.twists) > 1 or not any(coprime):
+            kept.add((order.twists[comp_t] + degree, min(members), t))
     return kept
 
 
@@ -332,12 +328,11 @@ def _spair_terms(ri, rj, order: ModuleOrder):
     member sees.  Returns an unreduced {packed: coeff} dict for
     :func:`_normal_form_terms`.
     """
-    ring = order.ring
     _, lead_i, tail_i, di = ri
     _, lead_j, tail_j, dj = rj
     comp, mi = order.unpack(lead_i)
     _, mj = order.unpack(lead_j)
-    top = order.pack(comp, ring.pack(tuple(map(max, ring.unpack(mi), ring.unpack(mj)))))
+    top = order.pack(comp, order.ring.lcm(mi, mj))
     if di != dj:
         scale = lcm(di, dj)
         tail_i = [(p, c * (scale // di)) for p, c in tail_i]
@@ -354,10 +349,10 @@ def _spair_terms(ri, rj, order: ModuleOrder):
 @lru_cache(maxsize=None)
 def _monomial_shifts(ring, degree: int) -> tuple[int, ...]:
     """What adding to a packed term multiplies it by each monomial of degree."""
-    return tuple(
-        (ring.pack(e) - ring.unit) << COMP_BITS
-        for e in monomials_of_degree(ring.nvars, degree)
-    )
+    if not degree:
+        return (0,)
+    steps = [(x - ring.unit) << COMP_BITS for x in ring.variables]
+    return tuple({s + step for s in _monomial_shifts(ring, degree - 1) for step in steps})
 
 
 def _covered_terms(leads, degree: int, order: ModuleOrder) -> int:
@@ -386,7 +381,7 @@ def _buchberger_terms(inputs, order: ModuleOrder, span_hilbert=None, up_to=None)
     skipped by it and it is checked (see the module docstring).  With
     ``up_to``, no pair of degree above it is reduced.
     """
-    field, unpack = order.ring.field, order.ring.unpack
+    field = order.ring.field
     basis: list = []
     leads: list = []
     pairs: set = set()
@@ -396,9 +391,8 @@ def _buchberger_terms(inputs, order: ModuleOrder, span_hilbert=None, up_to=None)
         nonlocal pairs
         entry = _index_reducer(by_comp, _normalize(terms, field), order)
         basis.append(entry)
-        comp, m = order.unpack(entry[1])
-        leads.append((comp, unpack(m)))
-        pairs = _update_pairs(leads, pairs, len(basis) - 1, order.twists)
+        leads.append(order.unpack(entry[1]))
+        pairs = _update_pairs(leads, pairs, len(basis) - 1, order)
 
     def leave_degree():  # every pair of the degree is done, so the leads span it
         if reduced and covered != hilbert:
@@ -665,13 +659,12 @@ def _colon_last_variable(basis: Basis) -> Basis:
     the colon is I.
     """
     ring = basis.ring
-    s = ring.shifts[-1]
-    # exponents are stored complemented, so dividing by x_{n-1} raises its field
-    step = (1 << s) - (1 << ring.deg_shift)
+    x = ring.variables[-1]
     quotient, moved = [], False
     for g in basis:
-        if (g.terms[0][0] >> s) & EXP_MAX != EXP_MAX:
-            g = Polynomial(ring, tuple((m + step, c) for m, c in g.terms))
+        if ring.divides(x, g.terms[0][0]):
+            # the quotient m / x is m - x + unit
+            g = Polynomial(ring, tuple((m - x + ring.unit, c) for m, c in g.terms))
             moved = True
         quotient.append(g)
     if not moved:

@@ -3,79 +3,80 @@
 The series of a graded quotient F/M depends only on the leading-term module
 of a Groebner basis of M, so everything reduces to monomial ideals: each
 component contributes a shifted monomial-quotient numerator, computed by the
-classical pivot-splitting recursion
+classical pivot-splitting recursion (Bigatti 1997)
 
     N(R/I) = z^deg(p) * N(R/(I:p)) + N(R/(I+(p)))
 
-with a single variable as pivot.  Numerators are Laurent polynomials in z
-(twists may be negative) stored as exponent -> coefficient dicts; the series
-is N(z)/(1-z)^n.  Cancelling all (1-z) factors gives the pole order, i.e.
-the Krull dimension of the module, and the degree N(1) of its top-dimensional
-support; a linear Hilbert polynomial is read off the reduced numerator.
+with a single variable as pivot, on packed monomials (see :mod:`.poly`):
+the colon sends m to ``m - p + ring.unit`` when ``ring.divides(p, m)``, and
+I is the unit ideal when it holds ``ring.unit``.  Numerators are Laurent
+polynomials in z (twists may be negative) stored as exponent -> coefficient
+dicts; the series is N(z)/(1-z)^n.  Cancelling all (1-z) factors gives the
+pole order, i.e. the Krull dimension of the module, and the degree N(1) of
+its top-dimensional support; a linear Hilbert polynomial is read off the
+reduced numerator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import le
 from typing import Sequence
 
 from .groebner import ModuleOrder, _as_vectors, ideal_groebner
 from .modules import FreeModule, Vector
-from .poly import Polynomial, monomial_divides, monomials_of_degree
+from .poly import Polynomial, monomials_of_degree
 
 
-def _minimalize_monomials(gens: set[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
+def _minimalize_monomials(gens: set[int], ring) -> frozenset[int]:
     kept = []
-    for m in sorted(gens, key=lambda e: (sum(e), e)):
-        if not any(monomial_divides(k, m) for k in kept):
+    for m in sorted(gens):  # ascending, so by degree
+        if not any(ring.divides(k, m) for k in kept):
             kept.append(m)
     return frozenset(kept)
 
 
-def monomial_quotient_numerator(
-    gens: Sequence[tuple[int, ...]], nvars: int, memo: dict
-) -> dict[int, int]:
-    """Numerator of Hilb(R/I) for a monomial ideal I, over (1-z)^nvars, memoized in ``memo``."""
-    key = _minimalize_monomials(set(gens))
+def monomial_quotient_numerator(gens: Sequence[int], ring, memo: dict) -> dict[int, int]:
+    """Numerator of Hilb(R/I) over (1-z)^n for the monomial ideal I of ring
+    that the packed monomials gens generate, memoized in ``memo``."""
+    key = _minimalize_monomials(set(gens), ring)
     if key in memo:
         return memo[key]
     if not key:
         result = {0: 1}
-    elif any(sum(m) == 0 for m in key):
+    elif ring.unit in key:
         result = {}
     else:
-        pivot = _pick_pivot(key)
+        pivot = _pick_pivot(key, ring)
         if pivot is None:
             # pairwise-coprime pure powers: product of (1 - z^d)
             result = {0: 1}
             for m in key:
-                result = _laurent_mul(result, {0: 1, sum(m): -1})
+                d = m >> ring.deg_shift
+                result = _laurent_add(result, {k + d: -v for k, v in result.items()})
         else:
-            colon = [
-                tuple(e - 1 if i == pivot and e > 0 else e for i, e in enumerate(m))
-                for m in key
-            ]
-            var = tuple(1 if i == pivot else 0 for i in range(nvars))
-            plus = [m for m in key if m[pivot] == 0] + [var]
-            n_colon = monomial_quotient_numerator(colon, nvars, memo)
-            n_plus = monomial_quotient_numerator(plus, nvars, memo)
+            divides, step = ring.divides, ring.unit - pivot
+            colon = [m + step if divides(pivot, m) else m for m in key]
+            plus = [m for m in key if not divides(pivot, m)] + [pivot]
+            n_colon = monomial_quotient_numerator(colon, ring, memo)
+            n_plus = monomial_quotient_numerator(plus, ring, memo)
             result = _laurent_add(_laurent_shift(n_colon, 1), n_plus)
     memo[key] = result
     return result
 
 
-def _pick_pivot(gens: frozenset[tuple[int, ...]]) -> int | None:
-    """A variable occurring in some non-pure-power generator, most uses first."""
-    counts: dict[int, int] = {}
+def _pick_pivot(gens: frozenset[int], ring) -> int | None:
+    """The packed variable dividing the most generators that are not pure
+    powers, the first such; None when every generator is a pure power."""
+    counts = dict.fromkeys(ring.variables, 0)
     for m in gens:
-        support = [i for i, e in enumerate(m) if e > 0]
+        support = [x for x in ring.variables if ring.divides(x, m)]
         if len(support) > 1:
-            for i in support:
-                counts[i] = counts.get(i, 0) + 1
-    if not counts:
-        return None
-    return max(sorted(counts), key=lambda i: counts[i])
+            for x in support:
+                counts[x] += 1
+    pivot = max(ring.variables, key=counts.get)
+    return pivot if counts[pivot] else None
 
 
 def _laurent_add(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -91,19 +92,6 @@ def _laurent_add(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 
 def _laurent_shift(a: dict[int, int], by: int) -> dict[int, int]:
     return {k + by: v for k, v in a.items()}
-
-
-def _laurent_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = ka + kb
-            s = out.get(k, 0) + va * vb
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-    return out
 
 
 @dataclass(frozen=True)
@@ -153,7 +141,7 @@ def hilbert_from_numerator(numerator: dict[int, int], nvars: int) -> HilbertData
 
 
 def _leads(module: FreeModule, gb: Sequence[Vector]) -> list[set]:
-    """Per component, the exponents of the leads of gb under graded TOP order.
+    """Per component, the packed monomials of the leads of gb under graded TOP order.
 
     Within a component the module order is the ring's, so an entry's first
     term leads it, and the vector's lead is the greatest of those.
@@ -164,7 +152,7 @@ def _leads(module: FreeModule, gb: Sequence[Vector]) -> list[set]:
         packed = [order.pack(c, p.terms[0][0]) for c, p in enumerate(v.entries) if p.terms]
         if packed:
             comp, m = order.unpack(max(packed))
-            leads[comp].add(module.ring.unpack(m))
+            leads[comp].add(m)
     return leads
 
 
@@ -173,7 +161,7 @@ def hilbert_of_quotient(module: FreeModule, gb: Sequence[Vector]) -> HilbertData
     memo: dict = {}
     numerator: dict[int, int] = {}
     for comp, leads in enumerate(_leads(module, gb)):
-        n_c = monomial_quotient_numerator(leads, module.ring.nvars, memo)
+        n_c = monomial_quotient_numerator(leads, module.ring, memo)
         numerator = _laurent_add(numerator, _laurent_shift(n_c, module.twists[comp]))
     return hilbert_from_numerator(numerator, module.ring.nvars)
 
@@ -216,13 +204,14 @@ def linear_hilbert_polynomial(h: HilbertData) -> tuple[int, int]:
 def quotient_dimension_by_counting(
     module: FreeModule, gb: Sequence[Vector], t: int
 ) -> int:
-    """dim_k (F/M)_t by monomial enumeration; independent cross-check path."""
+    """dim_k (F/M)_t by enumerating exponent tuples; independent cross-check path."""
     total = 0
     for comp, leads in enumerate(_leads(module, gb)):
         d = t - module.twists[comp]
         if d < 0:
             continue
+        exps = [module.ring.unpack(m) for m in leads]
         for mono in monomials_of_degree(module.ring.nvars, d):
-            if not any(monomial_divides(lead, mono) for lead in leads):
+            if not any(all(map(le, e, mono)) for e in exps):
                 total += 1
     return total

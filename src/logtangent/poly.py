@@ -4,10 +4,13 @@ A monomial is one packed ``int`` (Monagan & Pearce, CASC 2007): variable
 ``x_i`` owns an ``EXP_BITS``-bit field at bit ``(EXP_BITS + 1) * i`` holding
 ``EXP_MAX - e_i``, with a guard bit above it that stays zero, and the total
 degree sits above all fields.  Integer order is then graded reverse
-lexicographic (grevlex) order with ``x0 > x1 > ... > x{n-1}``, a product of
-monomials is ``a + b - ring.unit``, and ``a`` divides ``b`` exactly when
-``(a & exp_mask | guards) - (b & exp_mask)`` keeps every guard bit.  Total
-degrees above ``EXP_MAX`` raise :class:`PackingOverflowError`.
+lexicographic (grevlex) order with ``x0 > x1 > ... > x{n-1}``, a product
+is ``a + b - ring.unit``, a quotient ``a - b + ring.unit``, ``a`` divides
+``b`` when ``(a & exp_mask | guards) - (b & exp_mask)`` keeps every guard
+bit, and an lcm takes the smaller stored field per variable and recomputes
+the degree.  Only :class:`PolyRing` reads the fields.  Packing a degree above
+``EXP_MAX`` raises :class:`PackingOverflowError`; an lcm never refuses, so
+whoever packs it into a term checks its degree.
 
 Terms are kept as a tuple of ``(monomial, coefficient)`` pairs sorted
 strictly descending.  Everything is immutable; a :class:`PolyRing` fixes
@@ -40,10 +43,6 @@ class ConsistencyError(RuntimeError):
     """Two independent computations of the same quantity disagree."""
 
 
-def monomial_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
 def monomials_of_degree(nvars: int, degree: int) -> Iterator[tuple[int, ...]]:
     """All exponent tuples of the given total degree, in no particular order."""
     if degree < 0:
@@ -74,7 +73,7 @@ class ParseError(ValueError):
 class PolyRing:
     """Polynomial ring context: coefficient field plus a fixed variable count."""
 
-    __slots__ = ("field", "nvars", "shifts", "exp_mask", "guards", "deg_shift", "unit")
+    __slots__ = ("field", "nvars", "shifts", "exp_mask", "guards", "deg_shift", "unit", "variables")
 
     def __init__(self, field, nvars: int = 4):
         if nvars < 1:
@@ -86,6 +85,8 @@ class PolyRing:
         self.guards = sum(1 << (s + EXP_BITS) for s in self.shifts)
         self.deg_shift = (EXP_BITS + 1) * nvars
         self.unit = self.exp_mask
+        # the packed monomials x0, ..., x{n-1}
+        self.variables = tuple(self.unit + (1 << self.deg_shift) - (1 << s) for s in self.shifts)
 
     def pack(self, exps: tuple[int, ...]) -> int:
         """The packed monomial of an exponent tuple."""
@@ -98,6 +99,21 @@ class PolyRing:
 
     def unpack(self, m: int) -> tuple[int, ...]:
         return tuple(EXP_MAX - ((m >> s) & EXP_MAX) for s in self.shifts)
+
+    def divides(self, a: int, b: int) -> bool:
+        """Whether the packed monomial a divides the packed monomial b."""
+        mask, g = self.exp_mask, self.guards
+        return ((a & mask | g) - (b & mask)) & g == g
+
+    def lcm(self, a: int, b: int) -> int:
+        """The lcm of two packed monomials, of any degree."""
+        fa, fb = a & self.exp_mask, b & self.exp_mask
+        ge = ((fa | self.guards) - fb) & self.guards  # the guards where fa >= fb
+        fields = fa ^ ((fa ^ fb) & (ge - (ge >> EXP_BITS)))
+        deg = self.nvars * EXP_MAX
+        for s in self.shifts:
+            deg -= (fields >> s) & EXP_MAX
+        return fields + (deg << self.deg_shift)
 
     def __eq__(self, other):
         return (
@@ -135,8 +151,7 @@ class PolyRing:
     def variable(self, i: int) -> "Polynomial":
         if not 0 <= i < self.nvars:
             raise ValueError(f"variable index out of range: {i}")
-        exps = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, ((self.pack(exps), self.field.one),))
+        return Polynomial(self, ((self.variables[i], self.field.one),))
 
     def parse(self, text: str) -> "Polynomial":
         return _parse(self, text)

@@ -1,5 +1,6 @@
-"""Reference forms kept to pin the library: the tuple term orders behind the
-packed integers and the leads they give, ideal membership, the capped
+"""Reference forms kept to pin the library: the tuple term orders and
+divisibility behind the packed integers and the leads they give, ideal
+membership, the capped
 fixpoint saturation, the colon and intersection read off a full syzygy
 module, the annihilator from colons that reduce every S-pair, the normal
 form that combines field values directly instead of integers over one
@@ -40,6 +41,11 @@ SATURATION_ROUNDS = 64
 def grevlex_key(exps: tuple[int, ...]):
     """Sort key realizing grevlex: bigger key means bigger monomial."""
     return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def monomial_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Exponent tuple a divides exponent tuple b."""
+    return all(x <= y for x, y in zip(a, b))
 
 
 def module_key(order, comp: int, exps: tuple[int, ...]):

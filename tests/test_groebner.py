@@ -25,7 +25,7 @@ from logtangent.groebner import (
     syzygy_basis,
 )
 from logtangent.modules import FreeModule, Vector, apply_columns
-from logtangent.poly import PolyRing, monomial_divides, monomials_of_degree
+from logtangent.poly import PolyRing, monomials_of_degree
 from logtangent.sequences import Sequence
 from oracles import (
     annihilator,
@@ -33,6 +33,7 @@ from oracles import (
     grevlex_key,
     ideal_contains,
     module_key,
+    monomial_divides,
 )
 
 
@@ -333,8 +334,15 @@ def test_packing_overflow_is_refused(qq4):
     # both inputs fit; the lcm of their leads, x0^a*x1^a, does not
     a = EXP_MAX - 1
     x0, x1 = qq4.variable(0), qq4.variable(1)
-    with pytest.raises(PackingOverflowError):
+    with pytest.raises(PackingOverflowError, match="packed degree bound"):
         ideal_groebner(qq4, [x0**a * x1, x0 * x1**a])
+
+
+def test_coprime_pair_past_the_degree_bound_is_pruned_unpacked(qq4):
+    # the lcm x0^200*x1^200 does not pack, but the coprime criterion drops
+    # the pair before its S-polynomial is formed
+    gens = [qq4.variable(0) ** 200, qq4.variable(1) ** 200]
+    assert list(ideal_groebner(qq4, gens)) == sorted(gens, key=lambda p: p.terms[0][0])
 
 
 def _from_sympy(ring, poly):

@@ -204,13 +204,18 @@ def test_closed_form_on_seeded_curve_ideals(fp4):
 # only a reference outside both can catch a wrong lead.
 
 
+def unpacked_leads(module, gb):
+    """The exponent tuples of the packed monomials _leads returns."""
+    return [{module.ring.unpack(m) for m in leads} for leads in _leads(module, gb)]
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
 def test_leads_of_corpus_image_bases_match_reference(field):
     ring = PolyRing(field, 4)
     for fx in FIXTURES:
         analysis = jacobian_analysis(Sequence.parse(ring, fx.f, fx.g))
         target, gb = analysis.target, analysis.image_gb
-        assert _leads(target, gb) == leads_by_sorting(target, gb), fx.name
+        assert unpacked_leads(target, gb) == leads_by_sorting(target, gb), fx.name
 
 
 def _random_vector(module, degree, rng):
@@ -239,4 +244,4 @@ def test_leads_of_mixed_twist_rank_3_modules_match_reference(field):
         gens = [_random_vector(module, degree + rng.randint(0, 1), rng) for _ in range(4)]
         for vectors in (gens, groebner_basis(gens)):
             expected = leads_by_sorting(module, vectors)
-            assert _leads(module, vectors) == expected, module.twists
+            assert unpacked_leads(module, vectors) == expected, module.twists

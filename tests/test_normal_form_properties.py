@@ -31,10 +31,15 @@ from logtangent.groebner import (
     normal_form,
 )
 from logtangent.modules import FreeModule, Vector, apply_columns
-from logtangent.poly import integer_terms, monomial_divides, monomials_of_degree, PolyRing
+from logtangent.poly import integer_terms, monomials_of_degree, PolyRing
 from logtangent.search import sample_pair
 from logtangent.sequences import Sequence
-from oracles import module_key, normal_form_by_fractions, syzygies_without_skipping
+from oracles import (
+    module_key,
+    monomial_divides,
+    normal_form_by_fractions,
+    syzygies_without_skipping,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies

@@ -7,8 +7,8 @@ import pytest
 from logtangent.fields import QQ, PrimeField
 from logtangent.groebner import ModuleOrder, _divides
 from logtangent.modules import FreeModule
-from logtangent.poly import EXP_MAX, PolyRing, monomial_divides
-from oracles import grevlex_key
+from logtangent.poly import EXP_MAX, PolyRing
+from oracles import grevlex_key, monomial_divides
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -81,6 +81,36 @@ def test_guard_bit_divisibility_agrees_with_tuples(case, multiple):
     pa, pb = order.pack(0, ring.pack(a)), order.pack(0, ring.pack(b))
     assert _divides(pa, pb, order) == monomial_divides(a, b)
     assert _divides(pa, pb, order) or not multiple
+
+
+@st.composite
+def monomial_triple(draw):
+    """Three exponent tuples in one variable count from 1 to 4, each of
+    which packs, so their lcms may not."""
+    n = draw(st.integers(1, 4))
+    return n, draw(exponents(n)), draw(exponents(n)), draw(exponents(n))
+
+
+@SETTINGS
+@hypothesis.example((2, (EXP_MAX, 0), (0, EXP_MAX), (EXP_MAX, 0)))
+@hypothesis.example((4, (EXP_MAX, 0, 0, 0), (0, 0, 0, EXP_MAX), (0, 1, 1, 0)))
+@hypothesis.given(monomial_triple())
+def test_ring_divides_and_lcm_agree_with_tuples(case):
+    n, a, b, c = case
+    ring = PolyRing(QQ, n)
+    pa, pb, pc = map(ring.pack, (a, b, c))
+    assert ring.divides(pa, pb) == monomial_divides(a, b)
+    ab = tuple(map(max, a, b))
+    abc = tuple(map(max, ab, c))
+    l_ab = ring.lcm(pa, pb)
+    assert l_ab == ring.lcm(pb, pa)
+    assert ring.divides(l_ab, pc) == monomial_divides(ab, c)
+    # the fields and the degree are right at any degree, an lcm's lcm too
+    for l, e in ((l_ab, ab), (ring.lcm(l_ab, pc), abc)):
+        assert ring.unpack(l) == e and l >> ring.deg_shift == sum(e)
+        assert all(ring.divides(p, l) for p in (pa, pb))
+        if sum(e) <= EXP_MAX:
+            assert l == ring.pack(e)
 
 
 @SETTINGS
