@@ -38,7 +38,6 @@ class BourbakiExtractionError(RuntimeError):
 @dataclass
 class BourbakiData:
     generator_index: int
-    generator: Vector
     generator_degree: int
     ideal: tuple[Polynomial, ...]
     degree: int
@@ -110,7 +109,6 @@ def bourbaki_data(
     ideal_res = resolve_ideal(ring, ideal)
     return BourbakiData(
         generator_index=idx,
-        generator=res.gens[idx],
         generator_degree=report.e,
         ideal=ideal,
         degree=deg_b,

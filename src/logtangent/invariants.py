@@ -75,7 +75,6 @@ class InvariantReport:
     annihilator_scheme: SchemeSummary | None = None
     schemes_equal: bool | None = None
     resolution: FreeResolution | None = field(default=None, repr=False)
-    cokernel_hilbert: HilbertData | None = field(default=None, repr=False)
 
 
 def stability_class(e: int, d: int) -> str:
@@ -198,7 +197,6 @@ def invariants(seq: Sequence, with_schemes: bool = True) -> InvariantReport:
         stability=stability_class(e, seq.d),
         slope=Fraction(-seq.d, 2),
         resolution=res,
-        cokernel_hilbert=hq,
     )
 
     if with_schemes:

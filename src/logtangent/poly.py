@@ -19,11 +19,15 @@ layout and acts as the factory for all values.
 
 The expression parser accepts ``+ - * ^``, parentheses, integer and
 ``a/b`` rational literals, and variables ``x0 .. x{n-1}``.  Multiplication
-is always explicit (``2*x1``, never ``2x1``).
+is always explicit (``2*x1``, never ``2x1``).  One regular expression scans
+the text, skipping whitespace; numbers and variable indices are runs of
+decimal digits, exactly what ``int`` reads (never ``²``), and any other
+character is refused with a :class:`ParseError` at its offset.
 """
 
 from __future__ import annotations
 
+import re
 from math import lcm
 from operator import add
 from typing import Iterable, Iterator, Sequence
@@ -63,7 +67,7 @@ def _check_degree(degree: int) -> None:
 
 
 class ParseError(ValueError):
-    """Syntax problem in a polynomial expression; carries the byte offset."""
+    """Syntax problem in a polynomial expression; carries the character offset."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
@@ -362,77 +366,49 @@ def format_polynomial(p: Polynomial) -> str:
 # ---------------------------------------------------------------------------
 # parser
 
-_TOK_INT = "int"
-_TOK_VAR = "var"
-_TOK_OP = "op"
-_TOK_END = "end"
-
-
-def _tokenize(ring: PolyRing, text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append((_TOK_INT, int(text[i:j]), i))
-            i = j
-            continue
-        if ch == "x":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ParseError("unknown variable 'x'", i)
-            idx = int(text[i + 1 : j])
-            if idx >= ring.nvars:
-                raise ParseError(f"unknown variable 'x{idx}'", i)
-            tokens.append((_TOK_VAR, idx, i))
-            i = j
-            continue
-        if ch.isalpha():
-            raise ParseError(f"unknown variable {ch!r}", i)
-        if ch in "+-*^()/":
-            tokens.append((_TOK_OP, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append((_TOK_END, None, n))
-    return tokens
+_TOKEN = re.compile(r"\s*((\d+)|x(\d+)|([-+*^()/])|\S)")
 
 
 class _Parser:
+    """Recursive descent over (kind, value, offset) tokens, whose kind is "int",
+    "var" (valued by its index), an operator's own character, or "" at the end."""
+
     def __init__(self, ring: PolyRing, text: str):
         self.ring = ring
-        self.tokens = _tokenize(ring, text)
+        self.tokens = [self._token(match) for match in _TOKEN.finditer(text)]
+        self.tokens.append(("", None, len(text)))
         self.pos = 0
+
+    def _token(self, match):
+        other, number, index, op = match.groups()
+        off = match.start(1)
+        if number is not None:
+            return "int", int(number), off
+        if op is not None:
+            return op, op, off
+        if index is not None:
+            if int(index) < self.ring.nvars:
+                return "var", int(index), off
+            other = f"x{int(index)}"
+        elif not other.isalpha():
+            raise ParseError(f"unexpected character {other!r}", off)
+        raise ParseError(f"unknown variable {other!r}", off)
 
     def peek(self):
         return self.tokens[self.pos]
 
     def advance(self):
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
     def expression(self) -> Polynomial:
-        """The sum of its terms, merged in one ``ring.poly``."""
+        """The sum of its terms, merged in one ``ring.poly``; the sign before a
+        term is read by ``factor``."""
         items = []
-        kind, sign, off = self.peek()
-        if kind == _TOK_OP and sign in "+-":
-            self.advance()
         while True:
-            terms = self.term().terms
-            items += [(m, -c) for m, c in terms] if sign == "-" else terms
-            kind, sign, off = self.peek()
-            if not (kind == _TOK_OP and sign in "+-"):
+            items += self.term().terms
+            if self.peek()[0] not in ("+", "-"):
                 return self.ring.poly(items)
-            self.advance()
 
     def term(self) -> Polynomial:
         """The product of its factors: numbers, variables and their powers fold
@@ -445,10 +421,10 @@ class _Parser:
                 product = f if product is None else product * f
             else:
                 coeff, exps = coeff * f[0], tuple(map(add, exps, f[1]))
-            kind, val, off = self.peek()
-            if kind == _TOK_OP and val == "*":
+            kind, _, off = self.peek()
+            if kind == "*":
                 self.advance()
-            elif kind in (_TOK_INT, _TOK_VAR) or (kind == _TOK_OP and val == "("):
+            elif kind in ("int", "var", "("):
                 raise ParseError("missing '*' between factors", off)
             else:
                 monomial = ring.poly([(ring.pack(exps), ring.field.of(coeff))])
@@ -457,21 +433,19 @@ class _Parser:
     def factor(self):
         """A Polynomial, or (coefficient, exponents) for a number, a variable
         or a power of one, where only a QQ fraction is not a plain int."""
-        kind, val, off = self.peek()
-        if kind == _TOK_OP and val in "+-":
+        sign = self.peek()[0]
+        if sign in ("+", "-"):
             self.advance()
             f = self.factor()
-            if val == "+":
+            if sign == "+":
                 return f
             return -f if isinstance(f, Polynomial) else (-f[0], f[1])
         base = self.primary()
-        kind, val, off = self.peek()
-        if kind == _TOK_OP and val == "^":
+        if self.peek()[0] == "^":
             self.advance()
-            kind, exp, off2 = self.peek()
-            if kind != _TOK_INT:
-                raise ParseError("exponent must be a non-negative integer", off2)
-            self.advance()
+            kind, exp, off = self.advance()
+            if kind != "int":
+                raise ParseError("exponent must be a non-negative integer", off)
             if isinstance(base, Polynomial):
                 return base**exp
             # modular powering keeps a huge exponent cheap over GF(p)
@@ -482,29 +456,27 @@ class _Parser:
     def primary(self):
         kind, val, off = self.advance()
         ring = self.ring
-        if kind == _TOK_INT:
-            kind2, val2, off2 = self.peek()
-            if kind2 == _TOK_OP and val2 == "/":
+        if kind == "int":
+            kind2, _, off2 = self.peek()
+            if kind2 == "/":
                 self.advance()
-                kind3, den, off3 = self.peek()
-                if kind3 != _TOK_INT:
+                kind3, den, off3 = self.advance()
+                if kind3 != "int":
                     raise ParseError("division is only allowed in rational literals", off2)
-                self.advance()
-                field = ring.field
                 try:
-                    return field.of(val, den), (0,) * ring.nvars
+                    return ring.field.of(val, den), (0,) * ring.nvars
                 except ZeroDivisionError:
-                    raise ParseError(f"denominator {den} vanishes in {field!r}", off3) from None
+                    raise ParseError(f"denominator {den} vanishes in {ring.field!r}", off3) from None
             return val, (0,) * ring.nvars
-        if kind == _TOK_VAR:
+        if kind == "var":
             return 1, tuple(int(i == val) for i in range(ring.nvars))
-        if kind == _TOK_OP and val == "(":
+        if kind == "(":
             inner = self.expression()
-            kind2, val2, off2 = self.advance()
-            if not (kind2 == _TOK_OP and val2 == ")"):
+            kind2, _, off2 = self.advance()
+            if kind2 != ")":
                 raise ParseError("expected ')'", off2)
             return inner
-        if kind == _TOK_OP and val == "/":
+        if kind == "/":
             raise ParseError("division is only allowed in rational literals", off)
         raise ParseError("expected a number, variable or '('", off)
 
@@ -513,8 +485,8 @@ def _parse(ring: PolyRing, text: str) -> Polynomial:
     parser = _Parser(ring, text)
     result = parser.expression()
     kind, val, off = parser.peek()
-    if kind != _TOK_END:
-        if kind == _TOK_OP and val == "/":
+    if kind:
+        if kind == "/":
             raise ParseError("division is only allowed in rational literals", off)
         raise ParseError(f"unexpected trailing input {val!r}", off)
     return result

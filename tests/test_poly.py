@@ -84,6 +84,10 @@ def test_parse_error_offset_points_at_problem(qq4):
         ("4*x1^2*(x0 - 3)^2 / 2", "division is only allowed in rational literals", 18),
         ("x0 + 2*(x1", "expected ')'", 10),
         ("x0 * * x1", "expected a number, variable or '('", 5),
+        # str.isdigit takes a superscript digit, but int() refuses it
+        ("x0^²", "unexpected character '²'", 3),
+        ("²*x0", "unexpected character '²'", 0),
+        ("x²", "unknown variable 'x'", 0),
     ],
 )
 def test_parse_error_messages_and_offsets(qq4, text, message, offset):
