@@ -106,7 +106,7 @@ def bourbaki_data(
             f"curve degree {deg_b} disagrees with Bourbaki degree {report.bour}"
         )
 
-    ideal_res = resolve_ideal(ring, ideal)
+    ideal_res = resolve_ideal(ring, ideal, h.numerator)
     return BourbakiData(
         generator_index=idx,
         generator_degree=report.e,

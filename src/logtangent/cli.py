@@ -12,8 +12,8 @@ code in one place, the except chain of ``main``: 2 for any ``ValueError``
 (unparseable, dependent or non-normal input, a characteristic p <= the
 largest degree, a degree past the packing bound, a refused ``search``
 argument), 3 for a Bourbaki extraction failure, 5 for a failed internal
-cross-check (``ConsistencyError``) or a resolution past its length bound
-(``ResolutionLengthError``).
+cross-check (``ConsistencyError``), Betti numbers that disagree with the
+Hilbert series included.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .fields import QQ, PrimeField
 from .fixtures import FIXTURES, run_corpus
 from .invariants import FLAGS, InvariantReport, invariants, validate_constraints
 from .poly import ConsistencyError, PolyRing
-from .resolution import ResolutionLengthError
 from .search import run_search
 from .sequences import NonNormalSequenceError, Sequence, check_characteristic
 
@@ -275,7 +274,7 @@ def main(argv=None) -> int:
         return _refuse(args, exc, 2)
     except BourbakiExtractionError as exc:
         return _refuse(args, exc, 3)
-    except (ConsistencyError, ResolutionLengthError) as exc:
+    except ConsistencyError as exc:
         return _refuse(args, exc, 5)
 
 

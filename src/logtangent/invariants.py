@@ -3,10 +3,11 @@
 The report gathers everything computed from one pair: the m-invariant and
 third Chern character of the Jacobian cokernel (from its Hilbert
 polynomial), the generator degrees of the syzygy module (from its minimal
-resolution), Chern classes (by additivity of the Chern character along the
-four-term exact sequence of the Jacobian map), the freeness /
-nearly-free / 3-generator classification, slope stability, and optionally
-the two saturated scheme structures supported on the Jacobian locus.
+resolution, which the same series checks), Chern classes (by additivity of
+the Chern character along the four-term exact sequence of the Jacobian
+map), the freeness / nearly-free / 3-generator classification, slope
+stability, and optionally the two saturated scheme structures supported on
+the Jacobian locus.
 """
 
 from __future__ import annotations
@@ -15,12 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .groebner import annihilator_of_cokernel, fitting_ideal_0, ideal_equals, saturate_ideal
-from .hilbert import (
-    HilbertData,
-    dimension_degree,
-    linear_hilbert_polynomial,
-)
-from .modules import FreeModule
+from .hilbert import dimension_degree, linear_hilbert_polynomial
 from .poly import ConsistencyError, Polynomial
 from .resolution import FreeResolution, resolve_submodule
 from .sequences import (
@@ -105,28 +101,6 @@ def chern_classes(df: int, dg: int, m: int, ch3_q: int) -> tuple[int, int, int]:
     return -d, c2, 2 * ch3_q - d * (c2 - df * dg)
 
 
-def _check_betti_hilbert(
-    res: FreeResolution, source: FreeModule, target: FreeModule, cokernel: HilbertData
-) -> None:
-    """The resolution of K = ker(source -> target) against the Hilbert series.
-
-    From 0 -> K -> source -> target -> coker -> 0, the numerator of the
-    series of K over (1 - t)^n is N(source) - N(target) + N(coker), and the
-    minimal resolution F of K gives it as sum_i (-1)^i sum_j t^(b_ij).  A
-    dropped generator or syzygy breaks the equality.
-    """
-    n = dict(cokernel.numerator)
-    signed = [(1, source), (-1, target)]
-    signed += [((-1) ** (i + 1), module) for i, module in enumerate(res.modules)]
-    for sign, module in signed:
-        for a in module.twists:
-            n[a] = n.get(a, 0) + sign
-    if any(n.values()):
-        raise ConsistencyError(
-            f"Betti numbers {res.betti().columns} disagree with the Hilbert series"
-        )
-
-
 def invariants(seq: Sequence, with_schemes: bool = True) -> InvariantReport:
     """Full invariant report of a normal pair.
 
@@ -136,6 +110,8 @@ def invariants(seq: Sequence, with_schemes: bool = True) -> InvariantReport:
     variables: the cokernel has positive rank, which over any field is the
     same as all 2x2 minors vanishing.  NonNormalSequenceError (with the
     divisor degree) when the Jacobian scheme has a codimension-one component.
+    K is resolved against the series of source/K, the image, so Betti numbers
+    that disagree with it are a ConsistencyError.
     The Fitting scheme saturates ``fitting_ideal_0`` of the gradient rows.
     Equal schemes have their dimension and degree counted once.
     """
@@ -149,11 +125,11 @@ def invariants(seq: Sequence, with_schemes: bool = True) -> InvariantReport:
     m, b = linear_hilbert_polynomial(hq)
     ch3_q = b - 2 * m
 
-    res = resolve_submodule(analysis.kernel.module, analysis.kernel.gens)
-    _check_betti_hilbert(res, analysis.kernel.module, analysis.target, hq)
-    betti = res.betti()
-    # nonempty: K has rank 2, so an empty resolution failed the identity above
-    exponents = tuple(sorted(betti.exponents))
+    # source/K is the image of the Jacobian map: the target less the cokernel
+    image = [(a, 1) for a in analysis.target.twists] + [(j, -c) for j, c in hq.numerator]
+    res = resolve_submodule(analysis.kernel.module, analysis.kernel.gens, image)
+    # nonempty: K has rank 2, so an empty resolution fails the series identity
+    exponents = res.betti().exponents
     e = exponents[0]
     generator_count = len(exponents)
 

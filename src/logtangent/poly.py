@@ -22,12 +22,14 @@ The expression parser accepts ``+ - * ^``, parentheses, integer and
 is always explicit (``2*x1``, never ``2x1``).  One regular expression scans
 the text, skipping whitespace; numbers and variable indices are runs of
 decimal digits, exactly what ``int`` reads (never ``²``), and any other
-character is refused with a :class:`ParseError` at its offset.
+character is refused with a :class:`ParseError` at its offset, as is a QQ
+coefficient with more digits than ``str`` prints.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from math import lcm
 from operator import add
 from typing import Iterable, Iterator, Sequence
@@ -375,6 +377,7 @@ class _Parser:
 
     def __init__(self, ring: PolyRing, text: str):
         self.ring = ring
+        self.limit = sys.get_int_max_str_digits()  # digits int and str convert, 0: any
         self.tokens = [self._token(match) for match in _TOKEN.finditer(text)]
         self.tokens.append(("", None, len(text)))
         self.pos = 0
@@ -382,6 +385,8 @@ class _Parser:
     def _token(self, match):
         other, number, index, op = match.groups()
         off = match.start(1)
+        if len(number or index or "") > self.limit > 0:
+            raise ParseError(f"number has more than {self.limit} digits", off)
         if number is not None:
             return "int", int(number), off
         if op is not None:
@@ -396,6 +401,16 @@ class _Parser:
 
     def peek(self):
         return self.tokens[self.pos]
+
+    def check_printable(self, terms, off: int, exp: int = 1) -> None:
+        """Over QQ, refuse a term coefficient whose power exp has more than L =
+        ``self.limit`` digits, which ``str`` cannot print; as 8**L < 10**L <
+        16**L, only a power near L is built to decide."""
+        bits = 0 if self.ring.field.characteristic else 3 * self.limit
+        for n in (abs(x) for _, c in terms for x in (c.numerator, c.denominator)):
+            if exp * n.bit_length() > bits > 0:
+                if exp * (n.bit_length() - 1) > 4 * self.limit or n**exp >= 10**self.limit:
+                    raise ParseError(f"coefficient has more than {self.limit} digits", off)
 
     def advance(self):
         self.pos += 1
@@ -446,6 +461,9 @@ class _Parser:
             kind, exp, off = self.advance()
             if kind != "int":
                 raise ParseError("exponent must be a non-negative integer", off)
+            # the lead of a power is the power of the lead: a long one is refused unbuilt
+            lead = base.terms[:1] if isinstance(base, Polynomial) else [(0, base[0])]
+            self.check_printable(lead, off, exp)
             if isinstance(base, Polynomial):
                 return base**exp
             # modular powering keeps a huge exponent cheap over GF(p)
@@ -484,6 +502,7 @@ class _Parser:
 def _parse(ring: PolyRing, text: str) -> Polynomial:
     parser = _Parser(ring, text)
     result = parser.expression()
+    parser.check_printable(result.terms, 0)
     kind, val, off = parser.peek()
     if kind:
         if kind == "/":

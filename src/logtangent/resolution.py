@@ -6,28 +6,28 @@ membership pruning), which yields the minimal resolution directly: no
 differential can contain a nonzero constant once every step uses minimal
 generators.
 
-The resolution length is capped at two, the bound the theory gives for the
-pipeline's two inputs.  The kernel K of the Jacobian map is a second syzygy
-module, so depth K >= 2 and pd K <= 2 by Auslander-Buchsbaum.  The Bourbaki
-curve's ideal I is saturated, so depth R/I >= 1 and pd I <= 2.  Exceeding
-the cap signals a kernel bug, not bad input.
+A resolution stops where its Hilbert series proves it exact: the series of
+a graded module is the alternating sum of those of the free modules in any
+resolution of it, and a nonzero module has a nonzero series (Eisenbud, The
+Geometry of Syzygies, Ch. 1).  Its length is at most two for the pipeline's
+two inputs.  The kernel K of the Jacobian map is a second syzygy module, so
+depth K >= 2 and pd K <= 2 by Auslander-Buchsbaum.  The Bourbaki curve's
+ideal I is saturated, so depth R/I >= 1 and pd I <= 2.  Betti numbers that
+disagree with the series by then signal a kernel bug, not bad input.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Sequence
+from itertools import groupby, zip_longest
+from typing import Iterable, Sequence
 
 from .groebner import groebner_basis, normal_form, syzygy_basis
 from .modules import FreeModule, Vector, apply_columns
-from .poly import Polynomial
+from .poly import ConsistencyError, Polynomial
 
 MAX_LENGTH = 2
-
-
-class ResolutionLengthError(RuntimeError):
-    """Internal error: resolution exceeded the length bound of the theory."""
 
 
 def minimal_generators(gens: Sequence[Vector]) -> list[Vector]:
@@ -144,26 +144,37 @@ class BettiTable:
         return "\n".join(lines)
 
 
-def resolve_submodule(module: FreeModule, gens: Sequence[Vector]) -> FreeResolution:
-    """Minimal free resolution of the submodule generated by gens."""
-    ring = module.ring
-    g0 = minimal_generators(gens)
-    if not g0:
-        return FreeResolution(modules=[], diffs=[], gens=[])
-    modules = [FreeModule(ring, [g.degree for g in g0])]
+def resolve_submodule(
+    module: FreeModule, gens: Sequence[Vector], quotient: Iterable[tuple[int, int]]
+) -> FreeResolution:
+    """Minimal free resolution of the submodule M generated by gens, given
+    the Hilbert numerator of module/M as (degree, coefficient) pairs.
+
+    ``left``, M's numerator less the alternating sum of the steps so far, is
+    up to sign the kernel's of the last map: a step runs only while it is
+    nonzero, and neither an empty step nor the length bound may leave it so.
+    """
+    left = Counter(module.twists)
+    for j, c in quotient:
+        left[j] -= c
+    g0 = current = minimal_generators(gens)
+    modules: list[FreeModule] = []
     diffs: list[list[Vector]] = []
-    current = g0
-    while True:
-        syz_module, syz = syzygy_basis(current, degrees=modules[-1].twists)
-        msyz = minimal_generators(syz)
-        if not msyz:
+    while any(left.values()) and len(modules) <= MAX_LENGTH:
+        if modules:
+            current = minimal_generators(syzygy_basis(current, degrees=modules[-1].twists)[1])
+            diffs.append(current)
+        if not current:
             break
-        if len(modules) > MAX_LENGTH:
-            raise ResolutionLengthError("resolution exceeded length bound")
-        modules.append(FreeModule(ring, [g.degree for g in msyz]))
-        diffs.append(msyz)
-        current = msyz
-    return FreeResolution(modules=modules, diffs=diffs, gens=g0)
+        for g in current:
+            left[g.degree] -= (-1) ** len(modules)
+        modules.append(FreeModule(module.ring, [g.degree for g in current]))
+    res = FreeResolution(modules=modules, diffs=diffs, gens=g0)
+    if any(left.values()):
+        raise ConsistencyError(
+            f"Betti numbers {res.betti().columns} disagree with the Hilbert series"
+        )
+    return res
 
 
 def module_dual(
@@ -185,36 +196,27 @@ def module_dual(
     return syzygy_basis(transposed, degrees=dual_target.twists)
 
 
-def verify_lifting(
-    res_t: FreeResolution, res_b: FreeResolution, e: int, d: int
-) -> bool:
+def verify_lifting(res_t: FreeResolution, res_b: FreeResolution, e: int, d: int) -> bool:
     """Check that two minimal resolutions match after removing a marked generator.
 
     The first resolution must contain a generator of degree e in homological
     step zero; the second, twisted by d - e, must reproduce the first with
     that one generator removed, in every homological degree.
     """
-    bt = res_t.betti().columns
+    bt = [list(column) for column in res_t.betti().columns]
     if not bt or e not in bt[0]:
         raise ValueError(f"no generator of degree {e} to mark")
-    bb = res_b.betti().columns
-    shift = d - e
-    length = max(len(bt), len(bb))
-    for i in range(length):
-        t_col = list(bt[i]) if i < len(bt) else []
-        b_col = [x + shift for x in bb[i]] if i < len(bb) else []
-        if i == 0:
-            t_col.remove(e)
-        if sorted(t_col) != sorted(b_col):
-            return False
-    return True
+    bt[0].remove(e)
+    bb = [[x + d - e for x in column] for column in res_b.betti().columns]
+    return all(t == b for t, b in zip_longest(bt, bb, fillvalue=[]))
 
 
-def resolve_ideal(ring, gens: Sequence[Polynomial]) -> FreeResolution:
-    """Minimal resolution of a homogeneous ideal as a rank-one submodule."""
+def resolve_ideal(ring, gens: Sequence[Polynomial], quotient) -> FreeResolution:
+    """Minimal resolution of a homogeneous ideal I as a rank-one submodule;
+    quotient is the Hilbert numerator of R/I."""
     module = FreeModule(ring, (0,))
     vectors = [Vector(module, (p,)) for p in gens if not p.is_zero()]
-    return resolve_submodule(module, vectors)
+    return resolve_submodule(module, vectors, quotient)
 
 
 def is_complete_intersection_resolution(res: FreeResolution) -> bool:

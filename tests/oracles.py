@@ -7,8 +7,9 @@ form that combines field values directly instead of integers over one
 scale, the syzygy elimination that reduces every S-pair, Chern classes by
 Chern-character additivity in fractions, a linear change of coordinates,
 minimal generators whose span test within a degree is a row echelon of
-normal forms, and the graded Betti numbers of a cokernel from Koszul
-homology."""
+normal forms, the graded Betti numbers of a cokernel from Koszul
+homology, and a resolution whose Hilbert series comes from a Groebner basis
+of its generators."""
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -34,6 +35,7 @@ from logtangent.groebner import (
 from logtangent.hilbert import hilbert_of_quotient
 from logtangent.linalg import matrix_rank
 from logtangent.modules import FreeModule, Vector
+from logtangent.resolution import resolve_submodule
 
 SATURATION_ROUNDS = 64
 
@@ -351,3 +353,10 @@ def koszul_betti(target, image_gb, top):
         )
         for i in range(n + 1)
     ]
+
+
+def resolve_by_groebner(module, gens):
+    """``resolve_submodule`` of gens, given the Hilbert numerator of
+    module / <gens> from a Groebner basis of gens."""
+    quotient = hilbert_of_quotient(module, groebner_basis(gens)).numerator
+    return resolve_submodule(module, gens, quotient)

@@ -10,7 +10,6 @@ from logtangent.fields import QQ, PrimeField
 from logtangent.fixtures import FIXTURES, run_corpus, run_fixture
 from logtangent.groebner import EXP_MAX
 from logtangent.poly import ConsistencyError, PolyRing
-from logtangent.resolution import ResolutionLengthError
 from logtangent.sequences import SmallCharacteristicError
 
 
@@ -70,6 +69,21 @@ def test_analyze_non_normal_pair_exits_2_with_divisor_degree(capsys):
 def test_analyze_parse_error_exits_2(capsys):
     code, out = run_cli(capsys, "analyze", "--f", "2x1", "--g", "x0^3", "--json")
     assert code == 2
+
+
+def test_analyze_unprintable_coefficient_exits_2_before_invariants(
+    capsys, monkeypatch, digit_limit
+):
+    import logtangent.cli as cli_mod
+
+    def fail(seq, with_schemes):
+        raise AssertionError("invariants ran")
+
+    monkeypatch.setattr(cli_mod, "invariants", fail)
+    argv = ("analyze", "--f", "9^9999*x0^2+x1^2", "--g", "x0^3+x0*x1*x2+x3^3", "--json")
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"] == f"coefficient has more than {digit_limit} digits (at offset 2)"
 
 
 def test_analyze_denominator_vanishing_mod_p_exits_2(capsys):
@@ -338,9 +352,7 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
-@pytest.mark.parametrize(
-    "error", [ConsistencyError, ResolutionLengthError], ids=lambda e: e.__name__
-)
+@pytest.mark.parametrize("error", [ConsistencyError], ids=lambda e: e.__name__)
 def test_analyze_internal_failure_exits_5(capsys, monkeypatch, error):
     import logtangent.cli as cli_mod
 

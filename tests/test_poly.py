@@ -2,6 +2,8 @@
 
 import random
 import re
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -95,6 +97,50 @@ def test_parse_error_messages_and_offsets(qq4, text, message, offset):
         qq4.parse(text)
     assert str(err.value) == f"{message} (at offset {offset})"
     assert err.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("9^9999*x0", 2),  # 9542 digits
+        ("9^10000000*x0", 2),  # refused before the power is built
+        ("(9)^10000000", 4),
+        ("(9^4000*x0)^2", 12),  # the lead of a power is the power of the lead
+        ("1/10^4300", 5),  # a denominator of 4301 digits
+        ("3^9999", 2),  # close enough to the limit to be built and measured
+        ("9^4000*9^4000*x0", 0),  # a product of printable powers
+        ("10^4299*9 + 10^4299", 0),  # a sum one digit past the limit
+    ],
+)
+def test_unprintable_rational_coefficient_is_a_parse_error(qq4, digit_limit, text, offset):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        qq4.parse(text)
+    assert time.perf_counter() - start < 1
+    assert str(err.value) == f"coefficient has more than {digit_limit} digits (at offset {offset})"
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize(
+    "text, offset",
+    [("2*" + "1" * 4301, 2), ("x" + "0" * 4301, 0)],
+    ids=["literal", "variable_index"],
+)
+def test_digit_run_longer_than_int_reads_is_a_parse_error(digit_limit, field, text, offset):
+    with pytest.raises(ParseError) as err:
+        PolyRing(field, 4).parse(text)
+    assert str(err.value) == f"number has more than {digit_limit} digits (at offset {offset})"
+
+
+def test_coefficients_up_to_the_digit_limit_parse_and_print(qq4, fp4, digit_limit):
+    assert str(qq4.parse("10^4299*x0")) == "1" + "0" * 4299 + "*x0"
+    assert str(qq4.parse("1/" + "9" * digit_limit)) == "1/" + "9" * digit_limit
+    # over GF(p) a power is taken mod p, so no exponent is refused
+    start = time.perf_counter()
+    assert fp4.parse("9^10000000*x0") == fp4.parse("13863*x0")
+    assert time.perf_counter() - start < 1
+    sys.set_int_max_str_digits(0)  # no limit
+    assert qq4.parse("9^9999*x0") == qq4.parse("x0") * 9**9999
 
 
 def random_expression(rng, depth=2):

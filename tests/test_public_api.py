@@ -3,6 +3,7 @@ public name has a caller in the library itself."""
 
 import ast
 import pathlib
+import sys
 import types
 
 import logtangent
@@ -65,3 +66,19 @@ def test_every_public_name_has_a_library_caller():
 
     uncalled = sorted(node.name for file, node in definitions if not called(file, node))
     assert uncalled == sorted(CALLED_FROM_OUTSIDE)
+
+
+def test_the_library_imports_the_standard_library_only():
+    """Every import in the package is relative or names a standard module."""
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            top = [name.split(".")[0] for name in names]
+            outside += [(path.name, t) for t in top if t not in sys.stdlib_module_names]
+    assert outside == []

@@ -7,28 +7,32 @@ import pytest
 from logtangent import resolution
 from logtangent.fields import QQ, PrimeField
 from logtangent.groebner import _as_vectors, groebner_basis, normal_form, syzygy_basis
-from logtangent.hilbert import hilbert_of_quotient
+from logtangent.hilbert import hilbert_of_ideal_quotient, hilbert_of_quotient
 from logtangent.modules import FreeModule, Vector
-from logtangent.poly import PolyRing
+from logtangent.poly import ConsistencyError, PolyRing
 from logtangent.resolution import (
-    ResolutionLengthError,
     minimal_generators,
     module_dual,
     resolve_ideal,
-    resolve_submodule,
     verify_lifting,
 )
+from logtangent.bourbaki import bourbaki_data
 from logtangent.invariants import invariants
 from logtangent.fixtures import FIXTURES
 from logtangent.poly import monomials_of_degree
 from logtangent.sequences import Sequence, jacobian_analysis
 
-from oracles import minimal_generators_by_echelon
+from oracles import minimal_generators_by_echelon, resolve_by_groebner
 
 
 def resolve_pair(ring, f, g):
     kernel = jacobian_analysis(Sequence.parse(ring, f, g)).kernel
-    return resolve_submodule(kernel.module, kernel.gens)
+    return resolve_by_groebner(kernel.module, kernel.gens)
+
+
+def ideal_resolution(ring, gens):
+    """``resolve_ideal`` of gens, given the Hilbert numerator of R / <gens>."""
+    return resolve_ideal(ring, gens, hilbert_of_ideal_quotient(ring, gens).numerator)
 
 
 def times(v, p):
@@ -38,14 +42,14 @@ def times(v, p):
 
 def test_free_submodule_has_length_zero(qq4):
     F = FreeModule(qq4, (0, 0))
-    res = resolve_submodule(F, [F.basis_vector(0), F.basis_vector(1)])
+    res = resolve_by_groebner(F, [F.basis_vector(0), F.basis_vector(1)])
     assert res.length == 0
     assert res.betti().columns == ((0, 0),)
 
 
 def test_zero_module_resolution_is_empty(qq4):
     F = FreeModule(qq4, (0,))
-    res = resolve_submodule(F, [])
+    res = resolve_by_groebner(F, [])
     assert res.modules == [] and res.betti().columns == ()
 
 
@@ -211,7 +215,7 @@ def test_resolution_euler_characteristic_matches_hilbert(qq4):
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
             continue
-        res = resolve_submodule(F, gens)
+        res = resolve_by_groebner(F, gens)
         assert res.check_complex() and res.is_minimal()
         gb = groebner_basis(gens)
         h_quotient = hilbert_of_quotient(F, gb)
@@ -278,7 +282,7 @@ def test_verify_lifting_true_on_fixture(qq4):
 def test_verify_lifting_false_on_shifted_table(qq4):
     seq = Sequence.parse(qq4, "x2*x3*(x0 - x1)", "x0*(x0^2 + x1^2 + x2^2 + x3^2)")
     rep = invariants(seq, with_schemes=False)
-    wrong = resolve_ideal(qq4, [qq4.parse("x0^3"), qq4.parse("x1^3")])
+    wrong = ideal_resolution(qq4, [qq4.parse("x0^3"), qq4.parse("x1^3")])
     assert not verify_lifting(rep.resolution, wrong, rep.e, rep.d)
 
 
@@ -300,26 +304,72 @@ def test_betti_grid_format(qq4):
 
 
 def test_resolution_of_ideal_complete_intersection(qq4):
-    res = resolve_ideal(qq4, [qq4.parse("x0^2 - x1*x3"), qq4.parse("x2^2")])
+    res = ideal_resolution(qq4, [qq4.parse("x0^2 - x1*x3"), qq4.parse("x2^2")])
     assert res.betti().columns == ((2, 2), (4,))
 
 
 def test_length_two_is_the_bound(qq4):
     # (x0, x1, x2) is the saturated ideal of a point: pd = 2
-    res = resolve_ideal(qq4, [qq4.variable(i) for i in range(3)])
+    res = ideal_resolution(qq4, [qq4.variable(i) for i in range(3)])
     assert res.length == 2
-    # the irrelevant ideal is not saturated and needs length 3
-    with pytest.raises(ResolutionLengthError):
-        resolve_ideal(qq4, [qq4.variable(i) for i in range(4)])
+    # the irrelevant ideal is not saturated and needs length 3, past the bound
+    # at which the Betti numbers must match the Hilbert series
+    with pytest.raises(ConsistencyError, match="disagree with the Hilbert series"):
+        ideal_resolution(qq4, [qq4.variable(i) for i in range(4)])
 
 
 def test_fabricated_third_syzygy_step_raises(qq4, monkeypatch):
+    # an extra basis vector next to the complete intersection's one syzygy:
+    # the next step's kernel is empty while the series says it is not
     real = resolution.syzygy_basis
 
-    def never_ending(gens, degrees=None):
+    def with_extra(gens, degrees=None):
         module, syz = real(gens, degrees=degrees)
-        return module, syz or [module.basis_vector(0)]
+        return module, syz + [module.basis_vector(0)] if syz else syz
 
-    monkeypatch.setattr(resolution, "syzygy_basis", never_ending)
-    with pytest.raises(ResolutionLengthError):
-        resolve_ideal(qq4, [qq4.parse("x0^2 - x1*x3"), qq4.parse("x2^2")])
+    monkeypatch.setattr(resolution, "syzygy_basis", with_extra)
+    with pytest.raises(ConsistencyError, match="disagree with the Hilbert series"):
+        ideal_resolution(qq4, [qq4.parse("x0^2 - x1*x3"), qq4.parse("x2^2")])
+
+
+def counted_syzygy_runs(monkeypatch):
+    """The list each ``syzygy_basis`` call of the resolution module appends to."""
+    calls = []
+    real = resolution.syzygy_basis
+
+    def counting(gens, degrees=None):
+        calls.append(len(gens))
+        return real(gens, degrees=degrees)
+
+    monkeypatch.setattr(resolution, "syzygy_basis", counting)
+    return calls
+
+
+def fixture_sequence(ring, name):
+    fx = next(fx for fx in FIXTURES if fx.name == name)
+    return Sequence.parse(ring, fx.f, fx.g)
+
+
+@pytest.mark.parametrize(
+    "name, gpdim",
+    [
+        ("free-incompressible-m9", 0),
+        ("nearly-free-mixed-degrees-e1", 1),
+        ("pencil-of-cubics-bour2", 2),
+    ],
+)
+def test_no_syzygy_run_whose_answer_the_series_gives(fp4, monkeypatch, name, gpdim):
+    # one run per step past F_0 and none to find the last kernel empty
+    seq = fixture_sequence(fp4, name)
+    calls = counted_syzygy_runs(monkeypatch)
+    report = invariants(seq, with_schemes=False)
+    assert (report.gpdim, len(calls)) == (gpdim, gpdim)
+
+
+def test_bourbaki_data_runs_the_dual_and_one_ideal_step(fp4, monkeypatch):
+    seq = fixture_sequence(fp4, "pcubics-pog-not-nf")
+    report = invariants(seq, with_schemes=False)
+    calls = counted_syzygy_runs(monkeypatch)
+    bd = bourbaki_data(seq, report)
+    assert bd.ideal_resolution.length == 1
+    assert len(calls) == 2
