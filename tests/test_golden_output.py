@@ -1,8 +1,8 @@
 """Byte-identical CLI reports: `analyze` text and JSON (without its timing)
 for the README pair and the schematic-difference pair, the `analyze` JSON of
 every corpus row over QQ and over GF(32003), and `corpus --verbose` over both
-fields, and `search` at (1, 1), (1, 2) and (1, 3), against outputs recorded
-in tests/golden."""
+fields, and `search` at (0, 2), (1, 1), (1, 2) and (1, 3), against outputs
+recorded in tests/golden."""
 
 import json
 from pathlib import Path
@@ -61,3 +61,9 @@ def test_search_report_beyond_cubic_pencils_is_unchanged(capsys, dg):
     # (1, dg) pairs: the CI checks the installed script against the same files
     argv = ["search", "--df", "1", "--dg", str(dg), "--count", "8", "--seed", "0"]
     assert run(capsys, argv) == (GOLDEN / f"search_1_{dg}.json").read_text()
+
+
+def test_linear_entry_search_report_is_unchanged(capsys):
+    # df = 0: a linear f, whose wedge syzygies have a constant relation
+    argv = ["search", "--df", "0", "--dg", "2", "--count", "8", "--seed", "0"]
+    assert run(capsys, argv) == (GOLDEN / "search_0_2.json").read_text()
