@@ -260,15 +260,17 @@ def _index_reducer(by_comp, terms, order: ModuleOrder):
     return entry
 
 
-def _index_by_comp(vectors, order: ModuleOrder):
-    """Reducer index of the nonzero vectors, in their order."""
-    field = order.ring.field
-    by_comp: dict[int, list] = {}
-    for v in vectors:
-        terms, _ = integer_terms(_vector_to_terms(v, order), field)
-        if terms:
-            _index_reducer(by_comp, _normalize(terms, field), order)
-    return by_comp
+class ReducerIndex(dict):
+    """Reducer entries of nonzero vectors of one module by component, built
+    once; ``normal_form`` adds each nonzero normal form against it."""
+
+    def __init__(self, module: FreeModule, vectors: Sequence[Vector] = ()):
+        self.module, self.order = module, ModuleOrder(module)
+        for v in vectors:
+            if v.module != module:
+                raise ValueError("vector and basis live in different modules")
+            if terms := integer_terms(_vector_to_terms(v, self.order), module.ring.field)[0]:
+                _index_reducer(self, _normalize(terms, module.ring.field), self.order)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +376,8 @@ def _free_hilbert(n: int, degrees, plus=lambda d: 0):
 
 
 def _buchberger_terms(inputs, order: ModuleOrder, span_hilbert=None, up_to=None):
-    """Reduced basis of the submodule the field-valued term lists generate;
-    under an elimination order, its members led in the second block only.
+    """Reduced basis of the span of the field-valued term lists (under an
+    elimination order, its second-block members) and its first-block leads.
 
     With ``span_hilbert``, the Hilbert function of that submodule, pairs are
     skipped by it and it is checked (see the module docstring).  With
@@ -427,7 +429,7 @@ def _buchberger_terms(inputs, order: ModuleOrder, span_hilbert=None, up_to=None)
             covered += 1
     leave_degree()
 
-    return _interreduce_terms(basis, order)
+    return _interreduce_terms(basis, order), [lead for lead in leads if lead[0] < order.split]
 
 
 def _interreduce_terms(entries, order: ModuleOrder):
@@ -483,18 +485,20 @@ def groebner_basis(gens: Sequence[Vector], *, up_to: int | None = None) -> list[
             raise ValueError(f"generator of degree {g.degree} is above up_to = {up_to}")
     order = ModuleOrder(module)
     inputs = [_vector_to_terms(g, order) for g in gens]
-    basis = _buchberger_terms(inputs, order, up_to=up_to)
+    basis, _ = _buchberger_terms(inputs, order, up_to=up_to)
     return [_terms_to_vector(module, order, terms) for terms in basis]
 
 
-def normal_form(v: Vector, basis: Sequence[Vector]) -> Vector:
-    """Normal form of v against a Groebner basis of its parent module."""
-    if any(g.module != v.module for g in basis):
+def normal_form(v: Vector, basis: Sequence[Vector] | ReducerIndex) -> Vector:
+    """Normal form of v against a Groebner basis of its module, or a ReducerIndex it extends."""
+    index = basis if isinstance(basis, ReducerIndex) else ReducerIndex(v.module, basis)
+    if index.module != v.module:
         raise ValueError("vector and basis live in different modules")
-    order = ModuleOrder(v.module)
-    field = v.module.ring.field
+    order, field = index.order, v.module.ring.field
     terms, d = integer_terms(_vector_to_terms(v, order), field)
-    r, s = _normal_form_terms(terms, _index_by_comp(basis, order), order)
+    r, s = _normal_form_terms(terms, index, order)
+    if r:
+        _index_reducer(index, _normalize(r, field), order)
     return _terms_to_vector(v.module, order, _field_values(r, d * s, field))
 
 
@@ -502,11 +506,10 @@ def spoly_reduces_to_zero(basis: Sequence[Vector]) -> bool:
     """Check the Groebner property directly: all S-pairs reduce to zero."""
     if not basis:
         return True
-    order = ModuleOrder(basis[0].module)
-    by_comp = _index_by_comp(basis, order)
+    by_comp = ReducerIndex(basis[0].module, basis)
     for reducers in by_comp.values():
         for a, b in combinations(reducers, 2):
-            if _normal_form_terms(_spair_terms(a, b, order), by_comp, order)[0]:
+            if _normal_form_terms(_spair_terms(a, b, by_comp.order), by_comp, by_comp.order)[0]:
                 return False
     return True
 
@@ -529,14 +532,14 @@ class Submodule:
 # in an extra block of components ordered after the target's.  The members of
 # the basis of the (g_i | t_i) led in the tag block have no target part, so
 # their tags are a basis of {sum r_i t_i : sum r_i g_i = 0}.  The members led
-# in the target block, a basis of the image (g_i), are dropped unbuilt.
+# in the target block, a basis of the image (g_i), are dropped but for their leads.
 # Basis-vector tags give the syzygies, (t | 1) with (g | 0) gives M : t, and
 # (f | f) with (g | 0) gives I cap J.
 
 
-def _eliminate(gens: Sequence[Vector], tags: Sequence[Vector], span_hilbert) -> list[Vector]:
+def _eliminate(gens: Sequence[Vector], tags: Sequence[Vector], span_hilbert):
     """The tag parts of the members led in the tag block of the elimination
-    basis of the (g_i | t_i), as vectors of the tags' module.
+    basis of the (g_i | t_i), and the leads of its members in the target block.
 
     ``span_hilbert``, the span's Hilbert function or None, skips the
     S-pairs that would reduce to zero (see the module docstring).
@@ -552,21 +555,28 @@ def _eliminate(gens: Sequence[Vector], tags: Sequence[Vector], span_hilbert) -> 
         if not v.is_homogeneous():
             raise ValueError("generators must be homogeneous")
         inputs.append(_vector_to_terms(v, order))
-    basis = _buchberger_terms(inputs, order, span_hilbert)
-    return [_terms_to_vector(tag, order, terms, first=k) for terms in basis]
+    basis, leads = _buchberger_terms(inputs, order, span_hilbert)
+    return [_terms_to_vector(tag, order, terms, first=k) for terms in basis], leads
+
+
+def lead_vectors(module: FreeModule, leads) -> list[Vector]:
+    """The distinct (component, packed monomial) leads as monomial vectors of module."""
+    order, one = ModuleOrder(module), module.ring.field.one
+    terms = sorted({order.pack(c, m) for c, m in leads})
+    return [_terms_to_vector(module, order, [(t, one)]) for t in terms]
 
 
 def module_gb_and_syzygies(
     gens: Sequence[Vector], degrees: Sequence[int]
-) -> tuple[FreeModule, list[Vector]]:
+) -> tuple[FreeModule, list[Vector], list[Vector]]:
     """The syzygies of gens from one elimination Groebner run.
 
-    Returns ``(syzygy_module, syzygy_gens)`` where the syzygy module is free
-    on the input generators with twists ``degrees``, each generator's degree
-    (a zero generator's too), so all syzygies are homogeneous.  The
-    basis-vector tags make the span of the (g_i | e_i) free, so pairs are
-    skipped by its Hilbert function.  The elimination builds no image
-    basis; ``groebner_basis(gens)`` gives it.
+    Returns ``(syzygy_module, syzygy_gens, image_leads)``: the syzygy module
+    is free on the input generators with twists ``degrees``, each
+    generator's degree (a zero generator's too), so all syzygies are
+    homogeneous, and the basis-vector tags make the span of the (g_i | e_i)
+    free, so pairs are skipped by its Hilbert function.  No image basis is
+    built; its (component, packed monomial) leads generate in(span of gens).
 
     ``syzygy_basis`` is this function under the name the resolution steps
     call; both names stay while the benchmark traces each as its own span.
@@ -577,7 +587,7 @@ def module_gb_and_syzygies(
         raise ValueError("degree list does not match generators")
     syz_module = FreeModule(gens[0].module.ring, degrees)
     tags = [syz_module.basis_vector(i) for i in range(len(gens))]
-    return syz_module, _eliminate(gens, tags, _free_hilbert(syz_module.ring.nvars, degrees))
+    return (syz_module, *_eliminate(gens, tags, _free_hilbert(syz_module.ring.nvars, degrees)))
 
 
 def syzygy_basis(
@@ -585,8 +595,8 @@ def syzygy_basis(
 ) -> tuple[FreeModule, list[Vector]]:
     """Generators of the syzygy module of the given homogeneous elements: the
     kernel of the map with columns gens from the free module with twists
-    degrees: ``module_gb_and_syzygies`` under a second traced name (see there)."""
-    return module_gb_and_syzygies(gens, degrees)
+    degrees: ``module_gb_and_syzygies`` less its leads, under a second name."""
+    return module_gb_and_syzygies(gens, degrees)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +656,7 @@ def module_colon(mod_gens: Sequence[Vector], target: Vector, image_hilbert=None)
     tag = FreeModule(ring, (target.degree,))
     tags = [tag.basis_vector(0)] + [tag.zero()] * len(mod_gens)
     span = image_hilbert and _free_hilbert(ring.nvars, tag.twists, image_hilbert)
-    colon = _eliminate([target, *mod_gens], tags, span)
+    colon, _ = _eliminate([target, *mod_gens], tags, span)
     return Basis(ring, [v.entries[0] for v in colon])
 
 
@@ -669,11 +679,10 @@ def _colon_last_variable(basis: Basis) -> Basis:
         quotient.append(g)
     if not moved:
         return basis
-    module = _ideal_module(ring)
-    order = ModuleOrder(module)
-    (entries,) = _index_by_comp(_as_vectors(ring, quotient), order).values()
+    index = ReducerIndex(_ideal_module(ring), _as_vectors(ring, quotient))
+    (entries,), order = index.values(), index.order
     reduced = _interreduce_terms(entries, order)
-    return Basis(ring, [_terms_to_vector(module, order, t).entries[0] for t in reduced])
+    return Basis(ring, [_terms_to_vector(index.module, order, t).entries[0] for t in reduced])
 
 
 def ideal_colon(ring, gens: Sequence[Polynomial], h: Polynomial) -> Basis:
@@ -704,7 +713,7 @@ def ideal_intersection(ring, a: Sequence[Polynomial], b: Sequence[Polynomial]) -
     leads = [order.pack(c, p.terms[0][0]) for c, ideal in enumerate((a, b)) for p in ideal]
     a, b = _as_vectors(ring, a), _as_vectors(ring, b)
     zero = _ideal_module(ring).zero()
-    both = _eliminate(a + b, a + [zero] * len(b), lambda d: _covered_terms(leads, d, order))
+    both, _ = _eliminate(a + b, a + [zero] * len(b), lambda d: _covered_terms(leads, d, order))
     return Basis(ring, [v.entries[0] for v in both])
 
 

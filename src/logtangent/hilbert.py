@@ -7,14 +7,14 @@ classical pivot-splitting recursion (Bigatti 1997)
 
     N(R/I) = z^deg(p) * N(R/(I:p)) + N(R/(I+(p)))
 
-with a single variable as pivot, on packed monomials (see :mod:`.poly`):
-the colon sends m to ``m - p + ring.unit`` when ``ring.divides(p, m)``, and
-I is the unit ideal when it holds ``ring.unit``.  Numerators are Laurent
-polynomials in z (twists may be negative) stored as exponent -> coefficient
-dicts; the series is N(z)/(1-z)^n.  Cancelling all (1-z) factors gives the
-pole order, i.e. the Krull dimension of the module, and the degree N(1) of
-its top-dimensional support; a linear Hilbert polynomial is read off the
-reduced numerator.
+with a single variable x_i as pivot, on packed monomials (see :mod:`.poly`):
+x_i | m when its exponent ``~m >> ring.shifts[i] & EXP_MAX`` is nonzero, the
+colon then sends m to ``m - x_i + ring.unit``, and I is the unit ideal when
+it holds ``ring.unit``.  Numerators are Laurent polynomials in z (twists may
+be negative) stored as exponent -> coefficient dicts; the series is
+N(z)/(1-z)^n.  Cancelling all (1-z) factors gives the pole order, i.e. the
+Krull dimension of the module, and the degree N(1) of its top-dimensional
+support; a linear Hilbert polynomial is read off the reduced numerator.
 """
 
 from __future__ import annotations
@@ -26,13 +26,13 @@ from typing import Sequence
 
 from .groebner import ModuleOrder, _as_vectors, ideal_groebner
 from .modules import FreeModule, Vector
-from .poly import Polynomial, monomials_of_degree
+from .poly import EXP_MAX, Polynomial, monomials_of_degree
 
 
 def _minimalize_monomials(gens: set[int], ring) -> frozenset[int]:
-    kept = []
-    for m in sorted(gens):  # ascending, so by degree
-        if not any(ring.divides(k, m) for k in kept):
+    mask, guards, kept = ring.exp_mask, ring.guards, []
+    for m in sorted(gens):  # ascending, so by degree; k | m as in ring.divides
+        if not any(((k & mask | guards) - (m & mask)) & guards == guards for k in kept):
             kept.append(m)
     return frozenset(kept)
 
@@ -48,17 +48,17 @@ def monomial_quotient_numerator(gens: Sequence[int], ring, memo: dict) -> dict[i
     elif ring.unit in key:
         result = {}
     else:
-        pivot = _pick_pivot(key, ring)
-        if pivot is None:
+        i = _pick_pivot(key, ring)
+        if i is None:
             # pairwise-coprime pure powers: product of (1 - z^d)
             result = {0: 1}
             for m in key:
                 d = m >> ring.deg_shift
                 result = _laurent_add(result, {k + d: -v for k, v in result.items()})
         else:
-            divides, step = ring.divides, ring.unit - pivot
-            colon = [m + step if divides(pivot, m) else m for m in key]
-            plus = [m for m in key if not divides(pivot, m)] + [pivot]
+            pivot, s, step = ring.variables[i], ring.shifts[i], ring.unit - ring.variables[i]
+            colon = [m + step if ~m >> s & EXP_MAX else m for m in key]
+            plus = [m for m in key if not ~m >> s & EXP_MAX] + [pivot]
             n_colon = monomial_quotient_numerator(colon, ring, memo)
             n_plus = monomial_quotient_numerator(plus, ring, memo)
             result = _laurent_add(_laurent_shift(n_colon, 1), n_plus)
@@ -67,16 +67,16 @@ def monomial_quotient_numerator(gens: Sequence[int], ring, memo: dict) -> dict[i
 
 
 def _pick_pivot(gens: frozenset[int], ring) -> int | None:
-    """The packed variable dividing the most generators that are not pure
-    powers, the first such; None when every generator is a pure power."""
-    counts = dict.fromkeys(ring.variables, 0)
+    """The index of the variable dividing the most generators that are not
+    pure powers, the first such; None when every generator is a pure power."""
+    counts = [0] * ring.nvars
     for m in gens:
-        support = [x for x in ring.variables if ring.divides(x, m)]
+        support = [i for i, s in enumerate(ring.shifts) if ~m >> s & EXP_MAX]
         if len(support) > 1:
-            for x in support:
-                counts[x] += 1
-    pivot = max(ring.variables, key=counts.get)
-    return pivot if counts[pivot] else None
+            for i in support:
+                counts[i] += 1
+    i = max(range(ring.nvars), key=counts.__getitem__)
+    return i if counts[i] else None
 
 
 def _laurent_add(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import groupby, zip_longest
 from typing import Iterable, Sequence
 
-from .groebner import groebner_basis, normal_form, syzygy_basis
+from .groebner import ReducerIndex, groebner_basis, normal_form, syzygy_basis
 from .modules import FreeModule, Vector, apply_columns
 from .poly import ConsistencyError, Polynomial
 
@@ -40,25 +40,23 @@ def minimal_generators(gens: Sequence[Vector]) -> list[Vector]:
     candidates of lower degree generate, truncated at the top candidate
     degree: a normal form in degree d only meets members of degree at most
     d, so the truncation changes none.  Within degree d the normal form of
-    each kept candidate joins the reducers.  No basis lead divides its terms
-    and its lead differs from those that joined before it, so the reducer
+    each kept candidate joins the basis's ``ReducerIndex``.  No reducer lead
+    divides its terms and its lead differs from those before it, so the
     leads span the initial space of N_d plus the kept candidates of degree
     d.  A candidate's normal form is therefore zero exactly when it lies in
     that space: the normal form is the only span test.
     """
     items = sorted((g for g in gens if not g.is_zero()), key=lambda g: g.degree)
-    top = items[-1].degree if items else None
-    kept: list[Vector] = []
-    reducers: list[Vector] = []
-    in_gb = 0  # how many of kept the basis in reducers was computed from
-    for _, group in groupby(items, key=lambda g: g.degree):
+    if not items:
+        return []
+    kept, top, in_gb = items[:1], items[-1].degree, 1  # kept[:in_gb] is indexed as a basis
+    index = ReducerIndex(items[0].module, kept)
+    for _, group in groupby(items[1:], key=lambda g: g.degree):
         if len(kept) > in_gb:
-            reducers, in_gb = groebner_basis(kept, up_to=top), len(kept)
+            index, in_gb = ReducerIndex(index.module, groebner_basis(kept, up_to=top)), len(kept)
         for g in group:
-            v = normal_form(g, reducers) if reducers else g
-            if not v.is_zero():
+            if not normal_form(g, index).is_zero():  # and so joins the index
                 kept.append(g)
-                reducers.append(v)
     return kept
 
 

@@ -10,12 +10,13 @@ sheaf of the pair, its cokernel the torsion sheaf carrying the m-invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .groebner import Submodule, groebner_basis, minor, module_gb_and_syzygies
-from .hilbert import HilbertData, hilbert_of_quotient
+from .groebner import Submodule, groebner_basis, lead_vectors, minor, module_gb_and_syzygies
+from .hilbert import HilbertData, hilbert_from_numerator, hilbert_of_quotient
 from .linalg import matrix_rank
 from .modules import FreeModule, Vector, apply_columns
-from .poly import ConsistencyError, Polynomial, PolyRing
+from .poly import EXP_MAX, ConsistencyError, Polynomial, PolyRing, integer_terms
 
 NVARS = 4
 
@@ -164,9 +165,29 @@ def constant_kernel_dimension(seq: Sequence) -> int:
     return NVARS - matrix_rank(rows, field)
 
 
+@lru_cache(maxsize=None)
+def _line_power(ring: PolyRing, k: int) -> list:
+    """The integer terms of (x0 + 2*x1 + 3*x2)^k, monomials less ``ring.unit``."""
+    line = ring.poly(zip(ring.variables[:3], map(ring.field.of, (1, 2, 3))))
+    return [(m - ring.unit, c) for m, c in integer_terms((line**k).terms, ring.field)[0]]
+
+
+def plane_section(p: Polynomial) -> Polynomial:
+    """p on the plane x3 = x0 + 2*x1 + 3*x2, in one pass over its terms:
+    c * u * x3^k gives c * u times each term of (x0 + 2*x1 + 3*x2)^k."""
+    ring, shift = p.ring, p.ring.shifts[NVARS - 1]
+    step = (1 << shift) - (1 << ring.deg_shift)  # dividing by x3, as in Polynomial.partial
+    items = []
+    for m, c in p.terms:
+        k = EXP_MAX - ((m >> shift) & EXP_MAX)
+        items += [(m + k * step + q, c * w) for q, w in _line_power(ring, k)]
+    return ring.poly(items)
+
+
 @dataclass
 class JacobianAnalysis:
-    """Shared Groebner data of one sequence: image basis, cokernel series, kernel."""
+    """Shared Groebner data of one sequence; ``image_gb`` is the basis its
+    cokernel series was read from: plane-section basis or image leads."""
 
     target: FreeModule
     columns: list[Vector]
@@ -176,24 +197,33 @@ class JacobianAnalysis:
 
 
 def jacobian_analysis(seq: Sequence) -> JacobianAnalysis:
-    """Image basis, cokernel Hilbert data and kernel K of the Jacobian map;
-    ``invariants`` reads dependence off the cokernel's series.
+    """Cokernel Hilbert data and kernel K of the Jacobian map; ``invariants``
+    reads dependence off the cokernel's series.
 
-    Pole order <= 1 means m = 0.  The 2x2 minors then have grade 3, so the
-    Buchsbaum-Rim complex is exact (Eisenbud, Commutative Algebra, A2.10)
-    and the wedge syzygies w_i generate K in degree d.  A linear entry h
-    gives the constant relation sum_i (dh/dx_i) w_i = 0, so K_d has rank 4
-    less the number of linear entries.  Otherwise one elimination gives K.
+    M/lM of finite length, l = x3 - x0 - 2*x1 - 3*x2, gives dim M <= 1 and
+    m = 0.  If the columns on l = 0 (``plane_section``) show it, ``image_gb``
+    is their basis and, the 2x2 minors having grade 3, the Buchsbaum-Rim
+    complex 0 -> R(-d-df) + R(-d-dg) -> R(-d)^4 -> K -> 0 gives the series
+    (Eisenbud, Commutative Algebra, A2.10); else it is read off ``image_gb``,
+    the image leads of the elimination that gives K (in the source's twists).
+    Pole order <= 1 takes K from the wedges w_i, which generate it in degree
+    d; a linear entry h gives the relation sum_i (dh/dx_i) w_i = 0.
     """
     columns, target, source = seq.jacobian_columns(), seq.jacobian_target(), seq.source_module()
-    image_gb = groebner_basis(columns)
-    hq = hilbert_of_quotient(target, image_gb)
+    section = [Vector(target, tuple(map(plane_section, c.entries))) for c in columns]
+    image_gb = groebner_basis(section)
+    if hilbert_of_quotient(target, image_gb).pole_order <= 1:
+        df, dg, d = seq.df, seq.dg, seq.d
+        terms = ((-df, 1), (-dg, 1), (0, -4), (d, 4), (d + df, -1), (d + dg, -1))
+        numerator = {j: n for j, _ in terms if (n := sum(c for i, c in terms if i == j))}
+        hq = hilbert_from_numerator(numerator, NVARS)
+    else:
+        _, syz, leads = module_gb_and_syzygies(columns, degrees=source.twists)
+        image_gb = lead_vectors(target, leads)
+        hq = hilbert_of_quotient(target, image_gb)
     if hq.pole_order <= 1:
         syz = groebner_basis(canonical_syzygies(seq), up_to=seq.d)
         rank = NVARS - (seq.df == 0) - (seq.dg == 0)
         if len(syz) != rank:
             raise ConsistencyError(f"{len(syz)} wedge syzygies span K_d, want {rank}")
-    else:
-        # the syzygies live in a free module with the source's twists
-        _, syz = module_gb_and_syzygies(columns, degrees=source.twists)
     return JacobianAnalysis(target, columns, image_gb, hq, Submodule(source, syz))

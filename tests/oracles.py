@@ -8,8 +8,9 @@ scale, the syzygy elimination that reduces every S-pair, Chern classes by
 Chern-character additivity in fractions, a linear change of coordinates,
 minimal generators whose span test within a degree is a row echelon of
 normal forms, the graded Betti numbers of a cokernel from Koszul
-homology, and a resolution whose Hilbert series comes from a Groebner basis
-of its generators."""
+homology, a resolution whose Hilbert series comes from a Groebner basis
+of its generators, and the Jacobian analysis that reads the cokernel series
+off a Groebner basis of the image."""
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -18,6 +19,7 @@ from itertools import combinations, groupby
 from logtangent.groebner import (
     COMP_MAX,
     ModuleOrder,
+    Submodule,
     _as_vectors,
     _buchberger_terms,
     _ideal_module,
@@ -29,13 +31,16 @@ from logtangent.groebner import (
     ideal_groebner,
     ideal_intersection,
     module_colon,
+    module_gb_and_syzygies,
     normal_form,
     syzygy_basis,
 )
 from logtangent.hilbert import hilbert_of_quotient
 from logtangent.linalg import matrix_rank
 from logtangent.modules import FreeModule, Vector
+from logtangent.poly import ConsistencyError
 from logtangent.resolution import resolve_submodule
+from logtangent.sequences import NVARS, JacobianAnalysis, canonical_syzygies
 
 SATURATION_ROUNDS = 64
 
@@ -201,6 +206,45 @@ def normal_form_by_fractions(v, basis):
     return _terms_to_vector(v.module, order, r)
 
 
+def image_leads(gens):
+    """The leads of the reduced basis of the span of gens under graded TOP
+    order, as monomial vectors by ascending term."""
+    basis = groebner_basis(gens)
+    if not basis:
+        return []
+    module = basis[0].module
+    order = ModuleOrder(module)
+    leads = sorted(
+        max(order.pack(c, p.terms[0][0]) for c, p in enumerate(v.entries) if p.terms)
+        for v in basis
+    )
+    vectors = []
+    for lead in leads:
+        comp, m = order.unpack(lead)
+        entries = [module.ring.zero()] * module.rank
+        entries[comp] = module.ring.poly([(m, module.ring.field.one)])
+        vectors.append(Vector(module, tuple(entries)))
+    return vectors
+
+
+def jacobian_analysis_by_image_basis(seq):
+    """``sequences.jacobian_analysis`` as it read the cokernel series off a
+    Groebner basis of the image, before the plane-section certificate: that
+    basis is ``image_gb``, pole order <= 1 takes the kernel from the wedge
+    syzygies, and otherwise the elimination's syzygies are the kernel."""
+    columns, target, source = seq.jacobian_columns(), seq.jacobian_target(), seq.source_module()
+    image_gb = groebner_basis(columns)
+    hq = hilbert_of_quotient(target, image_gb)
+    if hq.pole_order <= 1:
+        syz = groebner_basis(canonical_syzygies(seq), up_to=seq.d)
+        rank = NVARS - (seq.df == 0) - (seq.dg == 0)
+        if len(syz) != rank:
+            raise ConsistencyError(f"{len(syz)} wedge syzygies span K_d, want {rank}")
+    else:
+        _, syz, _ = module_gb_and_syzygies(columns, degrees=source.twists)
+    return JacobianAnalysis(target, columns, image_gb, hq, Submodule(source, syz))
+
+
 def syzygies_without_skipping(gens, degrees):
     """``module_gb_and_syzygies`` with the Hilbert function withheld, so the
     elimination reduces every S-pair the pair criteria keep."""
@@ -213,8 +257,8 @@ def syzygies_without_skipping(gens, degrees):
         _vector_to_terms(Vector(aug, g.entries + syz_module.basis_vector(i).entries), order)
         for i, g in enumerate(gens)
     ]
-    basis = _buchberger_terms(inputs, order)
-    return syz_module, [_terms_to_vector(syz_module, order, t, first=k) for t in basis]
+    basis, leads = _buchberger_terms(inputs, order)
+    return syz_module, [_terms_to_vector(syz_module, order, t, first=k) for t in basis], leads
 
 
 def chern_classes_by_fractions(df, dg, m, ch3_q):

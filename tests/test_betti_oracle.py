@@ -18,7 +18,7 @@ import pytest
 from logtangent.bourbaki import bourbaki_data
 from logtangent.fields import PrimeField
 from logtangent.fixtures import FIXTURES
-from logtangent.groebner import _as_vectors
+from logtangent.groebner import _as_vectors, groebner_basis
 from logtangent.invariants import invariants
 from logtangent.modules import FreeModule
 from logtangent.poly import PolyRing
@@ -43,7 +43,7 @@ def expected_and_koszul(seq):
     ]
     expected += [()] * (5 - len(expected))
     top = max(j for column in expected for j in column) + 2
-    return expected, koszul_betti(analysis.target, analysis.image_gb, top)
+    return expected, koszul_betti(analysis.target, groebner_basis(analysis.columns), top)
 
 
 def qualifies(seq):

@@ -22,10 +22,10 @@ from logtangent.groebner import (
     COMP_MAX,
     ModuleOrder,
     _field_values,
-    _index_by_comp,
     _normal_form_terms,
     _terms_to_vector,
     _vector_to_terms,
+    ReducerIndex,
     groebner_basis,
     module_gb_and_syzygies,
     normal_form,
@@ -205,8 +205,8 @@ def waiting_case(draw):
 def integer_normal_form(v, reducers):
     """(out, s, d, waits) for the kernel on v's integers over d; waits says
     that no reducer leads in component 2."""
-    order = ModuleOrder(v.module)
-    by_comp = _index_by_comp(reducers, order)
+    by_comp = ReducerIndex(v.module, reducers)
+    order = by_comp.order
     terms, d = integer_terms(_vector_to_terms(v, order), v.module.ring.field)
     out, s = _normal_form_terms(terms, by_comp, order)
     return out, s, d, WAITING not in by_comp
@@ -258,15 +258,15 @@ def test_elimination_returns_tag_led_syzygies_that_map_to_zero(monkeypatch):
     buchberger = groebner._buchberger_terms
 
     def recording(inputs, order, *args, **kwargs):
-        basis = buchberger(inputs, order, *args, **kwargs)
-        recorded.append((order, basis))
-        return basis
+        out = buchberger(inputs, order, *args, **kwargs)
+        recorded.append((order, out[0]))
+        return out
 
     monkeypatch.setattr(groebner, "_buchberger_terms", recording)
     for label, seq in jacobian_cases():
         recorded.clear()
         columns = seq.jacobian_columns()
-        _, syz = module_gb_and_syzygies(columns, seq.source_module().twists)
+        _, syz, _ = module_gb_and_syzygies(columns, seq.source_module().twists)
         ((order, basis),) = recorded
         assert not any(p & order.block_bit for terms in basis for p, _ in terms), label
         assert syz and all(apply_columns(columns, s.entries).is_zero() for s in syz), label

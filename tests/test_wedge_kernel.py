@@ -3,7 +3,8 @@
 When the Jacobian cokernel has pole order at most 1 (m = 0), the ideal of
 2x2 minors has grade 3, the Buchsbaum-Rim complex is exact, and
 ``jacobian_analysis`` takes the kernel K from the reduced basis of the four
-wedge syzygies instead of the elimination.  The elimination stays the
+wedge syzygies instead of the elimination, which runs only when the
+plane-section certificate of m = 0 fails.  The elimination stays the
 oracle: its syzygies, minimalized, must be the same vectors in the same
 order, and both must resolve to the same complex.
 """
@@ -14,12 +15,13 @@ import logtangent.sequences as sequences
 from logtangent.fields import QQ, PrimeField
 from logtangent.fixtures import FIXTURES
 from logtangent.groebner import groebner_basis, module_gb_and_syzygies
-from logtangent.hilbert import linear_hilbert_polynomial
+from logtangent.hilbert import hilbert_of_quotient, linear_hilbert_polynomial
+from logtangent.modules import Vector
 from logtangent.invariants import invariants
 from logtangent.poly import ConsistencyError, PolyRing
 from logtangent.resolution import minimal_generators
 from logtangent.search import sample_pair
-from logtangent.sequences import Sequence, canonical_syzygies, jacobian_analysis
+from logtangent.sequences import Sequence, canonical_syzygies, jacobian_analysis, plane_section
 
 from oracles import resolve_by_groebner
 
@@ -28,7 +30,7 @@ FIELDS = [pytest.param(QQ, id="QQ"), pytest.param(PrimeField(32003), id="GF32003
 
 
 def elimination_syzygies(analysis):
-    _, syz = module_gb_and_syzygies(analysis.columns, degrees=(0,) * 4)
+    _, syz, _ = module_gb_and_syzygies(analysis.columns, degrees=(0,) * 4)
     return syz
 
 
@@ -77,13 +79,18 @@ def test_corpus_rows_take_the_path_their_m_gives(monkeypatch, field):
         returned.clear()
         analysis = jacobian_analysis(seq)
         m, _ = linear_hilbert_polynomial(analysis.cokernel_hilbert)
+        # the elimination runs exactly when the plane-section certificate fails
+        target = seq.jacobian_target()
+        section = [Vector(target, tuple(map(plane_section, c.entries))) for c in analysis.columns]
+        certified = hilbert_of_quotient(target, groebner_basis(section)).pole_order <= 1
+        assert len(returned) == (not certified), fx.name
         if m == 0:
+            # certified or not, an m = 0 kernel comes from the wedges
             wedge_rows.append(fx.name)
-            assert returned == [], fx.name
             want = groebner_basis(canonical_syzygies(seq), up_to=seq.d)
             assert list(analysis.kernel.gens) == want, fx.name
         else:
-            assert len(returned) == 1, fx.name
+            assert not certified, fx.name
             want = [s for s in returned[0] if not s.is_zero()]
             assert list(analysis.kernel.gens) == want, fx.name
     assert wedge_rows == ["pencils-cubics-genericpencil"]
