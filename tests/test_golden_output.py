@@ -1,5 +1,6 @@
 """Byte-identical CLI reports: `analyze` text and JSON (without its timing)
-for the README pair and the schematic-difference pair, the `analyze` JSON of
+for the README pair, the schematic-difference pair and a pair with exactly
+one gradient row a regular sequence (over QQ and GF(32003)), the `analyze` JSON of
 every corpus row over QQ and over GF(32003), and `corpus --verbose` over both
 fields, and `search` at (0, 2), (1, 1), (1, 2) and (1, 3), against outputs
 recorded in tests/golden."""
@@ -15,10 +16,14 @@ from logtangent.fixtures import FIXTURES
 GOLDEN = Path(__file__).parent / "golden"
 README = ["--f", "x0^2+x3^2", "--g", "x0^3+x0*x1*x2+x3^3"]
 SCHEMATIC = ["--f", "2*x1*x3 - x1^2", "--g", "3*x2*x3^2 - 3*x0*x1*x3 + x1^3"]
+# the gradient of g is a regular sequence and that of f is not
+MIXED = ["--f", "x0^2+x1^2+x2^2", "--g", "x0^3+x1^3+x2^3+x3^3"]
 ANALYZE = {
     "readme": README,
     "schematic_qq": SCHEMATIC,
     "schematic_fp": [*SCHEMATIC, "--field", "fp:32003"],
+    "mixed_qq": MIXED,
+    "mixed_fp": [*MIXED, "--field", "fp:32003"],
 }
 
 
