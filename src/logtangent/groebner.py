@@ -55,7 +55,13 @@ the given order, so neither rule changes an output.
 The ideal layer returns each basis as a canonical :class:`Basis`, which
 ``ideal_groebner`` hands back as it is and I cap I returns, so no basis is
 reduced twice.  As grevlex puts x_{n-1} last, I : x_{n-1} is read off a
-Basis (Bayer & Stillman 1987); every other colon is the tagged elimination.
+Basis (Bayer & Stillman 1987).  The annihilator of a rank-two cokernel
+with rows a and b has the colon im : e_0 = a . Syz(b) in closed form when
+b is a regular sequence or generates the unit ideal: Syz(b) is then
+spanned by the Koszul relations (Eisenbud, Commutative Algebra, Cor.
+17.5), so the colon is Fitt_0, the ideal of 2 x 2 minors, whose Basis the
+caller hands in; likewise im : e_1 with a.  Every other colon is the tagged
+elimination.
 """
 
 from __future__ import annotations
@@ -778,21 +784,56 @@ def fitting_ideal_0(matrix: Sequence[Sequence[Polynomial]]) -> list[Polynomial]:
     return out
 
 
+def _koszul_exact(ring, row: Sequence[Polynomial]) -> bool:
+    """Whether the syzygies of the forms in row are spanned by its Koszul
+    relations r_j e_i - r_i e_j.
+
+    They are when row generates the unit ideal, as forms do when one is a
+    nonzero constant, or is a regular sequence (Eisenbud, Commutative
+    Algebra, Cor. 17.5).  Forms in n variables are a regular sequence
+    exactly when there are n of them and R/(row) has finite length, that
+    is, when every variable has a pure power among the leads of the ideal's
+    basis; a zero form rules that out before any basis is built.
+    """
+    if any(not p.is_zero() and p.degree == 0 for p in row):
+        return True
+    if len(row) != ring.nvars or any(p.is_zero() for p in row):
+        return False
+    powers = set()
+    for p in ideal_groebner(ring, row):
+        support = [i for i, e in enumerate(ring.unpack(p.terms[0][0])) if e]
+        if len(support) == 1:
+            powers.update(support)
+    return len(powers) == ring.nvars
+
+
 def annihilator_of_cokernel(
-    target: FreeModule, columns: Sequence[Vector], coker_hilbert
+    target: FreeModule, columns: Sequence[Vector], coker_hilbert, fitting: Sequence[Polynomial]
 ) -> Basis:
     """Annihilator ideal of coker(columns) as intersection of colon ideals;
     the unit ideal for a target of rank zero, whose cokernel is zero.
 
-    ``coker_hilbert``, the cokernel's HilbertData, gives the image's
-    Hilbert function H_F - H_coker, by which every colon skips pairs.
-    Equal colons, as on dense pairs, intersect with no elimination.
+    For a target of rank two with rows a and b over the nonzero columns,
+    im : e_0 = a . Syz(b).  When the Koszul relations span Syz(b)
+    (``_koszul_exact``), that is the ideal of the minors a_i b_j - a_j b_i:
+    Fitt_0, given as ``fitting`` (a Basis of the ring is taken as it is).
+    So with e_1 and a.  Every other colon is ``module_colon``, skipping
+    pairs by the image's Hilbert function H_F - H_coker, read off the
+    cokernel's HilbertData ``coker_hilbert``.
+
+    As Fitt_0 lies in Ann, one Fitt_0 colon is already the answer.  The
+    loop still intersects, as the schemes benchmark traces
+    ``ideal_intersection``; two equal Bases pass it with no elimination.
     """
     ring = target.ring
     image = _free_hilbert(ring.nvars, target.twists, lambda d: -coker_hilbert.function_value(d))
     mod_gens = [c for c in columns if not c.is_zero()]
+    rows = [[c.entries[k] for c in mod_gens] for k in range(target.rank)]
     result: Basis | None = None
     for i in range(target.rank):
-        colon = module_colon(mod_gens, target.basis_vector(i), image)
+        if target.rank == 2 and _koszul_exact(ring, rows[1 - i]):
+            colon = ideal_groebner(ring, fitting)
+        else:
+            colon = module_colon(mod_gens, target.basis_vector(i), image)
         result = colon if result is None else ideal_intersection(ring, result, colon)
     return result if result is not None else Basis(ring, [ring.one()])

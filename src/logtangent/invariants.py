@@ -15,7 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .groebner import annihilator_of_cokernel, fitting_ideal_0, ideal_equals, saturate_ideal
+from .groebner import (
+    annihilator_of_cokernel,
+    fitting_ideal_0,
+    ideal_equals,
+    ideal_groebner,
+    saturate_ideal,
+)
 from .hilbert import dimension_degree, linear_hilbert_polynomial
 from .poly import ConsistencyError, Polynomial
 from .resolution import FreeResolution, resolve_submodule
@@ -113,6 +119,8 @@ def invariants(seq: Sequence, with_schemes: bool = True) -> InvariantReport:
     K is resolved against the series of source/K, the image, so Betti numbers
     that disagree with it are a ConsistencyError.
     The Fitting scheme saturates ``fitting_ideal_0`` of the gradient rows.
+    Its Basis is built once and handed to the annihilator too, which takes
+    it as each colon whose other gradient row is a regular sequence.
     Equal schemes have their dimension and degree counted once.
     """
     analysis = jacobian_analysis(seq)
@@ -177,8 +185,9 @@ def invariants(seq: Sequence, with_schemes: bool = True) -> InvariantReport:
 
     if with_schemes:
         ring = seq.ring
-        fitting_sat = saturate_ideal(ring, fitting_ideal_0(seq.gradient_rows()))
-        ann = annihilator_of_cokernel(analysis.target, analysis.columns, hq)
+        fitt0 = ideal_groebner(ring, fitting_ideal_0(seq.gradient_rows()))
+        fitting_sat = saturate_ideal(ring, fitt0)
+        ann = annihilator_of_cokernel(analysis.target, analysis.columns, hq, fitt0)
         ann_sat = saturate_ideal(ring, ann)
         report.schemes_equal = ideal_equals(ring, fitting_sat, ann_sat)
         fitting = dimension_degree(ring, fitting_sat)

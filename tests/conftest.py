@@ -1,9 +1,22 @@
 import sys
+import warnings
 
 import pytest
 
 from logtangent.fields import QQ, PrimeField
 from logtangent.poly import PolyRing
+
+# A failing hypothesis property makes its pytest plugin import the patch
+# writer, which imports libcst, whose mypy_extensions.TypedDict warns
+# DeprecationWarning.  Under -W error that warning, raised inside a pytest
+# hook, ends the run in an INTERNALERROR instead of the falsifying example.
+# Imported once here with the warning ignored, the module stays cached.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture(scope="session")

@@ -26,6 +26,7 @@ from logtangent.groebner import (
     _terms_to_vector,
     _vector_to_terms,
     annihilator_of_cokernel,
+    fitting_ideal_0,
     groebner_basis,
     ideal_colon,
     ideal_groebner,
@@ -131,9 +132,13 @@ def intersection_by_syzygies(ring, a, b):
 
 
 def annihilator(target, columns):
-    """``annihilator_of_cokernel`` given the cokernel series, computed here."""
+    """``annihilator_of_cokernel`` given the cokernel series and the Basis of
+    Fitt_0, both computed here; Fitt_0 of a zero target is the unit ideal."""
+    ring = target.ring
     coker = hilbert_of_quotient(target, groebner_basis(columns))
-    return annihilator_of_cokernel(target, columns, coker)
+    rows = [[c.entries[k] for c in columns] for k in range(target.rank)]
+    fitt0 = ideal_groebner(ring, fitting_ideal_0(rows) if rows else [ring.one()])
+    return annihilator_of_cokernel(target, columns, coker, fitt0)
 
 
 def annihilator_by_colons(target, columns):

@@ -10,6 +10,7 @@ out identical, not merely equivalent.
 """
 
 import importlib
+import random
 
 import pytest
 
@@ -19,7 +20,6 @@ from logtangent.fields import QQ, PrimeField
 from logtangent.fixtures import FIXTURES
 from logtangent.groebner import (
     _free_hilbert,
-    annihilator_of_cokernel,
     groebner_basis,
     ideal_groebner,
     module_colon,
@@ -217,12 +217,23 @@ def test_corpus_colons_and_intersections_match_oracles(monkeypatch, field):
         assert_calls_match_oracles(recorded_pipeline_calls(monkeypatch, seq))
 
 
+def singular_line_pair(ring, df, dg, rng):
+    """f dense of degree df + 1 and g in (x0, x1)^2 of degree dg + 1.  The
+    gradient of g lies in (x0, x1), so it is no regular sequence and the
+    colon by e_0 runs, where a dense pair takes both from the Fitting ideal."""
+    x0, x1 = ring.variable(0), ring.variable(1)
+    f = ring.random_homogeneous(df + 1, rng)
+    a, b, c = (ring.random_homogeneous(dg - 1, rng) for _ in range(3))
+    return Sequence.of(f, x0 * x0 * a + x0 * x1 * b + x1 * x1 * c)
+
+
 @pytest.mark.parametrize("df, dg", [(1, 2), (2, 2)])
 def test_seeded_colons_and_intersections_match_oracles(monkeypatch, df, dg):
     ring = PolyRing(PrimeField(32003), 4)
+    rng = random.Random(11)
     checked = 0
     for index in range(4):
-        seq = Sequence.of(*sample_pair(ring, df, dg, 11, index))
+        seq = singular_line_pair(ring, df, dg, rng)
         try:
             calls = recorded_pipeline_calls(monkeypatch, seq)
         except (DependentSequenceError, NonNormalSequenceError):
@@ -246,12 +257,14 @@ def test_annihilators_of_a_zero_cokernel_and_with_a_zero_column_match_oracle(qq4
 
 
 def test_skip_cuts_the_annihilator_reductions(monkeypatch):
-    # the annihilator of the first schemes input reduces 69 S-pairs, 34
-    # of them to zero, with every pair kept; the skip leaves 36, 1 to zero.
-    # Both are its two colons': they are equal, so the intersection reduces none
+    # the two colons of the first schemes input reduce 69 S-pairs, 34 of
+    # them to zero, with every pair kept; the skip leaves 36, 1 to zero.
+    # The annihilator takes both from the Fitting ideal, as both gradient
+    # rows of a dense pair are regular sequences, so they run here directly
     analysis = schemes_analysis()
-    args = (analysis.target, analysis.columns, analysis.cokernel_hilbert)
-    run = lambda: annihilator_of_cokernel(*args)
+    image = image_hilbert(analysis)
+    targets = [analysis.target.basis_vector(i) for i in range(2)]
+    run = lambda: [module_colon(analysis.columns, t, image) for t in targets]
     unskipped, skipped = (count_reductions(monkeypatch, run, skip) for skip in (False, True))
     assert unskipped == (69, 34)
     assert skipped == (36, 1)
