@@ -2,8 +2,8 @@
 for the README pair, the schematic-difference pair and a pair with exactly
 one gradient row a regular sequence (over QQ and GF(32003)), the `analyze` JSON of
 every corpus row over QQ and over GF(32003), and `corpus --verbose` over both
-fields, and `search` at (0, 2), (1, 1), (1, 2) and (1, 3), against outputs
-recorded in tests/golden."""
+fields, and `search` at (0, 2), (1, 1), (1, 2), (1, 3) and (2, 3), against
+outputs recorded in tests/golden."""
 
 import json
 from pathlib import Path
@@ -72,3 +72,9 @@ def test_linear_entry_search_report_is_unchanged(capsys):
     # df = 0: a linear f, whose wedge syzygies have a constant relation
     argv = ["search", "--df", "0", "--dg", "2", "--count", "8", "--seed", "0"]
     assert run(capsys, argv) == (GOLDEN / "search_0_2.json").read_text()
+
+
+def test_cubic_quartic_search_report_is_unchanged(capsys):
+    # (2, 3): wedge entries of degree 5, a degree the benchmark digests miss
+    argv = ["search", "--df", "2", "--dg", "3", "--count", "8", "--seed", "0"]
+    assert run(capsys, argv) == (GOLDEN / "search_2_3.json").read_text()
