@@ -11,14 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
+from operator import mul
 
 from .groebner import Submodule, groebner_basis, lead_vectors, minor, module_gb_and_syzygies
 from .hilbert import HilbertData, hilbert_from_numerator, hilbert_of_quotient
 from .linalg import matrix_rank
-from .modules import FreeModule, Vector, apply_columns
+from .modules import FreeModule, Vector
 from .poly import EXP_MAX, ConsistencyError, Polynomial, PolyRing, integer_terms
 
 NVARS = 4
+# powers of 2, nonzero mod every odd prime; the exponents 0, 1, 3, 7 have
+# distinct pairwise sums, so no x_i*x_j - x_k*x_l vanishes here over QQ
+CHECK_POINT = (1, 2, 8, 128)
 
 
 class DependentSequenceError(ValueError):
@@ -124,9 +129,17 @@ def canonical_syzygies(seq: Sequence) -> list[Vector]:
     Vector i has a zero in slot i and the signed minors m[j,k] of the
     gradient rows on the other columns (``groebner.minor``), arranged so
     that pairing with either gradient row is a 3x3 determinant with a
-    repeated row.  Every minor sits in some vector, so all four are zero
-    exactly when the pair is dependent (DependentSequenceError); otherwise
-    they bound the initial degree of the syzygy module by d.
+    repeated row.  That determinant vanishes for every matrix, so only the
+    arrangement can go wrong, and it is checked at ``CHECK_POINT`` =
+    (1, 2, 8, 128): both pairings of each vector, evaluated there in the
+    field, must be 0, else ConsistencyError.  A wrong arrangement pairs to a
+    nonzero polynomial of degree at most d + dg, which vanishes at a random
+    point of GF(p)^4 with probability at most (d + dg)/p (Schwartz-Zippel);
+    here the point is fixed and the random pairs of ``search`` supply the
+    chance.  The tests pin the full polynomial identity.  Every minor sits in
+    some vector, so all four are zero exactly when the pair is dependent
+    (DependentSequenceError); otherwise they bound the initial degree of the
+    syzygy module by d.
     """
     rows = seq.gradient_rows()
     m = {(i, j): minor(rows, (0, 1), (i, j)) for j in range(NVARS) for i in range(j)}
@@ -141,11 +154,34 @@ def canonical_syzygies(seq: Sequence) -> list[Vector]:
     ]
     if all(v.is_zero() for v in vectors):
         raise DependentSequenceError("all Jacobian minors vanish")
-    columns = seq.jacobian_columns()
+    reduce = seq.ring.field.reduce
+    at_rows = [[_at_check_point(p) for p in row] for row in rows]
     for v in vectors:
-        if not v.is_zero() and not apply_columns(columns, v.entries).is_zero():
+        at_v = [_at_check_point(p) for p in v.entries]
+        if any(reduce(sum(map(mul, row, at_v))) for row in at_rows):
             raise ConsistencyError("wedge syzygy failed to annihilate the Jacobian")
     return vectors
+
+
+@lru_cache(maxsize=None)
+def _check_point_values(ring: PolyRing) -> dict:
+    """Field values at ``CHECK_POINT`` of the monomials met so far, keyed by
+    packed monomial and filled by ``_at_check_point``."""
+    return {}
+
+
+def _at_check_point(p: Polynomial):
+    """p at ``CHECK_POINT``, in its field: one lookup and one multiply-add per term."""
+    ring = p.ring
+    values, field = _check_point_values(ring), ring.field
+    terms, s = integer_terms(p.terms, field)
+    acc = 0
+    for m, c in terms:
+        v = values.get(m)
+        if v is None:
+            v = values[m] = field.reduce(prod(map(pow, CHECK_POINT, ring.unpack(m))))
+        acc += c * v
+    return field.of(acc, s)
 
 
 def constant_kernel_dimension(seq: Sequence) -> int:

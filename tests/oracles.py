@@ -6,7 +6,7 @@ module, the annihilator from colons that reduce every S-pair, the normal
 form that combines field values directly instead of integers over one
 scale, the syzygy elimination that reduces every S-pair, Chern classes by
 Chern-character additivity in fractions, a linear change of coordinates,
-minimal generators whose span test within a degree is a row echelon of
+a polynomial's value at a point by substituting into each term, minimal generators whose span test within a degree is a row echelon of
 normal forms, the graded Betti numbers of a cokernel from Koszul
 homology, a resolution whose Hilbert series comes from a Groebner basis
 of its generators, and the Jacobian analysis that reads the cokernel series
@@ -292,6 +292,18 @@ def compose_linear(p, matrix):
                 term = term * image**k
         out = out + term
     return out
+
+
+def evaluate_by_substitution(p, point):
+    """p at an integer point, read in p's field: each term's exponents from
+    ``ring.unpack``, the sum exact in fractions."""
+    total = Fraction(0)
+    for m, c in p.terms:
+        value = Fraction(c)
+        for x, k in zip(point, p.ring.unpack(m)):
+            value *= x**k
+        total += value
+    return p.ring.field.of(total.numerator, total.denominator)
 
 
 def _extends_span(pivots, row, field):

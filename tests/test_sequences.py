@@ -1,16 +1,20 @@
 """Sequence construction, Jacobian data, wedge syzygies, normality."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from logtangent.fields import PrimeField
+import logtangent.sequences as sequences
+from logtangent.fields import QQ, PrimeField
 from logtangent.groebner import fitting_ideal_0, groebner_basis, normal_form
 from logtangent.hilbert import dimension_degree
 from logtangent.modules import apply_columns
 from logtangent.poly import ConsistencyError, PolyRing
+from logtangent.search import sample_pair
 from logtangent.sequences import (
+    CHECK_POINT,
     DependentSequenceError,
     Sequence,
     SmallCharacteristicError,
@@ -18,6 +22,7 @@ from logtangent.sequences import (
     constant_kernel_dimension,
     jacobian_analysis,
 )
+from oracles import evaluate_by_substitution
 
 
 def jacobian_scheme_dim(seq):
@@ -95,33 +100,101 @@ def test_wedge_syzygies_of_linear_pair(qq4):
     assert [str(p) for p in nu[3].entries] == ["0", "0", "1", "0"]
 
 
-def test_wedge_syzygies_annihilate_random_pairs(fp4):
+def corrupt_minor(monkeypatch, cols, change):
+    """Make ``canonical_syzygies`` build its vectors from change(m) in place
+    of the minor m on the given gradient columns."""
+    real = sequences.minor
+
+    def minor(matrix, rows, cs):
+        m = real(matrix, rows, cs)
+        return change(m) if tuple(cs) == cols else m
+
+    monkeypatch.setattr(sequences, "minor", minor)
+
+
+def corrupt_wedge(monkeypatch, index, slot, change):
+    """Make ``canonical_syzygies`` return change(e) in place of entry e in
+    the given slot of its vector number ``index``."""
+    real, built = sequences.Vector, []
+
+    def vector(module, entries):
+        if len(built) == index:
+            entries = (*entries[:slot], change(entries[slot]), *entries[slot + 1 :])
+        built.append(entries)
+        return real(module, entries)
+
+    monkeypatch.setattr(sequences, "Vector", vector)
+
+
+def test_wedge_syzygies_annihilate_random_pairs(qq4, fp4, monkeypatch):
     rng = random.Random(808)
-    checked = 0
-    for _ in range(50):
-        f = fp4.random_homogeneous(rng.randint(1, 3), rng)
-        g = fp4.random_homogeneous(rng.randint(1, 3), rng)
-        if f.is_zero() or g.is_zero():
-            continue
-        seq = Sequence.of(f, g)
-        if not fitting_ideal_0(seq.gradient_rows()):
-            continue
+    seqs = []
+    for ring in (fp4, qq4):
+        for _ in range(50):
+            f = ring.random_homogeneous(rng.randint(1, 3), rng)
+            g = ring.random_homogeneous(rng.randint(1, 3), rng)
+            if f.is_zero() or g.is_zero():
+                continue
+            seq = Sequence.of(f, g)
+            if fitting_ideal_0(seq.gradient_rows()):
+                seqs.append(seq)
+    assert len(seqs) >= 80
+    shapes = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)]
+    sampled = [Sequence.of(*sample_pair(fp4, *shape, 808, i)) for shape in shapes for i in range(3)]
+    for seq in seqs + sampled:
         columns = seq.jacobian_columns()
         for v in canonical_syzygies(seq):
             assert apply_columns(columns, v.entries).is_zero()
             if not v.is_zero():
                 assert v.degree == seq.d
-        checked += 1
-    assert checked >= 40
+    # one coefficient of one wedge entry moved by 1
+    for seq in sampled:
+        vectors = canonical_syzygies(seq)
+        index, slot = rng.choice([(i, k) for i in range(4) for k in range(4) if i != k])
+        mono = rng.choice(vectors[index].entries[slot].terms)[0]
+        with monkeypatch.context() as patch:
+            corrupt_wedge(patch, index, slot, lambda e: e + fp4.poly([(mono, 1)]))
+            with pytest.raises(ConsistencyError):
+                canonical_syzygies(seq)
 
 
 def test_wedge_syzygy_check_raises_on_failure(qq4, monkeypatch):
-    import logtangent.sequences as sequences
-
     seq = Sequence.parse(qq4, "x0*x1", "x3*x2*(x0 - x1)")
-    monkeypatch.setattr(sequences, "apply_columns", lambda columns, coeffs: columns[0])
+    canonical_syzygies(seq)
+    # a term added to the (1, 2) minor, which two vectors hold
+    with monkeypatch.context() as patch:
+        corrupt_minor(patch, (1, 2), lambda m: m + qq4.variable(0) ** m.degree)
+        with pytest.raises(ConsistencyError):
+            canonical_syzygies(seq)
+    # one sign flipped in the arrangement: -m[1,3] in the first vector as +m[1,3]
+    corrupt_wedge(monkeypatch, 0, 2, lambda e: -e)
     with pytest.raises(ConsistencyError):
         canonical_syzygies(seq)
+
+
+def test_check_point_survives_every_odd_prime():
+    # a power of 2 is nonzero mod every odd prime
+    assert all(x > 0 and x & (x - 1) == 0 for x in CHECK_POINT)
+    assert all(x % p for x in CHECK_POINT for p in (3, 5, 7))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(7), PrimeField(32003)], ids=repr)
+def test_check_point_evaluation_matches_substitution(field):
+    ring, rng = PolyRing(field, 4), random.Random(2718)
+    p, degrees = field.characteristic, set()
+    for top in (0, 1, 5, 40, 255):
+        for _ in range(6):
+            items = []
+            for _ in range(rng.randint(1, 12)):
+                d = rng.randint(0, top) if items else top
+                cuts = sorted(rng.randint(0, d) for _ in range(3))
+                exps = (cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1], d - cuts[2])
+                c = rng.randrange(p) if p else Fraction(rng.randint(-99, 99), rng.randint(1, 12))
+                items.append((ring.pack(exps), field.of(c)))
+            poly = ring.poly(items)
+            degrees.add(poly.degree)
+            assert sequences._at_check_point(poly) == evaluate_by_substitution(poly, CHECK_POINT)
+    assert 255 in degrees
 
 
 def test_minor_antisymmetry_data(qq4):
