@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .groebner import (
     annihilator_of_cokernel,
-    fitting_ideal_0,
     ideal_equals,
     ideal_groebner,
     saturate_ideal,
@@ -118,7 +117,7 @@ def invariants(seq: Sequence, with_schemes: bool = True) -> InvariantReport:
     divisor degree) when the Jacobian scheme has a codimension-one component.
     K is resolved against the series of source/K, the image, so Betti numbers
     that disagree with it are a ConsistencyError.
-    The Fitting scheme saturates ``fitting_ideal_0`` of the gradient rows.
+    The Fitting scheme saturates Fitt_0, the nonzero values of ``seq.minors``.
     Its Basis is built once and handed to the annihilator too, which takes
     it as each colon whose other gradient row is a regular sequence.
     Equal schemes have their dimension and degree counted once.
@@ -134,7 +133,7 @@ def invariants(seq: Sequence, with_schemes: bool = True) -> InvariantReport:
     ch3_q = b - 2 * m
 
     # source/K is the image of the Jacobian map: the target less the cokernel
-    image = [(a, 1) for a in analysis.target.twists] + [(j, -c) for j, c in hq.numerator]
+    image = [(a, 1) for a in seq.jacobian_target().twists] + [(j, -c) for j, c in hq.numerator]
     res = resolve_submodule(analysis.kernel.module, analysis.kernel.gens, image)
     # nonempty: K has rank 2, so an empty resolution fails the series identity
     exponents = res.betti().exponents
@@ -185,9 +184,9 @@ def invariants(seq: Sequence, with_schemes: bool = True) -> InvariantReport:
 
     if with_schemes:
         ring = seq.ring
-        fitt0 = ideal_groebner(ring, fitting_ideal_0(seq.gradient_rows()))
+        fitt0 = ideal_groebner(ring, [p for p in seq.minors.values() if not p.is_zero()])
         fitting_sat = saturate_ideal(ring, fitt0)
-        ann = annihilator_of_cokernel(analysis.target, analysis.columns, hq, fitt0)
+        ann = annihilator_of_cokernel(seq.jacobian_target(), seq.jacobian_columns, hq, fitt0)
         ann_sat = saturate_ideal(ring, ann)
         report.schemes_equal = ideal_equals(ring, fitting_sat, ann_sat)
         fitting = dimension_degree(ring, fitting_sat)

@@ -179,7 +179,7 @@ def run_search(
     workers = min(jobs, count)
     if workers > 1:
         with Pool(workers) as pool:
-            rows = pool.map(analyze_sample, tasks, chunksize=8)
+            rows = pool.map(analyze_sample, tasks)
     else:
         rows = [analyze_sample(t) for t in tasks]
     rows.sort(key=lambda r: r.index)

@@ -10,7 +10,8 @@ sheaf of the pair, its cokernel the torsion sheaf carrying the m-invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations
 from math import prod
 from operator import mul
 
@@ -56,7 +57,8 @@ def check_characteristic(p: int, degree: int) -> None:
 
 @dataclass(frozen=True)
 class Sequence:
-    """Normalized pair (f, g) with deg f <= deg g."""
+    """Normalized pair (f, g) with deg f <= deg g.  Its Jacobian is built on
+    first use and kept; equality, hashing and ``repr`` see only f and g."""
 
     f: Polynomial
     g: Polynomial
@@ -106,18 +108,23 @@ class Sequence:
     def m0(self) -> int:
         return self.df**2 + self.dg**2 + self.df * self.dg
 
-    def gradient_rows(self) -> list[list[Polynomial]]:
-        return [
-            [self.f.partial(j) for j in range(NVARS)],
-            [self.g.partial(j) for j in range(NVARS)],
-        ]
+    @cached_property
+    def gradient_rows(self) -> tuple[tuple[Polynomial, ...], ...]:
+        return tuple(tuple(p.partial(j) for j in range(NVARS)) for p in (self.f, self.g))
+
+    @cached_property
+    def jacobian_columns(self) -> tuple[Vector, ...]:
+        target = self.jacobian_target()
+        return tuple(Vector(target, column) for column in zip(*self.gradient_rows))
+
+    @cached_property
+    def minors(self) -> dict[tuple[int, int], Polynomial]:
+        """The 2x2 minors by column pair, in ``fitting_ideal_0``'s order."""
+        rows = self.gradient_rows
+        return {pair: minor(rows, (0, 1), pair) for pair in combinations(range(NVARS), 2)}
 
     def jacobian_target(self) -> FreeModule:
         return FreeModule(self.ring, (-self.df, -self.dg))
-
-    def jacobian_columns(self) -> list[Vector]:
-        target = self.jacobian_target()
-        return [Vector(target, column) for column in zip(*self.gradient_rows())]
 
     def source_module(self) -> FreeModule:
         return FreeModule(self.ring, (0,) * NVARS)
@@ -141,10 +148,8 @@ def canonical_syzygies(seq: Sequence) -> list[Vector]:
     (DependentSequenceError); otherwise they bound the initial degree of the
     syzygy module by d.
     """
-    rows = seq.gradient_rows()
-    m = {(i, j): minor(rows, (0, 1), (i, j)) for j in range(NVARS) for i in range(j)}
-    zero = seq.ring.zero()
-    source = seq.source_module()
+    rows, m = seq.gradient_rows, seq.minors
+    zero, source = seq.ring.zero(), seq.source_module()
 
     vectors = [
         Vector(source, (zero, m[2, 3], -m[1, 3], m[1, 2])),
@@ -192,12 +197,10 @@ def constant_kernel_dimension(seq: Sequence) -> int:
     """
     field = seq.ring.field
     rows = []
-    for grad in seq.gradient_rows():
+    for grad in seq.gradient_rows:
         coeffs = [dict(p.terms) for p in grad]
         for mono in sorted({m for c in coeffs for m in c}):
             rows.append([c.get(mono, field.zero) for c in coeffs])
-    if not rows:
-        return NVARS
     return NVARS - matrix_rank(rows, field)
 
 
@@ -225,8 +228,6 @@ class JacobianAnalysis:
     """Shared Groebner data of one sequence; ``image_gb`` is the basis its
     cokernel series was read from: plane-section basis or image leads."""
 
-    target: FreeModule
-    columns: list[Vector]
     image_gb: list[Vector]
     cokernel_hilbert: HilbertData
     kernel: Submodule
@@ -245,7 +246,7 @@ def jacobian_analysis(seq: Sequence) -> JacobianAnalysis:
     Pole order <= 1 takes K from the wedges w_i, which generate it in degree
     d; a linear entry h gives the relation sum_i (dh/dx_i) w_i = 0.
     """
-    columns, target, source = seq.jacobian_columns(), seq.jacobian_target(), seq.source_module()
+    columns, target, source = seq.jacobian_columns, seq.jacobian_target(), seq.source_module()
     section = [Vector(target, tuple(map(plane_section, c.entries))) for c in columns]
     image_gb = groebner_basis(section)
     if hilbert_of_quotient(target, image_gb).pole_order <= 1:
@@ -262,4 +263,4 @@ def jacobian_analysis(seq: Sequence) -> JacobianAnalysis:
         rank = NVARS - (seq.df == 0) - (seq.dg == 0)
         if len(syz) != rank:
             raise ConsistencyError(f"{len(syz)} wedge syzygies span K_d, want {rank}")
-    return JacobianAnalysis(target, columns, image_gb, hq, Submodule(source, syz))
+    return JacobianAnalysis(image_gb, hq, Submodule(source, syz))

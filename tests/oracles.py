@@ -237,7 +237,7 @@ def jacobian_analysis_by_image_basis(seq):
     Groebner basis of the image, before the plane-section certificate: that
     basis is ``image_gb``, pole order <= 1 takes the kernel from the wedge
     syzygies, and otherwise the elimination's syzygies are the kernel."""
-    columns, target, source = seq.jacobian_columns(), seq.jacobian_target(), seq.source_module()
+    columns, target, source = seq.jacobian_columns, seq.jacobian_target(), seq.source_module()
     image_gb = groebner_basis(columns)
     hq = hilbert_of_quotient(target, image_gb)
     if hq.pole_order <= 1:
@@ -247,7 +247,7 @@ def jacobian_analysis_by_image_basis(seq):
             raise ConsistencyError(f"{len(syz)} wedge syzygies span K_d, want {rank}")
     else:
         _, syz, _ = module_gb_and_syzygies(columns, degrees=source.twists)
-    return JacobianAnalysis(target, columns, image_gb, hq, Submodule(source, syz))
+    return JacobianAnalysis(image_gb, hq, Submodule(source, syz))
 
 
 def syzygies_without_skipping(gens, degrees):

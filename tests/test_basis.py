@@ -73,8 +73,8 @@ def check_read_off(monkeypatch, ring, gens):
 def corpus_ideals(ring):
     for fx in FIXTURES:
         seq = Sequence.parse(ring, fx.f, fx.g)
-        minors = fitting_ideal_0(seq.gradient_rows())
-        ann = annihilator(seq.jacobian_target(), seq.jacobian_columns())
+        minors = fitting_ideal_0(seq.gradient_rows)
+        ann = annihilator(seq.jacobian_target(), seq.jacobian_columns)
         yield fx.name, minors, ann
 
 

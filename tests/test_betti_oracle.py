@@ -23,7 +23,7 @@ from logtangent.invariants import invariants
 from logtangent.modules import FreeModule
 from logtangent.poly import PolyRing
 from logtangent.search import sample_pair
-from logtangent.sequences import Sequence, constant_kernel_dimension, jacobian_analysis
+from logtangent.sequences import Sequence, constant_kernel_dimension
 
 from oracles import koszul_betti
 
@@ -35,15 +35,15 @@ def expected_and_koszul(seq):
     2 past the largest twist."""
     report = invariants(seq, with_schemes=False)
     assert report.h0 == 0
-    analysis = jacobian_analysis(seq)
+    target = seq.jacobian_target()
     expected = [
-        tuple(sorted(analysis.target.twists)),
+        tuple(sorted(target.twists)),
         (0,) * 4,
         *report.resolution.betti().columns,
     ]
     expected += [()] * (5 - len(expected))
     top = max(j for column in expected for j in column) + 2
-    return expected, koszul_betti(analysis.target, groebner_basis(analysis.columns), top)
+    return expected, koszul_betti(target, groebner_basis(seq.jacobian_columns), top)
 
 
 def qualifies(seq):

@@ -295,10 +295,11 @@ def test_search_rejects_negative_degree(capsys, no_sampling):
 def test_search_starts_no_more_workers_than_samples(monkeypatch):
     import logtangent.search as search_mod
 
-    sizes = []
+    sizes, chunks = [], []
 
     class RecordingPool:
-        """Records its size and maps in this process: no worker is started."""
+        """Records its size and the chunk size each map is given, and maps in
+        this process: no worker is started."""
 
         def __init__(self, processes):
             sizes.append(processes)
@@ -309,7 +310,8 @@ def test_search_starts_no_more_workers_than_samples(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, func, tasks, chunksize=1):
+        def map(self, func, tasks, chunksize=None):
+            chunks.append((sizes[-1], len(tasks), chunksize))
             return [func(t) for t in tasks]
 
     serial = search_mod.run_search(df=1, dg=2, count=3, seed=5, jobs=1)
@@ -320,6 +322,14 @@ def test_search_starts_no_more_workers_than_samples(monkeypatch):
     search_mod.run_search(df=1, dg=2, count=3, seed=5, jobs=2)
     search_mod.run_search(df=1, dg=2, count=1, seed=5, jobs=8)
     assert sizes == [3, 2]
+    for count, jobs in [(8, 2), (8, 3), (16, 4)]:
+        search_mod.run_search(df=0, dg=1, count=count, seed=5, jobs=jobs)
+    # Pool.map's default chunk size is ceil(len / (4 * workers)), so every
+    # started worker can get a chunk
+    for workers, n, chunksize in chunks:
+        size = chunksize or -(-n // (4 * workers))
+        assert -(-n // size) >= workers, (workers, n, chunksize)
+    assert len(chunks) == 5
 
 
 def test_search_rejects_composite_modulus(capsys, no_sampling):

@@ -46,13 +46,13 @@ def test_corpus_colons_and_intersections_match_reference(field):
     m = [ring.variable(i) for i in range(4)]
     for fx in FIXTURES:
         seq = Sequence.parse(ring, fx.f, fx.g)
-        minors = fitting_ideal_0(seq.gradient_rows())
+        minors = fitting_ideal_0(seq.gradient_rows)
         for x in m:
             check_ideal_colon(ring, minors, x)
         check_intersection(ring, minors, m[1:])
         # the annihilator's inputs: rank-2 colons of the columns, twisted by -df, -dg
         target = seq.jacobian_target()
-        columns = [c for c in seq.jacobian_columns() if not c.is_zero()]
+        columns = [c for c in seq.jacobian_columns if not c.is_zero()]
         colons = []
         for i in range(target.rank):
             e = target.basis_vector(i)
@@ -86,7 +86,7 @@ def test_eliminations_build_a_vector_only_per_returned_member(monkeypatch, field
     (fx,) = [fx for fx in FIXTURES if fx.name == "schematic-difference"]
     assert fx.m > 0
     seq = Sequence.parse(ring, fx.f, fx.g)
-    columns = [c for c in seq.jacobian_columns() if not c.is_zero()]
+    columns = [c for c in seq.jacobian_columns if not c.is_zero()]
     members(lambda: syzygy_basis(columns, degrees=[c.degree for c in columns])[1])
     target = seq.jacobian_target()
     colons = [
@@ -95,7 +95,7 @@ def test_eliminations_build_a_vector_only_per_returned_member(monkeypatch, field
     ]
     # the two colons are equal, and intersect with no elimination; the
     # Fitting ideal's basis differs from them, so that intersection eliminates
-    fitting = ideal_groebner(ring, fitting_ideal_0(seq.gradient_rows()))
+    fitting = ideal_groebner(ring, fitting_ideal_0(seq.gradient_rows))
     assert colons[0] == colons[1] != fitting
     members(lambda: ideal_intersection(ring, colons[0], fitting))
 

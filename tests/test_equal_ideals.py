@@ -13,7 +13,7 @@ from logtangent.groebner import ideal_groebner, ideal_intersection, module_colon
 from logtangent.hilbert import dimension_degree
 from logtangent.poly import PolyRing
 from logtangent.search import sample_pair
-from logtangent.sequences import Sequence, jacobian_analysis
+from logtangent.sequences import Sequence
 from oracles import intersection_by_syzygies
 
 FIELDS = [pytest.param(QQ, id="QQ"), pytest.param(PrimeField(32003), id="GF32003")]
@@ -29,9 +29,9 @@ def schemes_pair(ring):
 @pytest.mark.parametrize("field", FIELDS)
 def test_equal_bases_intersect_without_elimination(monkeypatch, field):
     ring = PolyRing(field, 4)
-    analysis = jacobian_analysis(schemes_pair(ring))
-    columns = [c for c in analysis.columns if not c.is_zero()]
-    target = analysis.target
+    seq = schemes_pair(ring)
+    columns = [c for c in seq.jacobian_columns if not c.is_zero()]
+    target = seq.jacobian_target()
     colons = [module_colon(columns, target.basis_vector(i)) for i in range(target.rank)]
     assert colons[0] == colons[1] and colons[0] is not colons[1]
     expected = ideal_groebner(ring, intersection_by_syzygies(ring, *colons))

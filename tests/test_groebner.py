@@ -136,7 +136,7 @@ def test_syzygy_of_single_generator_is_zero(qq4):
 def test_pair_jacobian_syzygy_membership(qq4):
     # the displayed degree-one syzygy (x3, 0, x1, 0) of the worked example
     seq = Sequence.parse(qq4, "2*x1*x3 - x1^2", "3*x2*x3^2 - 3*x0*x1*x3 + x1^3")
-    columns = seq.jacobian_columns()
+    columns = seq.jacobian_columns
     source = seq.source_module()
     _, kernel = syzygy_basis(columns, degrees=source.twists)
     v = Vector(source, (qq4.variable(3), qq4.zero(), qq4.variable(1), qq4.zero()))
@@ -162,7 +162,7 @@ def test_kernel_of_zero_map_is_everything(qq4):
 def test_kernel_detects_unused_variable(qq4):
     seq = Sequence.parse(qq4, "x0*(x1 - x2)", "x0^3 + x1^3 + x2^3")
     source = seq.source_module()
-    _, kernel = syzygy_basis(seq.jacobian_columns(), degrees=source.twists)
+    _, kernel = syzygy_basis(seq.jacobian_columns, degrees=source.twists)
     assert normal_form(source.basis_vector(3), groebner_basis(kernel)).is_zero()
 
 
@@ -229,7 +229,7 @@ def test_saturation_is_idempotent(qq4):
 
 def test_saturated_annihilator_of_worked_example(qq4):
     seq = Sequence.parse(qq4, "2*x1*x3 - x1^2", "3*x2*x3^2 - 3*x0*x1*x3 + x1^3")
-    ann = annihilator(seq.jacobian_target(), seq.jacobian_columns())
+    ann = annihilator(seq.jacobian_target(), seq.jacobian_columns)
     sat = saturate_ideal(qq4, ann)
     expected = [qq4.parse(s) for s in ("x3^2", "x1*x3", "x0*x1^2 - x1^3")]
     assert ideal_equals(qq4, sat, expected)
@@ -260,7 +260,7 @@ def test_fitting_ideal_requires_wide_matrix(qq4):
 
 def test_fitting_saturation_of_worked_example(qq4):
     seq = Sequence.parse(qq4, "2*x1*x3 - x1^2", "3*x2*x3^2 - 3*x0*x1*x3 + x1^3")
-    fitt = fitting_ideal_0(seq.gradient_rows())
+    fitt = fitting_ideal_0(seq.gradient_rows)
     sat = saturate_ideal(qq4, fitt)
     expected = [
         qq4.parse(s)
@@ -276,9 +276,9 @@ def test_fitting_saturation_of_worked_example(qq4):
 
 def test_fitting_contained_in_annihilator_on_fixture(qq4):
     seq = Sequence.parse(qq4, "x0*x1 - x2*x3", "x1*x3*(x0 - x2)")
-    fitt = fitting_ideal_0(seq.gradient_rows())
+    fitt = fitting_ideal_0(seq.gradient_rows)
     ann = ideal_groebner(
-        qq4, annihilator(seq.jacobian_target(), seq.jacobian_columns())
+        qq4, annihilator(seq.jacobian_target(), seq.jacobian_columns)
     )
     for p in fitt:
         assert ideal_contains(qq4, ann, p)
@@ -374,7 +374,7 @@ def test_reduced_bases_match_sympy(field):
         ring.poly((ring.pack(e), field.of(rng.randint(-5, 5))) for e in cubic)
         for _ in range(2)
     )
-    ideals.append(fitting_ideal_0(Sequence(f, g).gradient_rows()))
+    ideals.append(fitting_ideal_0(Sequence(f, g).gradient_rows))
     for gens in ideals:
         gens = [g for g in gens if not g.is_zero()]
         ours = ideal_groebner(ring, gens)

@@ -39,8 +39,7 @@ def test_square_of_two_variables(qq4):
 
 def test_worked_example_cokernel_m5(qq4):
     seq = Sequence.parse(qq4, "2*x1*x3 - x1^2", "3*x2*x3^2 - 3*x0*x1*x3 + x1^3")
-    analysis = jacobian_analysis(seq)
-    h = hilbert_of_quotient(analysis.target, groebner_basis(analysis.columns))
+    h = hilbert_of_quotient(seq.jacobian_target(), groebner_basis(seq.jacobian_columns))
     a, b = linear_hilbert_polynomial(h)
     assert a == 5
 
@@ -160,25 +159,23 @@ def test_degree_equals_reduced_numerator_at_one(qq4):
 def test_cokernel_with_unit_entries(qq4):
     # presentation with a constant row: component with a unit lead contributes nothing
     seq = Sequence.parse(qq4, "x3", "x0^3 + x1^3 + x2^3")
-    analysis = jacobian_analysis(seq)
-    h = hilbert_of_quotient(analysis.target, groebner_basis(analysis.columns))
+    h = hilbert_of_quotient(seq.jacobian_target(), groebner_basis(seq.jacobian_columns))
     a, _ = linear_hilbert_polynomial(h)
     assert a >= 0
 
 
 def test_hilbert_of_cokernel_matches_quotient_route(qq4):
     seq = Sequence.parse(qq4, "2*x1*x3 - x1^2", "3*x2*x3^2 - 3*x0*x1*x3 + x1^3")
-    analysis = jacobian_analysis(seq)
-    direct = hilbert_of_quotient(analysis.target, groebner_basis(analysis.columns))
-    assert direct == analysis.cokernel_hilbert
+    direct = hilbert_of_quotient(seq.jacobian_target(), groebner_basis(seq.jacobian_columns))
+    assert direct == jacobian_analysis(seq).cokernel_hilbert
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
 def test_closed_form_on_corpus_cokernels(field):
     ring = PolyRing(field, 4)
     for fx in FIXTURES:
-        analysis = jacobian_analysis(Sequence.parse(ring, fx.f, fx.g))
-        h = hilbert_of_quotient(analysis.target, groebner_basis(analysis.columns))
+        seq = Sequence.parse(ring, fx.f, fx.g)
+        h = hilbert_of_quotient(seq.jacobian_target(), groebner_basis(seq.jacobian_columns))
         a, _ = _assert_closed_form(h)
         if fx.m is not None:
             assert a == fx.m, fx.name
@@ -212,8 +209,8 @@ def unpacked_leads(module, gb):
 def test_leads_of_corpus_image_bases_match_reference(field):
     ring = PolyRing(field, 4)
     for fx in FIXTURES:
-        analysis = jacobian_analysis(Sequence.parse(ring, fx.f, fx.g))
-        target, gb = analysis.target, groebner_basis(analysis.columns)
+        seq = Sequence.parse(ring, fx.f, fx.g)
+        target, gb = seq.jacobian_target(), groebner_basis(seq.jacobian_columns)
         assert unpacked_leads(target, gb) == leads_by_sorting(target, gb), fx.name
 
 

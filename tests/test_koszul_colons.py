@@ -40,9 +40,9 @@ def annihilator_and_colon_targets(monkeypatch, seq, columns=None):
     """The annihilator of seq's Jacobian cokernel (with the given columns,
     by default the Jacobian's) as ``invariants`` computes it, and the index
     of the basis vector of each ``module_colon`` call it makes."""
-    analysis = jacobian_analysis(seq)
-    columns = analysis.columns if columns is None else columns
-    fitt0 = ideal_groebner(seq.ring, fitting_ideal_0(seq.gradient_rows()))
+    columns = seq.jacobian_columns if columns is None else columns
+    hq = jacobian_analysis(seq).cokernel_hilbert
+    fitt0 = ideal_groebner(seq.ring, fitting_ideal_0(seq.gradient_rows))
     targets = []
     colon = groebner.module_colon
 
@@ -52,16 +52,15 @@ def annihilator_and_colon_targets(monkeypatch, seq, columns=None):
 
     with monkeypatch.context() as patch:
         patch.setattr(groebner, "module_colon", recording)
-        ann = annihilator_of_cokernel(
-            analysis.target, columns, analysis.cokernel_hilbert, fitt0
-        )
+        ann = annihilator_of_cokernel(seq.jacobian_target(), columns, hq, fitt0)
     return ann, targets
 
 
 def assert_matches_oracle(monkeypatch, seq, columns=None):
     """The annihilator equals the oracle's; returns its module_colon targets."""
     ann, targets = annihilator_and_colon_targets(monkeypatch, seq, columns)
-    columns = seq.jacobian_columns() if columns is None else columns
+    columns = seq.jacobian_columns if columns is None else columns
+    hq = jacobian_analysis(seq).cokernel_hilbert
     assert ann == annihilator_by_colons(seq.jacobian_target(), columns)
     return targets
 
@@ -85,8 +84,8 @@ def test_seeded_dense_annihilators_are_fitt0_with_no_colon(monkeypatch, df, dg):
         seq = Sequence.of(*sample_pair(ring, df, dg, 25, index))
         ann, targets = annihilator_and_colon_targets(monkeypatch, seq)
         assert targets == [], index
-        assert ann == annihilator_by_colons(seq.jacobian_target(), seq.jacobian_columns())
-        assert ann == ideal_groebner(ring, fitting_ideal_0(seq.gradient_rows()))
+        assert ann == annihilator_by_colons(seq.jacobian_target(), seq.jacobian_columns)
+        assert ann == ideal_groebner(ring, fitting_ideal_0(seq.gradient_rows))
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -133,7 +132,7 @@ def test_linear_f_has_a_constant_row(monkeypatch, field):
     # a sum of cubes is regular, so neither colon runs
     ring = PolyRing(field, 4)
     seq = Sequence.parse(ring, "x0 + 2*x1 - x3", "x0^3+x1^3+x2^3+x3^3")
-    assert _koszul_exact(ring, seq.gradient_rows()[0])
+    assert _koszul_exact(ring, seq.gradient_rows[0])
     assert assert_matches_oracle(monkeypatch, seq) == []
     # with g a cone over a plane cubic, g's row is not regular
     seq = Sequence.parse(ring, "x0 + 2*x1 - x3", "x0^3+x1^3+x2^3")
@@ -149,7 +148,7 @@ def test_zero_column_is_dropped_before_the_predicate(monkeypatch, qq4, pair, col
     # the 5-column presentation with a zero column has the same cokernel
     # support and Fitt_0; its rows, taken over the nonzero columns, are the same
     seq = Sequence.parse(qq4, *pair)
-    columns = seq.jacobian_columns()
-    with_zero = columns[:2] + [columns[0].module.zero()] + columns[2:]
+    columns = seq.jacobian_columns
+    with_zero = [*columns[:2], columns[0].module.zero(), *columns[2:]]
     assert assert_matches_oracle(monkeypatch, seq, with_zero) == colon_targets
     assert assert_matches_oracle(monkeypatch, seq) == colon_targets

@@ -265,7 +265,7 @@ def test_elimination_returns_tag_led_syzygies_that_map_to_zero(monkeypatch):
     monkeypatch.setattr(groebner, "_buchberger_terms", recording)
     for label, seq in jacobian_cases():
         recorded.clear()
-        columns = seq.jacobian_columns()
+        columns = seq.jacobian_columns
         _, syz, _ = module_gb_and_syzygies(columns, seq.source_module().twists)
         ((order, basis),) = recorded
         assert not any(p & order.block_bit for terms in basis for p, _ in terms), label

@@ -109,8 +109,8 @@ def test_seeded_pairs_match_without_skipping(monkeypatch, df, dg):
 def test_zero_column_with_explicit_degree(field):
     ring = PolyRing(field, 4)
     seq = Sequence.parse(ring, "x0*x1 + x2^2", "x1*x3^2 - x0^3 + x2*x3*x0")
-    columns = seq.jacobian_columns()
-    gens = columns[:2] + [columns[0].module.zero()] + columns[2:]
+    columns = seq.jacobian_columns
+    gens = [*columns[:2], columns[0].module.zero(), *columns[2:]]
     degrees = [0, 0, 3, 0, 0]
     got = module_gb_and_syzygies(gens, degrees)
     assert got == syzygies_without_skipping(gens, degrees)
@@ -152,7 +152,7 @@ def test_zero_reductions_in_a_cubic_pencil_sample(monkeypatch):
     # of an m = 0 search sample reduce to zero; the elimination is called
     # directly, as the pipeline takes that kernel from the wedge syzygies
     seq = Sequence.of(*sample_pair(PolyRing(PrimeField(32003), 4), 2, 2, 7, 0))
-    run = lambda: module_gb_and_syzygies(seq.jacobian_columns(), degrees=(0,) * 4)
+    run = lambda: module_gb_and_syzygies(seq.jacobian_columns, degrees=(0,) * 4)
     assert count_reductions(monkeypatch, run) == (21, 2)
 
 
@@ -160,16 +160,17 @@ def test_zero_reductions_in_a_cubic_pencil_sample(monkeypatch):
 # colons and intersections
 
 
-def schemes_analysis():
-    """The Jacobian analysis of the first dense (1, 2) pair of seed 0 over
-    GF(32003), as the schemes benchmark draws it."""
+def schemes_pair():
+    """The first dense (1, 2) pair of seed 0 over GF(32003), as the schemes
+    benchmark draws it."""
     ring = PolyRing(PrimeField(32003), 4)
-    return jacobian_analysis(Sequence.of(*sample_pair(ring, 1, 2, 0, 0)))
+    return Sequence.of(*sample_pair(ring, 1, 2, 0, 0))
 
 
-def image_hilbert(analysis):
-    free = _free_hilbert(4, analysis.target.twists)
-    return lambda d: free(d) - analysis.cokernel_hilbert.function_value(d)
+def image_hilbert(seq):
+    free = _free_hilbert(4, seq.jacobian_target().twists)
+    cokernel = jacobian_analysis(seq).cokernel_hilbert
+    return lambda d: free(d) - cokernel.function_value(d)
 
 
 def recorded_pipeline_calls(monkeypatch, seq):
@@ -250,8 +251,8 @@ def test_annihilators_of_a_zero_cokernel_and_with_a_zero_column_match_oracle(qq4
     assert list(annihilator(pair, zero_cokernel)) == [qq4.one()]
     assert annihilator(pair, zero_cokernel) == annihilator_by_colons(pair, zero_cokernel)
     seq = Sequence.parse(qq4, "x0*x1 - x2*x3", "x1*x3*(x0 - x2)")
-    target, columns = seq.jacobian_target(), seq.jacobian_columns()
-    with_zero = columns[:2] + [columns[0].module.zero()] + columns[2:]
+    target, columns = seq.jacobian_target(), seq.jacobian_columns
+    with_zero = [*columns[:2], columns[0].module.zero(), *columns[2:]]
     assert annihilator(target, with_zero) == annihilator(target, columns)
     assert annihilator(target, with_zero) == annihilator_by_colons(target, with_zero)
 
@@ -261,10 +262,10 @@ def test_skip_cuts_the_annihilator_reductions(monkeypatch):
     # them to zero, with every pair kept; the skip leaves 36, 1 to zero.
     # The annihilator takes both from the Fitting ideal, as both gradient
     # rows of a dense pair are regular sequences, so they run here directly
-    analysis = schemes_analysis()
-    image = image_hilbert(analysis)
-    targets = [analysis.target.basis_vector(i) for i in range(2)]
-    run = lambda: [module_colon(analysis.columns, t, image) for t in targets]
+    seq = schemes_pair()
+    image = image_hilbert(seq)
+    targets = [seq.jacobian_target().basis_vector(i) for i in range(2)]
+    run = lambda: [module_colon(seq.jacobian_columns, t, image) for t in targets]
     unskipped, skipped = (count_reductions(monkeypatch, run, skip) for skip in (False, True))
     assert unskipped == (69, 34)
     assert skipped == (36, 1)
@@ -272,18 +273,18 @@ def test_skip_cuts_the_annihilator_reductions(monkeypatch):
 
 
 def test_hilbert_function_too_large_in_one_degree_raises():
-    analysis = schemes_analysis()
-    columns, target = analysis.columns, analysis.target.basis_vector(0)
-    image = image_hilbert(analysis)
+    seq = schemes_pair()
+    columns, target = seq.jacobian_columns, seq.jacobian_target().basis_vector(0)
+    image = image_hilbert(seq)
     with pytest.raises(ConsistencyError, match="terms covered"):
         module_colon(columns, target, lambda d: image(d) + (d == 3))
 
 
 def test_hilbert_function_too_small_in_one_degree_changes_the_colon():
     # a skip that stops one lead short drops a member: the skip is live
-    analysis = schemes_analysis()
-    columns, target = analysis.columns, analysis.target.basis_vector(0)
-    image = image_hilbert(analysis)
+    seq = schemes_pair()
+    columns, target = seq.jacobian_columns, seq.jacobian_target().basis_vector(0)
+    image = image_hilbert(seq)
     colon = module_colon(columns, target, image)
     assert colon == module_colon(columns, target)
     assert module_colon(columns, target, lambda d: image(d) - (d == 3)) != colon

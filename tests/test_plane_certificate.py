@@ -63,7 +63,7 @@ def eliminations(monkeypatch):
 def section_basis(seq):
     """The basis of the Jacobian columns on the plane x3 = x0 + 2*x1 + 3*x2."""
     target = seq.jacobian_target()
-    columns = seq.jacobian_columns()
+    columns = seq.jacobian_columns
     return groebner_basis([Vector(target, tuple(map(plane_section, c.entries))) for c in columns])
 
 
@@ -103,7 +103,7 @@ def test_corpus_rows_agree_with_the_image_basis_path(monkeypatch, field):
         else:
             # the certificate failed, and the series was read off the image leads
             assert section_pole_order(seq) > 1, fx.name
-            assert analysis.image_gb == image_leads(seq.jacobian_columns()), fx.name
+            assert analysis.image_gb == image_leads(seq.jacobian_columns), fx.name
     assert certified == ["pencils-cubics-genericpencil"]
 
 

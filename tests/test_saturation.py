@@ -38,8 +38,8 @@ def test_corpus_minors_and_annihilators_match_reference(field):
     ring = PolyRing(field, 4)
     for fx in FIXTURES:
         seq = Sequence.parse(ring, fx.f, fx.g)
-        minors = fitting_ideal_0(seq.gradient_rows())
-        ann = annihilator(seq.jacobian_target(), seq.jacobian_columns())
+        minors = fitting_ideal_0(seq.gradient_rows)
+        ann = annihilator(seq.jacobian_target(), seq.jacobian_columns)
         for gens in (minors, ann):
             assert saturate_ideal(ring, gens) == saturate_by_rounds(ring, gens), fx.name
 

@@ -29,8 +29,8 @@ SHAPES = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2), (1, 3), (2, 3)]
 FIELDS = [pytest.param(QQ, id="QQ"), pytest.param(PrimeField(32003), id="GF32003")]
 
 
-def elimination_syzygies(analysis):
-    _, syz, _ = module_gb_and_syzygies(analysis.columns, degrees=(0,) * 4)
+def elimination_syzygies(seq):
+    _, syz, _ = module_gb_and_syzygies(seq.jacobian_columns, degrees=(0,) * 4)
     return syz
 
 
@@ -54,7 +54,7 @@ def test_wedge_kernel_matches_the_elimination_on_seeded_pairs(field, per_shape):
             gens = list(analysis.kernel.gens)
             assert len(gens) == 4 - (df == 0) - (dg == 0), label
             assert all(g.degree == seq.d for g in gens), label
-            syz = elimination_syzygies(analysis)
+            syz = elimination_syzygies(seq)
             assert gens == minimal_generators(syz), label
             ours = resolve_by_groebner(seq.source_module(), gens)
             theirs = resolve_by_groebner(seq.source_module(), syz)
@@ -80,8 +80,8 @@ def test_corpus_rows_take_the_path_their_m_gives(monkeypatch, field):
         analysis = jacobian_analysis(seq)
         m, _ = linear_hilbert_polynomial(analysis.cokernel_hilbert)
         # the elimination runs exactly when the plane-section certificate fails
-        target = seq.jacobian_target()
-        section = [Vector(target, tuple(map(plane_section, c.entries))) for c in analysis.columns]
+        target, columns = seq.jacobian_target(), seq.jacobian_columns
+        section = [Vector(target, tuple(map(plane_section, c.entries))) for c in columns]
         certified = hilbert_of_quotient(target, groebner_basis(section)).pole_order <= 1
         assert len(returned) == (not certified), fx.name
         if m == 0:
