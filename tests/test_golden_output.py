@@ -1,7 +1,8 @@
 """Byte-identical CLI reports: `analyze` text and JSON (without its timing)
-for the README pair, the schematic-difference pair and a pair with exactly
-one gradient row a regular sequence (over QQ and GF(32003)), the `analyze` JSON of
-every corpus row over QQ and over GF(32003), and `corpus --verbose` over both
+for the README pair, the schematic-difference pair, a pair with exactly
+one gradient row a regular sequence (over QQ and GF(32003)) and a dense
+cubic pencil over QQ, the `analyze` JSON of every corpus row and of seeded
+dense pairs over QQ and over GF(32003), and `corpus --verbose` over both
 fields, and `search` at (0, 2), (1, 1), (1, 2), (1, 3) and (2, 3), against
 outputs recorded in tests/golden."""
 
@@ -11,15 +12,30 @@ from pathlib import Path
 import pytest
 
 from logtangent.cli import main
+from logtangent.fields import QQ, PrimeField
 from logtangent.fixtures import FIXTURES
+from logtangent.poly import PolyRing
+from logtangent.search import sample_pair
 
 GOLDEN = Path(__file__).parent / "golden"
 README = ["--f", "x0^2+x3^2", "--g", "x0^3+x0*x1*x2+x3^3"]
 SCHEMATIC = ["--f", "2*x1*x3 - x1^2", "--g", "3*x2*x3^2 - 3*x0*x1*x3 + x1^3"]
 # the gradient of g is a regular sequence and that of f is not
 MIXED = ["--f", "x0^2+x1^2+x2^2", "--g", "x0^3+x1^3+x2^3+x3^3"]
+# a dense cubic pencil over QQ, integer coefficients uniform in [-5, 5]
+DENSE_PENCIL = [
+    "--f",
+    "-4*x0^3 + 5*x0*x1^2 + x1^3 + 3*x0^2*x2 - 4*x0*x1*x2 + 4*x1^2*x2 + 4*x0*x2^2"
+    " + 2*x1*x2^2 - 2*x2^3 + 3*x0^2*x3 - 2*x0*x1*x3 + 3*x1^2*x3 + 4*x0*x2*x3"
+    " + 4*x1*x2*x3 - 5*x2^2*x3 + 3*x0*x3^2 + 2*x1*x3^2 + 4*x2*x3^2 - 4*x3^3",
+    "--g",
+    "-4*x0^3 - x0^2*x1 - 5*x0*x1^2 + x1^3 - 4*x0^2*x2 + 5*x0*x1*x2 - x1^2*x2"
+    " + 5*x0*x2^2 + 5*x2^3 + 2*x0^2*x3 + 2*x0*x1*x3 + x1*x2*x3 - 4*x2^2*x3"
+    " - 2*x0*x3^2 + 3*x1*x3^2 - 4*x3^3",
+]
 ANALYZE = {
     "readme": README,
+    "dense_pencil_qq": DENSE_PENCIL,
     "schematic_qq": SCHEMATIC,
     "schematic_fp": [*SCHEMATIC, "--field", "fp:32003"],
     "mixed_qq": MIXED,
@@ -53,6 +69,20 @@ def test_corpus_analyze_reports_are_unchanged(capsys, name, field):
         del doc["timing_seconds"]
     got = json.dumps(docs, indent=2, sort_keys=True) + "\n"
     assert got == (GOLDEN / f"corpus_analyze_{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name, field", [("qq", QQ), ("fp", PrimeField(32003))], ids=["qq", "fp"])
+def test_dense_analyze_reports_are_unchanged(capsys, name, field):
+    # seeded dense pairs have m = 0; this pins their schemes beyond (1, 2)
+    ring, docs = PolyRing(field, 4), {}
+    label = "rational" if field == QQ else "fp:32003"
+    for df, dg in [(0, 1), (0, 2), (1, 1), (2, 2), (1, 3)]:
+        f, g = map(str, sample_pair(ring, df, dg, 0, 0))
+        argv = ["analyze", "--f", f, "--g", g, "--field", label, "--bourbaki", "--betti", "--json"]
+        docs[f"{df}_{dg}"] = doc = json.loads(run(capsys, argv))
+        del doc["timing_seconds"]
+    got = json.dumps(docs, indent=2, sort_keys=True) + "\n"
+    assert got == (GOLDEN / f"dense_analyze_{name}.json").read_text()
 
 
 @pytest.mark.parametrize("name, field", [("corpus_qq", "rational"), ("corpus_fp", "fp:32003")])
