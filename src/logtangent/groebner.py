@@ -44,8 +44,9 @@ reduction the answer cannot use:
   to zero and is dropped.  Leaving a degree in which pairs were reduced,
   the count must equal H(D), else ``ConsistencyError``: that catches an H
   too large.  Syzygies know H as a free module's, a colon M : t given H_M
-  as H_R(D - deg t) + H_M(D), and I cap J as H_I + H_J; the elimination
-  of ``ideal_colon`` is given no H and reduces every pair.
+  as H_R(D - deg t) + H_M(D), I cap J as H_I + H_J, and Fitt_0 of grade 3
+  by Eagon-Northcott, whose H no matrix of its degrees exceeds
+  (semicontinuity); the elimination of ``ideal_colon`` reduces every pair.
 * A degree cap: ``groebner_basis(gens, up_to=d)`` reduces no pair above d,
   which leaves the members of degree at most d of the full basis.
 
@@ -471,12 +472,14 @@ def _interreduce_terms(entries, order: ModuleOrder):
 # public module-level API
 
 
-def groebner_basis(gens: Sequence[Vector], *, up_to: int | None = None) -> list[Vector]:
+def groebner_basis(
+    gens: Sequence[Vector], *, up_to: int | None = None, span_hilbert=None
+) -> list[Vector]:
     """Reduced monic Groebner basis of the submodule generated by gens.
 
     With ``up_to``, only the members of degree at most up_to of that basis,
     computed without reducing any S-pair of higher degree; an input of
-    degree above up_to is refused.
+    degree above up_to is refused.  ``span_hilbert`` is as in ``_buchberger_terms``.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -491,7 +494,7 @@ def groebner_basis(gens: Sequence[Vector], *, up_to: int | None = None) -> list[
             raise ValueError(f"generator of degree {g.degree} is above up_to = {up_to}")
     order = ModuleOrder(module)
     inputs = [_vector_to_terms(g, order) for g in gens]
-    basis, _ = _buchberger_terms(inputs, order, up_to=up_to)
+    basis, _ = _buchberger_terms(inputs, order, span_hilbert, up_to)
     return [_terms_to_vector(module, order, terms) for terms in basis]
 
 
@@ -637,11 +640,13 @@ def _is_basis(ring, polys) -> bool:
     return isinstance(polys, Basis) and polys.ring == ring
 
 
-def ideal_groebner(ring, polys: Sequence[Polynomial]) -> Basis:
-    """The reduced basis of the ideal polys generate; a Basis of ring as it is."""
+def ideal_groebner(ring, polys: Sequence[Polynomial], quotient=None) -> Basis:
+    """The reduced basis of the ideal I polys generate; a Basis of ring as it is.
+    ``quotient``, the HilbertData of R/I, skips pairs by H_I = H_R - H_{R/I}."""
     if _is_basis(ring, polys):
         return polys
-    gb = groebner_basis(_as_vectors(ring, polys))
+    span = quotient and _free_hilbert(ring.nvars, (0,), lambda d: -quotient.function_value(d))
+    gb = groebner_basis(_as_vectors(ring, polys), span_hilbert=span)
     return Basis(ring, [v.entries[0] for v in gb])
 
 

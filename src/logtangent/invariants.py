@@ -118,8 +118,9 @@ def invariants(seq: Sequence, with_schemes: bool = True) -> InvariantReport:
     K is resolved against the series of source/K, the image, so Betti numbers
     that disagree with it are a ConsistencyError.
     The Fitting scheme saturates Fitt_0, the nonzero values of ``seq.minors``.
-    Its Basis is built once and handed to the annihilator too, which takes
-    it as each colon whose other gradient row is a regular sequence.
+    Its Basis is built once, by the series ``jacobian_analysis`` gives when
+    there is one, and handed to the annihilator too, which takes it as each
+    colon whose other gradient row is a regular sequence.
     Equal schemes have their dimension and degree counted once.
     """
     analysis = jacobian_analysis(seq)
@@ -184,7 +185,8 @@ def invariants(seq: Sequence, with_schemes: bool = True) -> InvariantReport:
 
     if with_schemes:
         ring = seq.ring
-        fitt0 = ideal_groebner(ring, [p for p in seq.minors.values() if not p.is_zero()])
+        minors = [p for p in seq.minors.values() if not p.is_zero()]
+        fitt0 = ideal_groebner(ring, minors, analysis.fitting_hilbert)
         fitting_sat = saturate_ideal(ring, fitt0)
         ann = annihilator_of_cokernel(seq.jacobian_target(), seq.jacobian_columns, hq, fitt0)
         ann_sat = saturate_ideal(ring, ann)

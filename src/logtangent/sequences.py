@@ -223,6 +223,18 @@ def plane_section(p: Polynomial) -> Polynomial:
     return ring.poly(items)
 
 
+def _grade_three_series(df: int, dg: int) -> tuple[HilbertData, HilbertData]:
+    """Cokernel and R/Fitt_0 series when the 2x2 minors have grade 3: then the
+    Buchsbaum-Rim complex 0 -> R(-d-df) + R(-d-dg) -> R(-d)^4 -> K -> 0 and the
+    Eagon-Northcott complex are exact (Eisenbud, Commutative Algebra, A2.6)."""
+    d = df + dg
+    coker = ((-df, 1), (-dg, 1), (0, -4), (d, 4), (d + df, -1), (d + dg, -1))
+    fitt0 = ((0, 1), (d, -6), (d + df, 4), (d + dg, 4))
+    fitt0 += ((d + 2 * df, -1), (2 * d, -1), (d + 2 * dg, -1))
+    sums = [{j: n for j, _ in t if (n := sum(c for i, c in t if i == j))} for t in (coker, fitt0)]
+    return tuple(hilbert_from_numerator(n, NVARS) for n in sums)
+
+
 @dataclass
 class JacobianAnalysis:
     """Shared Groebner data of one sequence; ``image_gb`` is the basis its
@@ -231,6 +243,7 @@ class JacobianAnalysis:
     image_gb: list[Vector]
     cokernel_hilbert: HilbertData
     kernel: Submodule
+    fitting_hilbert: HilbertData | None = None
 
 
 def jacobian_analysis(seq: Sequence) -> JacobianAnalysis:
@@ -240,27 +253,25 @@ def jacobian_analysis(seq: Sequence) -> JacobianAnalysis:
     M/lM of finite length, l = x3 - x0 - 2*x1 - 3*x2, gives dim M <= 1 and
     m = 0.  If the columns on l = 0 (``plane_section``) show it, ``image_gb``
     is their basis and, the 2x2 minors having grade 3, the Buchsbaum-Rim
-    complex 0 -> R(-d-df) + R(-d-dg) -> R(-d)^4 -> K -> 0 gives the series
-    (Eisenbud, Commutative Algebra, A2.10); else it is read off ``image_gb``,
-    the image leads of the elimination that gives K (in the source's twists).
-    Pole order <= 1 takes K from the wedges w_i, which generate it in degree
-    d; a linear entry h gives the relation sum_i (dh/dx_i) w_i = 0.
+    complex gives the series (``_grade_three_series``); else it is read off
+    ``image_gb``, the image leads of the elimination that gives K (in the
+    source's twists).  Pole order <= 1, on either path, gives Fitt_0's series
+    and takes K from the wedges w_i, which generate it in degree d; a linear
+    entry h gives the relation sum_i (dh/dx_i) w_i = 0.
     """
     columns, target, source = seq.jacobian_columns, seq.jacobian_target(), seq.source_module()
     section = [Vector(target, tuple(map(plane_section, c.entries))) for c in columns]
     image_gb = groebner_basis(section)
     if hilbert_of_quotient(target, image_gb).pole_order <= 1:
-        df, dg, d = seq.df, seq.dg, seq.d
-        terms = ((-df, 1), (-dg, 1), (0, -4), (d, 4), (d + df, -1), (d + dg, -1))
-        numerator = {j: n for j, _ in terms if (n := sum(c for i, c in terms if i == j))}
-        hq = hilbert_from_numerator(numerator, NVARS)
+        hq, fitting = _grade_three_series(seq.df, seq.dg)
     else:
         _, syz, leads = module_gb_and_syzygies(columns, degrees=source.twists)
         image_gb = lead_vectors(target, leads)
         hq = hilbert_of_quotient(target, image_gb)
+        fitting = _grade_three_series(seq.df, seq.dg)[1] if hq.pole_order <= 1 else None
     if hq.pole_order <= 1:
         syz = groebner_basis(canonical_syzygies(seq), up_to=seq.d)
         rank = NVARS - (seq.df == 0) - (seq.dg == 0)
         if len(syz) != rank:
             raise ConsistencyError(f"{len(syz)} wedge syzygies span K_d, want {rank}")
-    return JacobianAnalysis(image_gb, hq, Submodule(source, syz))
+    return JacobianAnalysis(image_gb, hq, Submodule(source, syz), fitting)

@@ -78,8 +78,8 @@ def test_dense_analyze_reports_are_unchanged(capsys, name, field):
     label = "rational" if field == QQ else "fp:32003"
     for df, dg in [(0, 1), (0, 2), (1, 1), (2, 2), (1, 3)]:
         f, g = map(str, sample_pair(ring, df, dg, 0, 0))
-        argv = ["analyze", "--f", f, "--g", g, "--field", label, "--bourbaki", "--betti", "--json"]
-        docs[f"{df}_{dg}"] = doc = json.loads(run(capsys, argv))
+        argv = ["analyze", "--f", f, "--g", g, "--field", label, "--bourbaki", "--betti"]
+        docs[f"{df}_{dg}"] = doc = json.loads(run(capsys, [*argv, "--json"]))
         del doc["timing_seconds"]
     got = json.dumps(docs, indent=2, sort_keys=True) + "\n"
     assert got == (GOLDEN / f"dense_analyze_{name}.json").read_text()
