@@ -104,6 +104,13 @@ def test_linear_entry_search_report_is_unchanged(capsys):
     assert run(capsys, argv) == (GOLDEN / "search_0_2.json").read_text()
 
 
+@pytest.mark.parametrize("dg", [0, 1])
+def test_edge_shape_search_report_is_unchanged(capsys, dg):
+    # df = 0 with dg <= 1: a plane-section degree cap of d + dg - 2 is negative
+    argv = ["search", "--df", "0", "--dg", str(dg), "--count", "8", "--seed", "0"]
+    assert run(capsys, argv) == (GOLDEN / f"search_0_{dg}.json").read_text()
+
+
 def test_cubic_quartic_search_report_is_unchanged(capsys):
     # (2, 3): wedge entries of degree 5, a degree the benchmark digests miss
     argv = ["search", "--df", "2", "--dg", "3", "--count", "8", "--seed", "0"]
