@@ -42,11 +42,12 @@ reduction the answer cannot use:
   insertion there, number at most H(D); once they number H(D) they span
   the initial module in degree D, so every pair left in degree D reduces
   to zero and is dropped.  Leaving a degree in which pairs were reduced,
-  the count must equal H(D), else ``ConsistencyError``: that catches an H
-  too large.  Syzygies know H as a free module's, a colon M : t given H_M
-  as H_R(D - deg t) + H_M(D), I cap J as H_I + H_J, and Fitt_0 of grade 3
-  by Eagon-Northcott, whose H no matrix of its degrees exceeds
-  (semicontinuity); the elimination of ``ideal_colon`` reduces every pair.
+  the count must equal H(D): fewer raises ``HilbertShortfall``, more a
+  plain ``ConsistencyError``.  Syzygies know H as a free module's, a colon
+  M : t given H_M as H_R(D - deg t) + H_M(D), I cap J as H_I + H_J, and
+  Fitt_0 of grade 3 by Eagon-Northcott.  A caller may pass instead a bound
+  no input of its degrees exceeds (semicontinuity) and read a shortfall as
+  a verdict; the elimination of ``ideal_colon`` reduces every pair.
 * A degree cap: ``groebner_basis(gens, up_to=d)`` reduces no pair above d,
   which leaves the members of degree at most d of the full basis.
 
@@ -386,9 +387,10 @@ def _buchberger_terms(inputs, order: ModuleOrder, span_hilbert=None, up_to=None)
     """Reduced basis of the span of the field-valued term lists (under an
     elimination order, its second-block members) and its first-block leads.
 
-    With ``span_hilbert``, the Hilbert function of that submodule, pairs are
-    skipped by it and it is checked (see the module docstring).  With
-    ``up_to``, no pair of degree above it is reduced.
+    With ``span_hilbert``, the Hilbert function of that submodule or a bound
+    on it, pairs are skipped by it and it is checked: a degree left short
+    raises ``HilbertShortfall`` (see the module docstring).  With ``up_to``,
+    no pair of degree above it is reduced.
     """
     field = order.ring.field
     basis: list = []
@@ -405,7 +407,8 @@ def _buchberger_terms(inputs, order: ModuleOrder, span_hilbert=None, up_to=None)
 
     def leave_degree():  # every pair of the degree is done, so the leads span it
         if reduced and covered != hilbert:
-            raise ConsistencyError(f"degree {degree}: {covered} terms covered, not {hilbert}")
+            error = HilbertShortfall if covered < hilbert else ConsistencyError
+            raise error(f"degree {degree}: {covered} terms covered, not {hilbert}")
 
     for terms in inputs:
         if terms:
@@ -470,6 +473,10 @@ def _interreduce_terms(entries, order: ModuleOrder):
 
 # ---------------------------------------------------------------------------
 # public module-level API
+
+
+class HilbertShortfall(ConsistencyError):
+    """A basis left a degree short of its Hilbert function, or of a bound on it."""
 
 
 def groebner_basis(
@@ -798,18 +805,28 @@ def _koszul_exact(ring, row: Sequence[Polynomial]) -> bool:
     Algebra, Cor. 17.5).  Forms in n variables are a regular sequence
     exactly when there are n of them and R/(row) has finite length, that
     is, when every variable has a pure power among the leads of the ideal's
-    basis; a zero form rules that out before any basis is built.
+    basis; a zero form rules that out before any basis is built.  Generic
+    forms span the most in each degree and are a regular sequence, whose
+    Koszul complex gives the series and whose quotient vanishes from degree
+    sum(a_i - 1) + 1.  So the basis runs under that series to that degree:
+    a degree left short proves row not regular, and a regular row's pure
+    powers lead members by then.
     """
     if any(not p.is_zero() and p.degree == 0 for p in row):
         return True
     if len(row) != ring.nvars or any(p.is_zero() for p in row):
         return False
-    powers = set()
-    for p in ideal_groebner(ring, row):
-        support = [i for i, e in enumerate(ring.unpack(p.terms[0][0])) if e]
-        if len(support) == 1:
-            powers.update(support)
-    return len(powers) == ring.nvars
+    n, degrees = ring.nvars, [p.degree for p in row]
+    # H_I = H_K1 - H_K2 + H_K3 - ..., K_k free on the sums of k of the degrees
+    sums = [[sum(s) for k in range(i, n + 1, 2) for s in combinations(degrees, k)] for i in (1, 2)]
+    even = _free_hilbert(n, sums[1])
+    bound = _free_hilbert(n, sums[0], lambda d: -even(d))
+    try:
+        gb = groebner_basis(_as_vectors(ring, row), span_hilbert=bound, up_to=sum(degrees) - n + 1)
+    except HilbertShortfall:
+        return False
+    leads = [ring.unpack(v.entries[0].terms[0][0]) for v in gb]
+    return all(any(e[i] == sum(e) for e in leads) for i in range(n))
 
 
 def annihilator_of_cokernel(

@@ -15,7 +15,8 @@ from itertools import combinations
 from math import prod
 from operator import mul
 
-from .groebner import Submodule, groebner_basis, lead_vectors, minor, module_gb_and_syzygies
+from .groebner import HilbertShortfall, Submodule, _free_hilbert, groebner_basis, lead_vectors
+from .groebner import minor, module_gb_and_syzygies
 from .hilbert import HilbertData, hilbert_from_numerator, hilbert_of_quotient
 from .linalg import matrix_rank
 from .modules import FreeModule, Vector
@@ -253,22 +254,34 @@ def jacobian_analysis(seq: Sequence) -> JacobianAnalysis:
     M/lM of finite length, l = x3 - x0 - 2*x1 - 3*x2, gives dim M <= 1 and
     m = 0.  If the columns on l = 0 (``plane_section``) show it, ``image_gb``
     is their basis and, the 2x2 minors having grade 3, the Buchsbaum-Rim
-    complex gives the series (``_grade_three_series``); else it is read off
-    ``image_gb``, the image leads of the elimination that gives K (in the
-    source's twists).  Pole order <= 1, on either path, gives Fitt_0's series
-    and takes K from the wedges w_i, which generate it in degree d; a linear
-    entry h gives the relation sum_i (dh/dx_i) w_i = 0.
+    complex gives the series (``_grade_three_series``).  No 2x4 matrix of
+    these degrees has a larger image in any degree (semicontinuity), so the
+    section's basis runs under that image series up to degree d + dg - 2,
+    where a certified cokernel on l = 0 vanishes: a degree left short, as on
+    every m > 0 pair, fails the certificate, and truncating only enlarges
+    the cokernel.  Else the series is read off ``image_gb``, the image leads
+    of the elimination that gives K (in the source's twists), and must be
+    the closed form if its pole order is <= 1.  Pole order <= 1 gives Fitt_0's
+    series and takes K from the wedges w_i, which generate it in degree d;
+    a linear entry h gives the relation sum_i (dh/dx_i) w_i = 0.
     """
     columns, target, source = seq.jacobian_columns, seq.jacobian_target(), seq.source_module()
+    hq, fitting = _grade_three_series(seq.df, seq.dg)
+    bound = _free_hilbert(NVARS, target.twists, lambda t: -hq.function_value(t))
     section = [Vector(target, tuple(map(plane_section, c.entries))) for c in columns]
-    image_gb = groebner_basis(section)
-    if hilbert_of_quotient(target, image_gb).pole_order <= 1:
-        hq, fitting = _grade_three_series(seq.df, seq.dg)
-    else:
+    try:
+        image_gb = groebner_basis(section, span_hilbert=bound, up_to=max(seq.d + seq.dg - 2, 0))
+        certified = hilbert_of_quotient(target, image_gb).pole_order <= 1
+    except HilbertShortfall:
+        certified = False
+    if not certified:
         _, syz, leads = module_gb_and_syzygies(columns, degrees=source.twists)
         image_gb = lead_vectors(target, leads)
-        hq = hilbert_of_quotient(target, image_gb)
-        fitting = _grade_three_series(seq.df, seq.dg)[1] if hq.pole_order <= 1 else None
+        read = hilbert_of_quotient(target, image_gb)
+        if read.pole_order > 1:
+            hq, fitting = read, None
+        elif read != hq:
+            raise ConsistencyError("image leads disagree with the Hilbert series in closed form")
     if hq.pole_order <= 1:
         syz = groebner_basis(canonical_syzygies(seq), up_to=seq.d)
         rank = NVARS - (seq.df == 0) - (seq.dg == 0)

@@ -9,8 +9,11 @@ Chern-character additivity in fractions, a linear change of coordinates,
 a polynomial's value at a point by substituting into each term, minimal generators whose span test within a degree is a row echelon of
 normal forms, the graded Betti numbers of a cokernel from Koszul
 homology, a resolution whose Hilbert series comes from a Groebner basis
-of its generators, and the Jacobian analysis that reads the cokernel series
-off a Groebner basis of the image."""
+of its generators, the Jacobian analysis that reads the cokernel series
+off a Groebner basis of the image, the plane-section verdict read off the
+section's full basis, built with no bound and no degree cap, and the
+regularity test that looks for pure powers among the leads of a full
+ideal basis."""
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -41,7 +44,7 @@ from logtangent.linalg import matrix_rank
 from logtangent.modules import FreeModule, Vector
 from logtangent.poly import ConsistencyError
 from logtangent.resolution import resolve_submodule
-from logtangent.sequences import NVARS, JacobianAnalysis, canonical_syzygies
+from logtangent.sequences import NVARS, JacobianAnalysis, canonical_syzygies, plane_section
 
 SATURATION_ROUNDS = 64
 
@@ -248,6 +251,32 @@ def jacobian_analysis_by_image_basis(seq):
     else:
         _, syz, _ = module_gb_and_syzygies(columns, degrees=source.twists)
     return JacobianAnalysis(image_gb, hq, Submodule(source, syz))
+
+
+def section_basis(seq):
+    """The basis of the Jacobian columns on the plane x3 = x0 + 2*x1 + 3*x2."""
+    target = seq.jacobian_target()
+    columns = seq.jacobian_columns
+    return groebner_basis([Vector(target, tuple(map(plane_section, c.entries))) for c in columns])
+
+
+def section_pole_order(seq):
+    return hilbert_of_quotient(seq.jacobian_target(), section_basis(seq)).pole_order
+
+
+def koszul_exact_by_pure_powers(ring, row):
+    """``groebner._koszul_exact`` as it read regularity off the full basis
+    of the ideal of row: a pure power of every variable among its leads."""
+    if any(not p.is_zero() and p.degree == 0 for p in row):
+        return True
+    if len(row) != ring.nvars or any(p.is_zero() for p in row):
+        return False
+    powers = set()
+    for p in ideal_groebner(ring, row):
+        support = [i for i, e in enumerate(ring.unpack(p.terms[0][0])) if e]
+        if len(support) == 1:
+            powers.update(support)
+    return len(powers) == ring.nvars
 
 
 def syzygies_without_skipping(gens, degrees):
