@@ -115,6 +115,25 @@ def test_cone_pairs_fall_back_with_m_zero(monkeypatch, field):
         assert not certified and jacobian_analysis(seq).cokernel_hilbert.pole_order == 1, sample
 
 
+def test_a_wrong_closed_form_is_refused_on_the_fallback(monkeypatch):
+    # one more dimension at degree 2 makes the bound one too small there: the
+    # certificate drops pairs it needed and falls short at degree 3, and the
+    # elimination's series is then not the closed form
+    ring = PolyRing(PrimeField(32003), 4)
+    seq = Sequence.of(*sample_pair(ring, 2, 2, 7, 0))
+    real = sequences.hilbert_from_numerator
+
+    def perturbed(numerator, nvars):
+        n = dict(numerator)
+        for j, c in enumerate((1, -4, 6, -4, 1)):  # z^2 (1 - z)^4
+            n[2 + j] = n.get(2 + j, 0) + c
+        return real({j: c for j, c in n.items() if c}, nvars)
+
+    monkeypatch.setattr(sequences, "hilbert_from_numerator", perturbed)
+    with pytest.raises(ConsistencyError, match="image leads disagree"):
+        certificate(monkeypatch, seq)
+
+
 def monomial_ideal_gens(ring):
     # the S-pair of x0*x1 and x0*x2 has degree 3 and reduces to zero
     return _as_vectors(ring, [ring.parse("x0*x1"), ring.parse("x0*x2")])
