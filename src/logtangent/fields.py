@@ -9,9 +9,9 @@ combined with Python's ``+ - *``.  A field object only makes values: ``of``
 builds one from a fraction, ``inv`` inverts, and ``reduce`` brings the result
 of ``+ - *`` back to the canonical form that is stored and tested for zero
 (the identity over QQ, ``x % p`` over GF(p), whose values lie in [0, p)).
-Stored polynomials hold these values.  The Groebner engine clears QQ
-values to integers where they enter it and builds one ``Fraction``, with
-``of``, per term it hands back (see :mod:`.groebner`).
+Stored polynomials hold these values.  The Groebner engine works on
+integers: a Vector it hands back builds one ``Fraction``, with ``of``, per
+term when its entries are read, and re-enters with none (see :mod:`.groebner`).
 """
 
 from __future__ import annotations

@@ -19,9 +19,10 @@ reduction keeps degrees, so nothing else can overflow.
 
 Coefficients inside are integers, as in fraction-free elimination (Geddes,
 Czapor & Labahn 1992): a basis member is stored over QQ as its primitive
-integer multiple with a positive lead, over GF(p) as monic.  QQ values are
-cleared to integers on entry and built back, one ``field.of`` per term, only
-in the bases and normal forms handed back.  A normal form keeps its pending
+integer multiple with a positive lead, over GF(p) as monic.  A Vector handed
+back keeps its integer terms, builds its entries, one ``field.of`` per term,
+when they are read, and re-enters with its terms moved by one added constant
+(``_Packed``, ``_integers``).  A normal form keeps its pending
 terms in a dict of integers over one running scale, which grows when a
 reducer's lead coefficient needs it.  Only terms of a component in which
 some reducer leads enter the max-heap; the others (the tag terms of an
@@ -110,7 +111,7 @@ class ModuleOrder:
         self.guards = ring.guards << COMP_BITS
         # every exponent of a term is at most its shifted degree minus the least twist
         self.max_sdeg = min(DEG_BIAS - 1, EXP_MAX + low)
-        deg_shift = ring.deg_shift + COMP_BITS
+        self.deg_shift = deg_shift = ring.deg_shift + COMP_BITS
         # set in the terms of the first block, the components below split
         self.block_bit = 1 << (deg_shift + DEG_BITS)
         # a term is base[comp] + (monomial << COMP_BITS)
@@ -133,6 +134,9 @@ class ModuleOrder:
         self.check_degree(comp, m >> self.ring.deg_shift)
         return self.base[comp] + (m << COMP_BITS)
 
+    def sdeg(self, p: int) -> int:  # the shifted degree of a packed term
+        return ((p >> self.deg_shift) & ((1 << DEG_BITS) - 1)) - DEG_BIAS
+
     def unpack(self, p: int) -> tuple[int, int]:
         """(component, packed monomial) of a packed term."""
         comp = COMP_MAX - (p & COMP_MAX)
@@ -149,9 +153,48 @@ def _divides(a: int, b: int, order: ModuleOrder) -> bool:
 # packed-term primitives: term = (packed, coeff)
 
 
-def _vector_to_terms(v: Vector, order: ModuleOrder):
+class _Packed(Vector):
+    """A Vector the kernel returns, in engine form: the values are terms / d,
+    packed under order from component first, where order has module's twists.
+    The entries are built on first read and kept.  The terms lie in one block,
+    sorted by shifted degree first.  Bases and eliminations check every input
+    homogeneous and reduction keeps degrees, so their members are homogeneous."""
+
+    __slots__ = ("terms", "d", "order", "first")
+
+    def __init__(self, module: FreeModule, terms, d, order: ModuleOrder, first=0):
+        self.module, self.terms, self.d, self.order, self.first = module, terms, d, order, first
+
+    def __getattr__(self, name):  # reached only while the entries slot is unset
+        if name != "entries":
+            raise AttributeError(name)
+        buckets: list[list] = [[] for _ in self.module.twists]
+        field, base = self.module.ring.field, self.order.base
+        for p, c in self.terms:  # GF(p) terms are canonical already, with d = 1
+            comp = COMP_MAX - (p & COMP_MAX)
+            c = c if field.characteristic else field.of(c, self.d)
+            buckets[comp - self.first].append(((p - base[comp]) >> COMP_BITS, c))
+        # within a component the module order is the ring's, so each bucket is sorted
+        self.entries = tuple(Polynomial(self.module.ring, tuple(b)) for b in buckets)
+        return self.entries
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def is_homogeneous(self) -> bool:
+        sdeg, terms = self.order.sdeg, self.terms
+        return not terms or sdeg(terms[0][0]) == sdeg(terms[-1][0])
+
+    @property
+    def degree(self) -> int | None:
+        if self.is_homogeneous():  # a normal form is when its input is
+            return self.order.sdeg(self.terms[0][0]) if self.terms else None
+        return super().degree  # the rule for entries
+
+
+def _vector_to_terms(v: Vector, order: ModuleOrder, first=0):
     terms = []
-    for comp, p in enumerate(v.entries):
+    for comp, p in enumerate(v.entries, first):
         if p.terms:
             order.check_degree(comp, p.degree)
             base = order.base[comp]
@@ -160,15 +203,16 @@ def _vector_to_terms(v: Vector, order: ModuleOrder):
     return terms
 
 
-def _terms_to_vector(module: FreeModule, order: ModuleOrder, terms, first=0) -> Vector:
-    """Vector of module from terms whose components start at index first."""
-    buckets: list[list] = [[] for _ in range(module.rank)]
-    base = order.base
-    for p, c in terms:
-        comp = COMP_MAX - (p & COMP_MAX)
-        buckets[comp - first].append(((p - base[comp]) >> COMP_BITS, c))
-    # within a component the module order is the ring's, so each bucket is sorted
-    return Vector(module, tuple(Polynomial(module.ring, tuple(b)) for b in buckets))
+def _integers(v: Vector, order: ModuleOrder, first=0):
+    """v's integer terms under order from component first and d, the values
+    being terms / d.  A ``_Packed`` Vector's move there by one added constant,
+    its twists being those from first; any other is converted (the boundary)."""
+    if not isinstance(v, _Packed):
+        return integer_terms(_vector_to_terms(v, order, first), order.ring.field)
+    if v.terms:  # the lead has the top shifted degree, and order may bound it lower
+        order.check_degree(first, v.order.sdeg(v.terms[0][0]) - order.twists[first])
+    shift = order.base[first] - v.order.base[v.first]
+    return (v.terms if not shift else [(p + shift, c) for p, c in v.terms]), v.d
 
 
 def _normalize(terms, field):
@@ -184,13 +228,6 @@ def _normalize(terms, field):
     if lc < 0:
         g = -g
     return terms if g == 1 else [(p, c // g) for p, c in terms]
-
-
-def _field_values(terms, d, field):
-    """The field values of integer terms over d, which is 1 over GF(p)."""
-    if field.characteristic:
-        return terms
-    return [(p, field.of(c, d)) for p, c in terms]
 
 
 def _normal_form_terms(terms, reducers_by_comp, order: ModuleOrder):
@@ -277,7 +314,7 @@ class ReducerIndex(dict):
         for v in vectors:
             if v.module != module:
                 raise ValueError("vector and basis live in different modules")
-            if terms := integer_terms(_vector_to_terms(v, self.order), module.ring.field)[0]:
+            if terms := _integers(v, self.order)[0]:
                 _index_reducer(self, _normalize(terms, module.ring.field), self.order)
 
 
@@ -384,7 +421,7 @@ def _free_hilbert(n: int, degrees, plus=lambda d: 0):
 
 
 def _buchberger_terms(inputs, order: ModuleOrder, span_hilbert=None, up_to=None):
-    """Reduced basis of the span of the field-valued term lists (under an
+    """Reduced basis of the span of the integer term lists (under an
     elimination order, its second-block members) and its first-block leads.
 
     With ``span_hilbert``, the Hilbert function of that submodule or a bound
@@ -412,7 +449,7 @@ def _buchberger_terms(inputs, order: ModuleOrder, span_hilbert=None, up_to=None)
 
     for terms in inputs:
         if terms:
-            insert(integer_terms(terms, field)[0])
+            insert(terms)
 
     degree, covered, hilbert, reduced = None, 0, -1, False
     while pairs:
@@ -443,8 +480,8 @@ def _buchberger_terms(inputs, order: ModuleOrder, span_hilbert=None, up_to=None)
 
 
 def _interreduce_terms(entries, order: ModuleOrder):
-    """Canonical reduced basis of reducer entries: minimal leads, tails fully
-    reduced, monic, with field values built once per term.
+    """Canonical reduced basis of reducer entries as (terms, d) pairs: minimal
+    leads, tails fully reduced, and the monic member's values terms / d.
 
     Every tail is reduced against one index of the whole minimal basis: no
     minimal lead divides another, and a lead divides no smaller term, so each
@@ -467,7 +504,7 @@ def _interreduce_terms(entries, order: ModuleOrder):
     for _, lead, tail, d in minimal:
         rest, scale = _normal_form_terms(tail, by_comp, order)
         d *= scale
-        basis.append(_field_values([(lead, d), *rest], d, order.ring.field))
+        basis.append(([(lead, d), *rest], d))
     return basis
 
 
@@ -500,9 +537,9 @@ def groebner_basis(
         if up_to is not None and g.degree > up_to:
             raise ValueError(f"generator of degree {g.degree} is above up_to = {up_to}")
     order = ModuleOrder(module)
-    inputs = [_vector_to_terms(g, order) for g in gens]
+    inputs = [_integers(g, order)[0] for g in gens]
     basis, _ = _buchberger_terms(inputs, order, span_hilbert, up_to)
-    return [_terms_to_vector(module, order, terms) for terms in basis]
+    return [_Packed(module, terms, d, order) for terms, d in basis]
 
 
 def normal_form(v: Vector, basis: Sequence[Vector] | ReducerIndex) -> Vector:
@@ -510,12 +547,12 @@ def normal_form(v: Vector, basis: Sequence[Vector] | ReducerIndex) -> Vector:
     index = basis if isinstance(basis, ReducerIndex) else ReducerIndex(v.module, basis)
     if index.module != v.module:
         raise ValueError("vector and basis live in different modules")
-    order, field = index.order, v.module.ring.field
-    terms, d = integer_terms(_vector_to_terms(v, order), field)
+    order = index.order
+    terms, d = _integers(v, order)
     r, s = _normal_form_terms(terms, index, order)
     if r:
-        _index_reducer(index, _normalize(r, field), order)
-    return _terms_to_vector(v.module, order, _field_values(r, d * s, field))
+        _index_reducer(index, _normalize(r, v.module.ring.field), order)
+    return _Packed(v.module, r, d * s, order)
 
 
 def spoly_reduces_to_zero(basis: Sequence[Vector]) -> bool:
@@ -555,31 +592,32 @@ class Submodule:
 
 def _eliminate(gens: Sequence[Vector], tags: Sequence[Vector], span_hilbert):
     """The tag parts of the members led in the tag block of the elimination
-    basis of the (g_i | t_i), and the leads of its members in the target block.
+    basis of the (g_i | t_i), in engine form, and the leads of its members in
+    the target block.
 
     ``span_hilbert``, the span's Hilbert function or None, skips the
     S-pairs that would reduce to zero (see the module docstring).
     """
     target, tag = gens[0].module, tags[0].module
     k = target.rank
-    aug = FreeModule(target.ring, target.twists + tag.twists)
-    order = ModuleOrder(aug, split=k)
+    order = ModuleOrder(FreeModule(target.ring, target.twists + tag.twists), split=k)
     inputs = []
     for g, t in zip(gens, tags):
-        v = Vector(aug, g.entries + t.entries)
+        (g_terms, dg), (t_terms, dt) = _integers(g, order), _integers(t, order, k)
         # homogeneity keeps tag terms, too, at their checked S-pair degree
-        if not v.is_homogeneous():
+        if len({order.sdeg(p) for part in (g_terms, t_terms) for p, _ in part[:1] + part[-1:]}) > 1:
             raise ValueError("generators must be homogeneous")
-        inputs.append(_vector_to_terms(v, order))
+        # (g | t) times dg * dt, which has the same stored primitive multiple
+        inputs.append([(p, c * dt) for p, c in g_terms] + [(p, c * dg) for p, c in t_terms])
     basis, leads = _buchberger_terms(inputs, order, span_hilbert)
-    return [_terms_to_vector(tag, order, terms, first=k) for terms in basis], leads
+    return [_Packed(tag, terms, d, order, k) for terms, d in basis], leads
 
 
 def lead_vectors(module: FreeModule, leads) -> list[Vector]:
     """The distinct (component, packed monomial) leads as monomial vectors of module."""
-    order, one = ModuleOrder(module), module.ring.field.one
+    order = ModuleOrder(module)
     terms = sorted({order.pack(c, m) for c, m in leads})
-    return [_terms_to_vector(module, order, [(t, one)]) for t in terms]
+    return [_Packed(module, [(t, 1)], 1, order) for t in terms]
 
 
 def module_gb_and_syzygies(
@@ -631,7 +669,8 @@ def _as_vectors(ring, polys: Sequence[Polynomial]) -> list[Vector]:
 class Basis(tuple):
     """The reduced monic grevlex basis of an ideal of ``ring``, by ascending
     lead.  Only this module builds one, so one of the ring in hand is trusted;
-    a plain sequence, or a Basis of another ring, is only generators."""
+    a plain sequence, or a Basis of another ring, is only generators.  Its
+    Polynomials are built when it is; they re-enter by the input conversion."""
 
     def __new__(cls, ring, polys: Sequence[Polynomial] = ()):
         basis = super().__new__(cls, polys)
@@ -700,7 +739,7 @@ def _colon_last_variable(basis: Basis) -> Basis:
     index = ReducerIndex(_ideal_module(ring), _as_vectors(ring, quotient))
     (entries,), order = index.values(), index.order
     reduced = _interreduce_terms(entries, order)
-    return Basis(ring, [_terms_to_vector(index.module, order, t).entries[0] for t in reduced])
+    return Basis(ring, [_Packed(index.module, t, d, order).entries[0] for t, d in reduced])
 
 
 def ideal_colon(ring, gens: Sequence[Polynomial], h: Polynomial) -> Basis:

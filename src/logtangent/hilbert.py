@@ -24,7 +24,7 @@ from math import comb
 from operator import le
 from typing import Sequence
 
-from .groebner import ModuleOrder, _as_vectors, ideal_groebner
+from .groebner import ModuleOrder, _integers, ideal_groebner
 from .modules import FreeModule, Vector
 from .poly import EXP_MAX, Polynomial, monomials_of_degree
 
@@ -141,17 +141,12 @@ def hilbert_from_numerator(numerator: dict[int, int], nvars: int) -> HilbertData
 
 
 def _leads(module: FreeModule, gb: Sequence[Vector]) -> list[set]:
-    """Per component, the packed monomials of the leads of gb under graded TOP order.
-
-    Within a component the module order is the ring's, so an entry's first
-    term leads it, and the vector's lead is the greatest of those.
-    """
+    """Per component, the packed monomials of the leads of gb under graded TOP order."""
     order = ModuleOrder(module)
     leads: list[set] = [set() for _ in range(module.rank)]
     for v in gb:
-        packed = [order.pack(c, p.terms[0][0]) for c, p in enumerate(v.entries) if p.terms]
-        if packed:
-            comp, m = order.unpack(max(packed))
+        if terms := _integers(v, order)[0]:
+            comp, m = order.unpack(terms[0][0])
             leads[comp].add(m)
     return leads
 
@@ -169,8 +164,8 @@ def hilbert_of_quotient(module: FreeModule, gb: Sequence[Vector]) -> HilbertData
 def hilbert_of_ideal_quotient(ring, gens: Sequence[Polynomial]) -> HilbertData:
     """Hilbert data of R/I, from the leads of the basis ``ideal_groebner``
     gives, so a Basis of ring (a saturation, say) is read as it is."""
-    gb = ideal_groebner(ring, gens)
-    return hilbert_of_quotient(FreeModule(ring, (0,)), _as_vectors(ring, gb))
+    leads = {p.terms[0][0] for p in ideal_groebner(ring, gens)}
+    return hilbert_from_numerator(monomial_quotient_numerator(leads, ring, {}), ring.nvars)
 
 
 def dimension_degree(ring, gens: Sequence[Polynomial]) -> tuple[int, int]:

@@ -50,7 +50,8 @@ class FreeModule:
 
 
 class Vector:
-    """Element of a graded free module: one polynomial per component."""
+    """Element of a graded free module: one polynomial per component.  A kernel
+    output builds them on first read, and re-enters as its integer terms."""
 
     __slots__ = ("module", "entries")
 

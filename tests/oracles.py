@@ -26,7 +26,6 @@ from logtangent.groebner import (
     _as_vectors,
     _buchberger_terms,
     _ideal_module,
-    _terms_to_vector,
     _vector_to_terms,
     annihilator_of_cokernel,
     fitting_ideal_0,
@@ -42,7 +41,7 @@ from logtangent.groebner import (
 from logtangent.hilbert import hilbert_of_quotient
 from logtangent.linalg import matrix_rank
 from logtangent.modules import FreeModule, Vector
-from logtangent.poly import ConsistencyError
+from logtangent.poly import ConsistencyError, Polynomial, integer_terms
 from logtangent.resolution import resolve_submodule
 from logtangent.sequences import NVARS, JacobianAnalysis, canonical_syzygies, plane_section
 
@@ -204,6 +203,16 @@ def _normal_form_terms_by_fractions(terms, reducers_by_comp, order):
     return out
 
 
+def vector_of_terms(module, order, terms, first=0):
+    """The eagerly built Vector of module from field-valued terms packed under
+    order from component first, bucketed by ``order.unpack``."""
+    buckets = [[] for _ in module.twists]
+    for p, c in terms:
+        comp, m = order.unpack(p)
+        buckets[comp - first].append((m, c))
+    return Vector(module, tuple(Polynomial(module.ring, tuple(b)) for b in buckets))
+
+
 def normal_form_by_fractions(v, basis):
     """Normal form of v against basis, reducing with field values throughout."""
     order = ModuleOrder(v.module)
@@ -211,7 +220,7 @@ def normal_form_by_fractions(v, basis):
     reducers = (_vector_to_terms(g, order) for g in basis if not g.is_zero())
     by_comp = _index_by_fractions([_monic_terms(t, field) for t in reducers], order)
     r = _normal_form_terms_by_fractions(_vector_to_terms(v, order), by_comp, order)
-    return _terms_to_vector(v.module, order, r)
+    return vector_of_terms(v.module, order, r)
 
 
 def image_leads(gens):
@@ -281,18 +290,24 @@ def koszul_exact_by_pure_powers(ring, row):
 
 def syzygies_without_skipping(gens, degrees):
     """``module_gb_and_syzygies`` with the Hilbert function withheld, so the
-    elimination reduces every S-pair the pair criteria keep."""
+    elimination reduces every S-pair the pair criteria keep.  Its inputs are
+    the eagerly joined (g_i | e_i) cleared to integers, and its syzygies are
+    built eagerly from the (terms, d) members, one ``field.of`` per term."""
     target = gens[0].module
-    k = target.rank
+    k, field = target.rank, target.ring.field
     syz_module = FreeModule(target.ring, degrees)
     aug = FreeModule(target.ring, target.twists + syz_module.twists)
     order = ModuleOrder(aug, split=k)
     inputs = [
-        _vector_to_terms(Vector(aug, g.entries + syz_module.basis_vector(i).entries), order)
+        integer_terms(
+            _vector_to_terms(Vector(aug, g.entries + syz_module.basis_vector(i).entries), order),
+            field,
+        )[0]
         for i, g in enumerate(gens)
     ]
     basis, leads = _buchberger_terms(inputs, order)
-    return syz_module, [_terms_to_vector(syz_module, order, t, first=k) for t in basis], leads
+    values = [[(p, field.of(c, d)) for p, c in t] for t, d in basis]
+    return syz_module, [vector_of_terms(syz_module, order, t, k) for t in values], leads
 
 
 def chern_classes_by_fractions(df, dg, m, ch3_q):

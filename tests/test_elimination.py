@@ -6,10 +6,10 @@ import random
 
 import pytest
 
-from logtangent import groebner
 from logtangent.fields import QQ, PrimeField
 from logtangent.fixtures import FIXTURES
 from logtangent.groebner import (
+    _Packed,
     _as_vectors,
     _ideal_module,
     fitting_ideal_0,
@@ -67,13 +67,14 @@ def test_corpus_colons_and_intersections_match_reference(field):
 @pytest.mark.parametrize("field", FIELDS)
 def test_eliminations_build_a_vector_only_per_returned_member(monkeypatch, field):
     # the members led in the target block, a basis of the image, are dropped
-    # before interreduction, so none of them is ever converted to a Vector
+    # before interreduction, so none of them is ever made a Vector: each
+    # Vector the kernel returns is made in engine form, by _Packed
     built = []
-    to_vector = groebner._terms_to_vector
+    init = _Packed.__init__
 
-    def counting(*args, **kwargs):
-        built.append(to_vector(*args, **kwargs))
-        return built[-1]
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
 
     def members(run):
         built.clear()
@@ -81,7 +82,7 @@ def test_eliminations_build_a_vector_only_per_returned_member(monkeypatch, field
         assert out and len(built) == len(out)
         return out
 
-    monkeypatch.setattr(groebner, "_terms_to_vector", counting)
+    monkeypatch.setattr(_Packed, "__init__", counting)
     ring = PolyRing(field, 4)
     (fx,) = [fx for fx in FIXTURES if fx.name == "schematic-difference"]
     assert fx.m > 0

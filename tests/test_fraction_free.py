@@ -110,10 +110,12 @@ def test_random_normal_forms_match_fractions(field, twists):
                 _assert_same_terms(element(rng.randint(3, 4)), basis)
 
 
-@pytest.mark.parametrize("call", ["groebner_basis", "normal_form"])
+@pytest.mark.parametrize("call", ["groebner_basis", "normal_form", "groebner_basis_of_output"])
 def test_qq_builds_one_fraction_per_output_term(monkeypatch, call):
-    """Inside the engine a QQ coefficient is an integer, so the only Fractions
-    constructed are the output coefficients, one each."""
+    """Inside the engine a QQ coefficient is an integer, and a kernel output
+    keeps its integers: no Fraction is constructed while the kernel runs,
+    not even for an input that is itself a kernel output, and reading the
+    output's entries constructs one per term."""
     ring = PolyRing(QQ, 4)
     rng = random.Random(5)
     gens = _as_vectors(
@@ -126,6 +128,12 @@ def test_qq_builds_one_fraction_per_output_term(monkeypatch, call):
     # a basis that is not monic, so reducers are normalized on the way in
     basis = [b.scaled(QQ.of(-3, 2)) for b in groebner_basis(gens)]
     [v] = _as_vectors(ring, [ring.random_homogeneous(4, rng).scaled(QQ.of(2, 3))])
+    gb = groebner_basis(gens)  # a kernel output whose entries are never read
+    runs = {
+        "groebner_basis": lambda: groebner_basis(gens),
+        "normal_form": lambda: [normal_form(v, basis)],
+        "groebner_basis_of_output": lambda: groebner_basis(gb),
+    }
     made = []
     new = Fraction.__new__
 
@@ -134,9 +142,10 @@ def test_qq_builds_one_fraction_per_output_term(monkeypatch, call):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counting_new)
-    out = groebner_basis(gens) if call == "groebner_basis" else [normal_form(v, basis)]
-    monkeypatch.undo()
+    out = runs[call]()
+    assert made == []
     terms = sum(len(p.terms) for w in out for p in w.entries)
+    monkeypatch.undo()
     assert terms > len(out)
     assert len(made) == terms
 

@@ -21,9 +21,7 @@ from logtangent.fixtures import FIXTURES
 from logtangent.groebner import (
     COMP_MAX,
     ModuleOrder,
-    _field_values,
     _normal_form_terms,
-    _terms_to_vector,
     _vector_to_terms,
     ReducerIndex,
     groebner_basis,
@@ -39,6 +37,7 @@ from oracles import (
     monomial_divides,
     normal_form_by_fractions,
     syzygies_without_skipping,
+    vector_of_terms,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -222,7 +221,7 @@ def test_waiting_terms_leave_scaled_reduced_and_sorted(case):
     keys = [p for p, _ in out]
     assert keys == sorted(set(keys), reverse=True)
     assert all(c and (not field.characteristic or 0 < c < field.characteristic) for _, c in out)
-    got = _terms_to_vector(module, ModuleOrder(module), _field_values(out, d * s, field))
+    got = vector_of_terms(module, ModuleOrder(module), [(p, field.of(c, d * s)) for p, c in out])
     assert got == normal_form_by_fractions(v, reducers)
 
 
@@ -268,5 +267,5 @@ def test_elimination_returns_tag_led_syzygies_that_map_to_zero(monkeypatch):
         columns = seq.jacobian_columns
         _, syz, _ = module_gb_and_syzygies(columns, seq.source_module().twists)
         ((order, basis),) = recorded
-        assert not any(p & order.block_bit for terms in basis for p, _ in terms), label
+        assert not any(p & order.block_bit for terms, _ in basis for p, _ in terms), label
         assert syz and all(apply_columns(columns, s.entries).is_zero() for s in syz), label
