@@ -13,13 +13,15 @@ code in one place, the except chain of ``main``: 2 for any ``ValueError``
 largest degree, a degree past the packing bound, a refused ``search``
 argument), 3 for a Bourbaki extraction failure, 5 for a failed internal
 cross-check (``ConsistencyError``), Betti numbers that disagree with the
-Hilbert series included.
+Hilbert series included.  A reader that closes stdout early (``| head``) ends
+the run with 141 (128 + SIGPIPE) and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -267,15 +269,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except NonNormalSequenceError as exc:
-        return _refuse(args, exc, 2, divisor_degree=exc.divisor_degree)
-    except ValueError as exc:
-        return _refuse(args, exc, 2)
-    except BourbakiExtractionError as exc:
-        return _refuse(args, exc, 3)
-    except ConsistencyError as exc:
-        return _refuse(args, exc, 5)
+        try:
+            code = args.func(args)
+        except NonNormalSequenceError as exc:
+            code = _refuse(args, exc, 2, divisor_degree=exc.divisor_degree)
+        except ValueError as exc:
+            code = _refuse(args, exc, 2)
+        except BourbakiExtractionError as exc:
+            code = _refuse(args, exc, 3)
+        except ConsistencyError as exc:
+            code = _refuse(args, exc, 5)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: what is left to flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

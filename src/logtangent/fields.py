@@ -4,14 +4,16 @@ Two fields are supported: arbitrary-precision rationals (the default working
 field) and odd prime fields with a word-sized modulus (used for randomized
 searches, where exact rational growth would be wasted effort).
 
-Coefficients are plain numbers, ``Fraction`` over QQ and ``int`` over GF(p),
-combined with Python's ``+ - *``.  A field object only makes values: ``of``
+Coefficients are plain numbers combined with Python's ``+ - *``: over QQ an
+``int`` when the value is an integer and a ``Fraction`` (denominator above 1)
+otherwise, over GF(p) an ``int``.  A field object only makes values: ``of``
 builds one from a fraction, ``inv`` inverts, and ``reduce`` brings the result
 of ``+ - *`` back to the canonical form that is stored and tested for zero
-(the identity over QQ, ``x % p`` over GF(p), whose values lie in [0, p)).
-Stored polynomials hold these values.  The Groebner engine works on
-integers: a Vector it hands back builds one ``Fraction``, with ``of``, per
-term when its entries are read, and re-enters with none (see :mod:`.groebner`).
+(an integral ``Fraction`` becomes its numerator over QQ, ``x % p`` over
+GF(p), whose values lie in [0, p)).  Stored polynomials hold these values.
+The Groebner engine works on integers: a Vector it hands back builds its
+entries with ``of`` when they are read, and re-enters from its integer terms
+(see :mod:`.groebner`).
 """
 
 from __future__ import annotations
@@ -50,22 +52,28 @@ def is_prime(n: int) -> bool:
 
 
 class RationalField:
-    """The field of exact rationals; values are ``fractions.Fraction``."""
+    """The field of exact rationals; a value is an ``int`` when it is an
+    integer and a ``fractions.Fraction`` with denominator above 1 otherwise.
+    The two print, compare and hash alike (``str(3) == str(Fraction(3))``)."""
 
     characteristic = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def of(self, numerator, denominator=1):
-        return Fraction(numerator, denominator)
+        if denominator == 1 and type(numerator) is int:
+            return numerator
+        if numerator % denominator:
+            return Fraction(numerator, denominator)
+        return numerator // denominator
 
     def reduce(self, x):
-        return x
+        return x.numerator if x.denominator == 1 else x
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return self.of(1, a)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

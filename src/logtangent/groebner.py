@@ -20,8 +20,9 @@ reduction keeps degrees, so nothing else can overflow.
 Coefficients inside are integers, as in fraction-free elimination (Geddes,
 Czapor & Labahn 1992): a basis member is stored over QQ as its primitive
 integer multiple with a positive lead, over GF(p) as monic.  A Vector handed
-back keeps its integer terms, builds its entries, one ``field.of`` per term,
-when they are read, and re-enters with its terms moved by one added constant
+back keeps its integer terms, builds its entries when they are read (a term
+c over the scale d is ``field.of(c, d)``, a plain ``int`` when d divides c),
+and re-enters with its terms moved by one added constant
 (``_Packed``, ``_integers``).  A normal form keeps its pending
 terms in a dict of integers over one running scale, which grows when a
 reducer's lead coefficient needs it.  Only terms of a component in which

@@ -1,29 +1,39 @@
-"""Exact matrix rank over a field, by row echelon form (tiny systems only)."""
+"""Exact matrix rank over a field, by fraction-free row echelon form (tiny
+systems only)."""
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Sequence
+
+from .poly import integer_terms
 
 
 def matrix_rank(rows: Sequence[Sequence], field) -> int:
-    """Rank of the matrix with the given rows of field elements.
+    """Rank of the matrix with the given rows of field elements, with no
+    division (Bareiss, Math. Comp. 1968).
 
-    Each row, as a dict from column to nonzero value, is reduced by the
-    monic pivot rows at its largest column until it is zero or leads at a
-    new column, where it becomes a pivot row; the rank counts the pivots.
+    Each row becomes a dict from column to nonzero integer, cleared of its
+    denominators over QQ.  At its largest column, where a pivot row has a
+    and it has b, the row becomes a * row - b * pivot, until it is zero or
+    leads at a new column, where it becomes a pivot row; the rank counts the
+    pivots.  After each step the entries are reduced mod p over GF(p), and
+    over QQ divided by their gcd, which keeps the integers small.
     """
     pivots: dict = {}
     for r in rows:
-        row = {j: c for j, c in enumerate(r) if c}
+        row = dict(integer_terms([(j, c) for j, c in enumerate(r) if c], field)[0])
         while row:
             lead = max(row)
             if lead not in pivots:
-                inv = field.inv(row[lead])
-                pivots[lead] = {t: field.reduce(c * inv) for t, c in row.items()}
+                pivots[lead] = row
                 break
-            c = row[lead]
-            for t, b in pivots[lead].items():
-                row[t] = field.reduce(row.get(t, 0) - c * b)
-                if not row[t]:
-                    del row[t]
+            pivot = pivots[lead]
+            a, b = pivot[lead], row[lead]
+            row = {
+                t: c for t in row | pivot if (c := field.reduce(a * row.get(t, 0) - b * pivot.get(t, 0)))
+            }
+            if row and not field.characteristic:
+                g = gcd(*row.values())
+                row = {t: c // g for t, c in row.items()}
     return len(pivots)

@@ -224,6 +224,7 @@ def plane_section(p: Polynomial) -> Polynomial:
     return ring.poly(items)
 
 
+@lru_cache(maxsize=None)
 def _grade_three_series(df: int, dg: int) -> tuple[HilbertData, HilbertData]:
     """Cokernel and R/Fitt_0 series when the 2x2 minors have grade 3: then the
     Buchsbaum-Rim complex 0 -> R(-d-df) + R(-d-dg) -> R(-d)^4 -> K -> 0 and the

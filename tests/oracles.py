@@ -6,14 +6,15 @@ module, the annihilator from colons that reduce every S-pair, the normal
 form that combines field values directly instead of integers over one
 scale, the syzygy elimination that reduces every S-pair, Chern classes by
 Chern-character additivity in fractions, a linear change of coordinates,
-a polynomial's value at a point by substituting into each term, minimal generators whose span test within a degree is a row echelon of
+a polynomial's value at a point by substituting into each term, the rank
+of a matrix by monic pivot rows, minimal generators whose span test within a degree is a row echelon of
 normal forms, the graded Betti numbers of a cokernel from Koszul
 homology, a resolution whose Hilbert series comes from a Groebner basis
 of its generators, the Jacobian analysis that reads the cokernel series
 off a Groebner basis of the image, the plane-section verdict read off the
 section's full basis, built with no bound and no degree cap, and the
 regularity test that looks for pure powers among the leads of a full
-ideal basis."""
+ideal basis; and the stored form of a field value."""
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -46,6 +47,15 @@ from logtangent.resolution import resolve_submodule
 from logtangent.sequences import NVARS, JacobianAnalysis, canonical_syzygies, plane_section
 
 SATURATION_ROUNDS = 64
+
+
+def is_stored_form(c, field) -> bool:
+    """c is a nonzero value in its stored form: over QQ an ``int`` exactly
+    when it is an integer, else a ``Fraction`` with denominator above 1; over
+    GF(p) an ``int`` in [1, p)."""
+    if field.characteristic:
+        return type(c) is int and 0 < c < field.characteristic
+    return c != 0 and (type(c) is int or (type(c) is Fraction and c.denominator > 1))
 
 
 def grevlex_key(exps: tuple[int, ...]):
@@ -368,6 +378,15 @@ def _extends_span(pivots, row, field):
             if not row[t]:
                 del row[t]
     return False
+
+
+def rank_by_echelon(rows, field):
+    """``linalg.matrix_rank`` by monic pivot rows: each row, as a dict from
+    column to nonzero value, joins the pivots unless it lies in their span."""
+    pivots = {}
+    for r in rows:
+        _extends_span(pivots, {j: c for j, c in enumerate(r) if c}, field)
+    return len(pivots)
 
 
 def minimal_generators_by_echelon(gens):

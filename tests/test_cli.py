@@ -2,9 +2,14 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import logtangent
 from logtangent.cli import main
 from logtangent.fields import QQ, PrimeField
 from logtangent.fixtures import FIXTURES, run_corpus, run_fixture
@@ -400,3 +405,23 @@ def test_analyze_validate_violation_exits_4(capsys, monkeypatch):
     assert code == 4 and out.endswith("constraint violations:\n  - e out of range\n")
     # without --validate nothing is checked
     assert run_cli(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "--df", "1", "--dg", "2", "--count", "8", "--seed", "0"),
+        ("corpus", "--verbose"),
+        ("analyze", "--json", "--f", "x0^2+x3^2", "--g", "x0^3+x0*x1*x2+x3^3"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_closed_stdout_exits_141_quietly(argv):
+    # the read end closes before any output, as when "| head" has read enough
+    src = str(Path(logtangent.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    command = (sys.executable, "-m", "logtangent.cli", *argv)
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (141, b"")

@@ -130,6 +130,8 @@ def test_a_wrong_closed_form_is_refused_on_the_fallback(monkeypatch):
         return real({j: c for j, c in n.items() if c}, nvars)
 
     monkeypatch.setattr(sequences, "hilbert_from_numerator", perturbed)
+    # the cached closed forms stay right; the uncached function reads the perturbed one
+    monkeypatch.setattr(sequences, "_grade_three_series", sequences._grade_three_series.__wrapped__)
     with pytest.raises(ConsistencyError, match="image leads disagree"):
         certificate(monkeypatch, seq)
 

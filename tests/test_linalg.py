@@ -1,4 +1,6 @@
-"""matrix_rank, the row echelon rank behind the constant-kernel dimension."""
+"""matrix_rank, the fraction-free row echelon rank behind the constant-kernel
+dimension, against sympy and against the monic pivot echelon of
+``oracles.rank_by_echelon``."""
 
 import random
 from fractions import Fraction
@@ -6,9 +8,14 @@ from fractions import Fraction
 import pytest
 
 from logtangent.fields import QQ, PrimeField
+from logtangent.fixtures import FIXTURES
 from logtangent.linalg import matrix_rank
+from logtangent.poly import PolyRing
+from logtangent.sequences import NVARS, Sequence, constant_kernel_dimension
+from oracles import rank_by_echelon
 
 GF7 = PrimeField(7)
+FIELDS = [pytest.param(QQ, id="QQ"), pytest.param(PrimeField(32003), id="GF32003")]
 
 # rows over GF(7) with values in [0, 7), and their rank
 GF7_CASES = {
@@ -51,3 +58,44 @@ def test_rank_matches_sympy_over_qq():
             m, n, [sympy.Rational(c.numerator, c.denominator) for row in rows for c in row]
         ).rank()
         assert matrix_rank(rows, QQ) == expected
+
+
+def _value(rng, field):
+    if field.characteristic:
+        return rng.randrange(field.characteristic)
+    return QQ.of(rng.randint(-4, 4), rng.choice((1, 2, 3, 7)))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_rank_matches_the_echelon_oracle(field):
+    rng = random.Random(47)
+    deficient = full = 0
+    for _ in range(300):
+        m, n, k = rng.randint(0, 6), rng.randint(1, 6), rng.randint(0, 5)
+        # a product through k dimensions, so ranks below min(m, n) are common
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
+        right = [[_value(rng, field) for _ in range(n)] for _ in range(k)]
+        rows = [
+            [field.reduce(sum((a * r[j] for a, r in zip(row, right)), field.zero)) for j in range(n)]
+            for row in left
+        ]
+        rows += [[field.zero] * n for _ in range(rng.randint(0, 2))]
+        rng.shuffle(rows)
+        rank = rank_by_echelon(rows, field)
+        assert matrix_rank(rows, field) == rank, rows
+        deficient += rank < min(len(rows), n)
+        full += 0 < rank == min(len(rows), n)
+    assert deficient > 50 and full > 50
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_constant_kernel_dimension_on_the_corpus(field):
+    ring = PolyRing(field, 4)
+    for fx in FIXTURES:
+        seq = Sequence.parse(ring, fx.f, fx.g)
+        rows = [
+            [dict(p.terms).get(m, field.zero) for p in grad]
+            for grad in seq.gradient_rows
+            for m in sorted({m for p in grad for m, _ in p.terms})
+        ]
+        assert constant_kernel_dimension(seq) == NVARS - rank_by_echelon(rows, field), fx.name

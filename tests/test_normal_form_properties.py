@@ -33,6 +33,7 @@ from logtangent.poly import integer_terms, monomials_of_degree, PolyRing
 from logtangent.search import sample_pair
 from logtangent.sequences import Sequence
 from oracles import (
+    is_stored_form,
     module_key,
     monomial_divides,
     normal_form_by_fractions,
@@ -97,10 +98,9 @@ def basis_case(draw):
 
 
 def canonical(p):
-    """Every coefficient is nonzero, of the field's type and fixed by reduce."""
+    """Every coefficient is nonzero, in its stored form and fixed by reduce."""
     field = p.ring.field
-    kind = type(field.one)
-    return all(c and type(c) is kind and field.reduce(c) == c for _, c in p.terms)
+    return all(is_stored_form(c, field) and field.reduce(c) == c for _, c in p.terms)
 
 
 def leads(basis, module):

@@ -155,5 +155,7 @@ def test_a_wrong_closed_form_is_a_consistency_error(monkeypatch):
         return real({j: c for j, c in n.items() if c}, nvars)
 
     monkeypatch.setattr(sequences, "hilbert_from_numerator", perturbed)
+    # the cached closed forms stay right; the uncached function reads the perturbed one
+    monkeypatch.setattr(sequences, "_grade_three_series", sequences._grade_three_series.__wrapped__)
     with pytest.raises(ConsistencyError, match="disagree with the Hilbert series"):
         invariants_module.invariants(seq, with_schemes=False)
