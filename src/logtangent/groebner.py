@@ -30,13 +30,13 @@ some reducer leads enter the max-heap; the others (the tag terms of an
 elimination before its first syzygy) wait in the dict until the end.  Sums
 stay unreduced until a term leaves, when ``% p`` makes it canonical over GF(p).
 
-Pair handling follows Gebauer-Moeller: the chain criterion prunes the pair
-queue on every insertion, and the coprimality criterion is applied in the
-rank-one (ideal) case only, where it is valid.  A pair is the tuple
-``(degree, i, j)``, its S-pair degree (the honest degree, since all inputs
-here are homogeneous) computed once when it is formed, so ``min(pairs)``
-selects by degree with index tie-breaks.  Two more rules drop pairs whose
-reduction the answer cannot use:
+Pair handling follows Gebauer & Moeller (JSC 1988) on the exponent fields of
+the packed leads: an lcm is read off the guard bits, and its degree is summed
+only for a pair kept.  The chain criterion prunes the queue on every
+insertion; the coprimality criterion holds in the rank-one (ideal) case
+only.  A pair is ``(degree, i, j)``, its honest S-pair degree (inputs are
+homogeneous), so ``min(pairs)`` selects by degree with index tie-breaks.
+Two more rules drop pairs whose reduction the answer cannot use:
 
 * Hilbert-driven (Traverso 1996).  When the Hilbert function H of the
   span is known before any reduction runs, the terms of degree D that the
@@ -79,6 +79,7 @@ from typing import Sequence
 
 from .modules import FreeModule, Vector
 from .poly import (
+    EXP_BITS,
     EXP_MAX,
     ConsistencyError,
     PackingOverflowError,
@@ -93,6 +94,7 @@ from .poly import (
 DEG_BITS = 10
 COMP_BITS = 10
 DEG_BIAS = 1 << (DEG_BITS - 1)
+DEG_MASK = (1 << DEG_BITS) - 1
 COMP_MAX = (1 << COMP_BITS) - 1
 
 
@@ -124,19 +126,20 @@ class ModuleOrder:
             for comp, twist in enumerate(self.twists)
         )
 
-    def check_degree(self, comp: int, degree: int) -> None:
-        """Refuse a monomial degree in comp past the packed degree bound."""
-        if degree + self.twists[comp] > self.max_sdeg:
+    def check_degree(self, comp: int, sdeg: int) -> None:
+        """Refuse a shifted degree in comp past the packed degree bound."""
+        if sdeg > self.max_sdeg:
             raise PackingOverflowError(
-                f"degree {degree} in component {comp} exceeds the packed degree bound"
+                f"degree {sdeg - self.twists[comp]} in component {comp}"
+                " exceeds the packed degree bound"
             )
 
     def pack(self, comp: int, m: int) -> int:
-        self.check_degree(comp, m >> self.ring.deg_shift)
+        self.check_degree(comp, (m >> self.ring.deg_shift) + self.twists[comp])
         return self.base[comp] + (m << COMP_BITS)
 
     def sdeg(self, p: int) -> int:  # the shifted degree of a packed term
-        return ((p >> self.deg_shift) & ((1 << DEG_BITS) - 1)) - DEG_BIAS
+        return ((p >> self.deg_shift) & DEG_MASK) - DEG_BIAS
 
     def unpack(self, p: int) -> tuple[int, int]:
         """(component, packed monomial) of a packed term."""
@@ -197,7 +200,7 @@ def _vector_to_terms(v: Vector, order: ModuleOrder, first=0):
     terms = []
     for comp, p in enumerate(v.entries, first):
         if p.terms:
-            order.check_degree(comp, p.degree)
+            order.check_degree(comp, p.degree + order.twists[comp])
             base = order.base[comp]
             terms += [(base + (m << COMP_BITS), c) for m, c in p.terms]
     terms.sort(key=itemgetter(0), reverse=True)
@@ -211,7 +214,7 @@ def _integers(v: Vector, order: ModuleOrder, first=0):
     if not isinstance(v, _Packed):
         return integer_terms(_vector_to_terms(v, order, first), order.ring.field)
     if v.terms:  # the lead has the top shifted degree, and order may bound it lower
-        order.check_degree(first, v.order.sdeg(v.terms[0][0]) - order.twists[first])
+        order.check_degree(first, v.order.sdeg(v.terms[0][0]))
     shift = order.base[first] - v.order.base[v.first]
     return (v.terms if not shift else [(p + shift, c) for p, c in v.terms]), v.d
 
@@ -323,53 +326,62 @@ class ReducerIndex(dict):
 # Buchberger driver with Gebauer-Moeller pair updates
 
 
+def _lcm_fields(a: int, b: int, guards: int) -> int:
+    """The exponent fields of the lcm of terms with exponent fields a and b."""
+    ge = ((a | guards) - b) & guards
+    return a ^ ((a ^ b) & (ge - (ge >> EXP_BITS)))
+
+
 def _update_pairs(leads, pairs, t, order: ModuleOrder):
     """Add generator index t, pruning pairs per Gebauer-Moeller.
 
-    ``leads`` holds the (component, packed monomial) of each generator's
-    lead, and a pair is (S-pair degree, i, j), so ``min(pairs)`` is the next
-    to reduce.  A coprime pair, whose lcm has the degree of the product, is
-    dropped before ``_spair_terms`` could refuse its lcm as too large.
+    ``leads`` holds each generator's packed lead term, and a pair is
+    (S-pair degree, i, j), so ``min(pairs)`` is the next to reduce.  A
+    coprime pair, whose lcm is the product, is dropped before
+    ``_spair_terms`` could refuse its lcm as too large.
     """
-    lcm, divides, deg_shift = order.ring.lcm, order.ring.divides, order.ring.deg_shift
-    comp_t, m_t = leads[t]
+    mask, guards = order.exp_mask, order.guards
+    comp_t, f_t = leads[t] & COMP_MAX, leads[t] & mask
+    g_t, rank_one = f_t | guards, len(order.twists) == 1
+    lcms, groups, coprime = {}, {}, set()  # lcms[i] = lcm(lead_i, lead_t)
+    for i in range(t):
+        if leads[i] & COMP_MAX == comp_t:
+            f_i = leads[i] & mask
+            lcms[i] = l_t = _lcm_fields(f_t, f_i, guards)
+            groups.setdefault(l_t, []).append(i)
+            # the coprimality criterion holds in the rank-one (ideal) case only
+            if rank_one and f_i + f_t - mask == l_t:
+                coprime.add(l_t)
 
     kept = set()
     for pair in pairs:
         _, i, j = pair
-        (ci, mi), (_, mj) = leads[i], leads[j]
-        if ci != comp_t:
-            kept.add(pair)
-            continue
-        l_ij = lcm(mi, mj)
-        if not divides(m_t, l_ij) or l_ij == lcm(mi, m_t) or l_ij == lcm(mj, m_t):
-            kept.add(pair)
+        if i in lcms:  # else of another component
+            l_ij = _lcm_fields(leads[i] & mask, leads[j] & mask, guards)
+            if (g_t - l_ij) & guards == guards and l_ij != lcms[i] and l_ij != lcms[j]:
+                continue
+        kept.add(pair)
 
-    lcm_groups: dict[int, list[int]] = {}
-    for i in range(t):
-        ci, mi = leads[i]
-        if ci == comp_t:
-            lcm_groups.setdefault(lcm(mi, m_t), []).append(i)
-
-    # ascending, so by degree, and a proper divisor of an lcm comes before it
+    top, shifts = order.twists[COMP_MAX - comp_t] + order.ring.nvars * EXP_MAX, order.ring.shifts
+    # a proper divisor of an lcm stores larger fields, so comes before it
     minimal: list[int] = []
-    for l_t in sorted(lcm_groups):
-        if not any(divides(prev, l_t) for prev in minimal):
+    for l_t in sorted(groups, reverse=True):
+        for prev in minimal:
+            if ((prev | guards) - l_t) & guards == guards:
+                break
+        else:
             minimal.append(l_t)
-
-    deg_t = m_t >> deg_shift
-    for l_t in minimal:
-        members, degree = lcm_groups[l_t], l_t >> deg_shift
-        # the coprimality criterion holds in the rank-one (ideal) case only
-        coprime = (degree == (leads[i][1] >> deg_shift) + deg_t for i in members)
-        if len(order.twists) > 1 or not any(coprime):
-            kept.add((order.twists[comp_t] + degree, min(members), t))
+            if l_t not in coprime:
+                degree, fields = top, l_t >> COMP_BITS
+                for s in shifts:
+                    degree -= fields >> s & EXP_MAX
+                kept.add((degree, groups[l_t][0], t))
     return kept
 
 
-def _spair_terms(ri, rj, order: ModuleOrder):
+def _spair_terms(ri, rj, degree, order: ModuleOrder):
     """lcm(di, dj) * (x^u gi - x^v gj) from the reducer entries of members
-    gi, gj (taken monic) whose leads share a component.
+    gi, gj (taken monic) whose leads share a component, and S-pair ``degree``.
 
     The factor makes every coefficient an integer.  It scales the normal form
     by a nonzero constant, which neither the zero test nor the normalized
@@ -378,9 +390,9 @@ def _spair_terms(ri, rj, order: ModuleOrder):
     """
     _, lead_i, tail_i, di = ri
     _, lead_j, tail_j, dj = rj
-    comp, mi = order.unpack(lead_i)
-    _, mj = order.unpack(lead_j)
-    top = order.pack(comp, order.ring.lcm(mi, mj))
+    order.check_degree(COMP_MAX - (lead_i & COMP_MAX), degree)
+    fields = _lcm_fields(lead_i & order.exp_mask, lead_j & order.exp_mask, order.guards)
+    top = (lead_i & (order.block_bit | COMP_MAX)) + fields + ((degree + DEG_BIAS) << order.deg_shift)
     if di != dj:
         scale = lcm(di, dj)
         tail_i = [(p, c * (scale // di)) for p, c in tail_i]
@@ -395,24 +407,32 @@ def _spair_terms(ri, rj, order: ModuleOrder):
 
 
 @lru_cache(maxsize=None)
-def _monomial_shifts(ring, degree: int) -> tuple[int, ...]:
-    """What adding to a packed term multiplies it by each monomial of degree."""
+def _monomial_shifts(variables, unit: int, degree: int) -> tuple[int, ...]:
+    """What adding to a packed term multiplies it by each monomial of degree,
+    for a ring's packed variables and unit (a cheaper cache key than the ring)."""
     if not degree:
         return (0,)
-    steps = [(x - ring.unit) << COMP_BITS for x in ring.variables]
-    return tuple({s + step for s in _monomial_shifts(ring, degree - 1) for step in steps})
+    steps = [(x - unit) << COMP_BITS for x in variables]
+    return tuple({s + step for s in _monomial_shifts(variables, unit, degree - 1) for step in steps})
 
 
 def _covered_terms(leads, degree: int, order: ModuleOrder) -> int:
-    """How many terms of shifted degree ``degree`` some packed lead divides."""
-    covered: set = set()
-    for lead in leads:
-        comp, m = order.unpack(lead)
-        monomial_degree = degree - order.twists[comp]
-        if (k := monomial_degree - (m >> order.ring.deg_shift)) >= 0:
-            order.check_degree(comp, monomial_degree)
-            covered.update([lead + s for s in _monomial_shifts(order.ring, k)])
-    return len(covered)
+    """How many terms of shifted degree ``degree`` some packed lead divides:
+    C(k + n - 1, n - 1) for the lone lead of a component, k short of degree,
+    and the multiples of the others counted as a set."""
+    if leads:  # every lead fits, so a degree past the bound is above them all
+        order.check_degree(COMP_MAX - (leads[0] & COMP_MAX), degree)
+    comps = [lead & COMP_MAX for lead in leads]
+    variables, unit, n = order.ring.variables, order.ring.unit, order.ring.nvars
+    count, covered, deg_shift = 0, set(), order.deg_shift
+    for lead, comp in zip(leads, comps):
+        if (k := degree + DEG_BIAS - (lead >> deg_shift & DEG_MASK)) < 0:
+            continue
+        if comps.count(comp) == 1:
+            count += comb(k + n - 1, n - 1)
+        else:
+            covered.update(map(lead.__add__, _monomial_shifts(variables, unit, k)))
+    return count + len(covered)
 
 
 def _free_hilbert(n: int, degrees, plus=lambda d: 0):
@@ -440,7 +460,7 @@ def _buchberger_terms(inputs, order: ModuleOrder, span_hilbert=None, up_to=None)
         nonlocal pairs
         entry = _index_reducer(by_comp, _normalize(terms, field), order)
         basis.append(entry)
-        leads.append(order.unpack(entry[1]))
+        leads.append(entry[1])
         pairs = _update_pairs(leads, pairs, len(basis) - 1, order)
 
     def leave_degree():  # every pair of the degree is done, so the leads span it
@@ -463,21 +483,21 @@ def _buchberger_terms(inputs, order: ModuleOrder, span_hilbert=None, up_to=None)
             if d != degree:
                 leave_degree()
                 degree, reduced = d, False
-                covered = _covered_terms([entry[1] for entry in basis], d, order)
+                covered = _covered_terms(leads, d, order)
                 hilbert = span_hilbert(d)
             if covered == hilbert:
                 # the leads span the initial module in degree d
                 pairs = {p for p in pairs if p[0] != d}
                 continue
             reduced = True
-        s = _spair_terms(basis[i], basis[j], order)
+        s = _spair_terms(basis[i], basis[j], d, order)
         r, _ = _normal_form_terms(s, by_comp, order)
         if r:
             insert(r)
             covered += 1
     leave_degree()
 
-    return _interreduce_terms(basis, order), [lead for lead in leads if lead[0] < order.split]
+    return _interreduce_terms(basis, order), [lead for lead in leads if lead & order.block_bit]
 
 
 def _interreduce_terms(entries, order: ModuleOrder):
@@ -556,18 +576,6 @@ def normal_form(v: Vector, basis: Sequence[Vector] | ReducerIndex) -> Vector:
     return _Packed(v.module, r, d * s, order)
 
 
-def spoly_reduces_to_zero(basis: Sequence[Vector]) -> bool:
-    """Check the Groebner property directly: all S-pairs reduce to zero."""
-    if not basis:
-        return True
-    by_comp = ReducerIndex(basis[0].module, basis)
-    for reducers in by_comp.values():
-        for a, b in combinations(reducers, 2):
-            if _normal_form_terms(_spair_terms(a, b, by_comp.order), by_comp, by_comp.order)[0]:
-                return False
-    return True
-
-
 class Submodule:
     """Nonzero generators of a graded submodule of a free module."""
 
@@ -615,10 +623,10 @@ def _eliminate(gens: Sequence[Vector], tags: Sequence[Vector], span_hilbert):
 
 
 def lead_vectors(module: FreeModule, leads) -> list[Vector]:
-    """The distinct (component, packed monomial) leads as monomial vectors of module."""
+    """The distinct first-block leads of an elimination as monomial vectors of
+    module, its first block: they are packed as under ``ModuleOrder(module)``."""
     order = ModuleOrder(module)
-    terms = sorted({order.pack(c, m) for c, m in leads})
-    return [_Packed(module, [(t, 1)], 1, order) for t in terms]
+    return [_Packed(module, [(t, 1)], 1, order) for t in sorted(set(leads))]
 
 
 def module_gb_and_syzygies(
@@ -631,7 +639,7 @@ def module_gb_and_syzygies(
     generator's degree (a zero generator's too), so all syzygies are
     homogeneous, and the basis-vector tags make the span of the (g_i | e_i)
     free, so pairs are skipped by its Hilbert function.  No image basis is
-    built; its (component, packed monomial) leads generate in(span of gens).
+    built; its packed leads generate in(span of gens) (see ``lead_vectors``).
 
     ``syzygy_basis`` is this function under the name the resolution steps
     call; both names stay while the benchmark traces each as its own span.

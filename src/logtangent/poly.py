@@ -7,10 +7,9 @@ degree sits above all fields.  Integer order is then graded reverse
 lexicographic (grevlex) order with ``x0 > x1 > ... > x{n-1}``, a product
 is ``a + b - ring.unit``, a quotient ``a - b + ring.unit``, ``a`` divides
 ``b`` when ``(a & exp_mask | guards) - (b & exp_mask)`` keeps every guard
-bit, and an lcm takes the smaller stored field per variable and recomputes
-the degree.  Only :class:`PolyRing` reads the fields.  Packing a degree above
-``EXP_MAX`` raises :class:`PackingOverflowError`; an lcm never refuses, so
-whoever packs it into a term checks its degree.
+bit, and an lcm takes the smaller stored field per variable (the Groebner
+driver forms S-pair lcms so, see :mod:`.groebner`).  Packing a degree above
+``EXP_MAX`` raises :class:`PackingOverflowError`.
 
 Terms are kept as a tuple of ``(monomial, coefficient)`` pairs sorted
 strictly descending.  Everything is immutable; a :class:`PolyRing` fixes
@@ -110,16 +109,6 @@ class PolyRing:
         """Whether the packed monomial a divides the packed monomial b."""
         mask, g = self.exp_mask, self.guards
         return ((a & mask | g) - (b & mask)) & g == g
-
-    def lcm(self, a: int, b: int) -> int:
-        """The lcm of two packed monomials, of any degree."""
-        fa, fb = a & self.exp_mask, b & self.exp_mask
-        ge = ((fa | self.guards) - fb) & self.guards  # the guards where fa >= fb
-        fields = fa ^ ((fa ^ fb) & (ge - (ge >> EXP_BITS)))
-        deg = self.nvars * EXP_MAX
-        for s in self.shifts:
-            deg -= (fields >> s) & EXP_MAX
-        return fields + (deg << self.deg_shift)
 
     def __eq__(self, other):
         return (

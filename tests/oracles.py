@@ -4,7 +4,10 @@ membership, the capped
 fixpoint saturation, the colon and intersection read off a full syzygy
 module, the annihilator from colons that reduce every S-pair, the normal
 form that combines field values directly instead of integers over one
-scale, the syzygy elimination that reduces every S-pair, Chern classes by
+scale, Buchberger's S-pair criterion on Vector arithmetic, the lcm of
+packed monomials with its degree recomputed, the Gebauer-Moeller pair
+update on whole lcms, the count of terms leads divide over exponent
+tuples, the syzygy elimination that reduces every S-pair, Chern classes by
 Chern-character additivity in fractions, a linear change of coordinates,
 a polynomial's value at a point by substituting into each term, the rank
 of a matrix by monic pivot rows, minimal generators whose span test within a degree is a row echelon of
@@ -19,6 +22,7 @@ ideal basis; and the stored form of a field value."""
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, groupby
+from operator import sub
 
 from logtangent.groebner import (
     COMP_MAX,
@@ -42,7 +46,14 @@ from logtangent.groebner import (
 from logtangent.hilbert import hilbert_of_quotient
 from logtangent.linalg import matrix_rank
 from logtangent.modules import FreeModule, Vector
-from logtangent.poly import ConsistencyError, Polynomial, integer_terms
+from logtangent.poly import (
+    EXP_BITS,
+    EXP_MAX,
+    ConsistencyError,
+    Polynomial,
+    integer_terms,
+    monomials_of_degree,
+)
 from logtangent.resolution import resolve_submodule
 from logtangent.sequences import NVARS, JacobianAnalysis, canonical_syzygies, plane_section
 
@@ -231,6 +242,103 @@ def normal_form_by_fractions(v, basis):
     by_comp = _index_by_fractions([_monic_terms(t, field) for t in reducers], order)
     r = _normal_form_terms_by_fractions(_vector_to_terms(v, order), by_comp, order)
     return vector_of_terms(v.module, order, r)
+
+
+def spoly_reduces_to_zero(basis):
+    """Buchberger's criterion on Polynomial arithmetic: for any two
+    members g, h whose leads under ``module_key`` share a component, with
+    exponents a, b and coefficients c, d and l = max(a, b) per variable,
+    x^(l - a) g / c - x^(l - b) h / d has normal form zero
+    (``normal_form_by_fractions``)."""
+    basis = [v for v in basis if not v.is_zero()]
+    if not basis:
+        return True
+    module = basis[0].module
+    ring, order = module.ring, ModuleOrder(module)
+
+    def lead(v):  # (component, exponents, coefficient); the keys never tie
+        return max(
+            (module_key(order, comp, ring.unpack(m)), comp, ring.unpack(m), c)
+            for comp, p in enumerate(v.entries)
+            for m, c in p.terms
+        )[1:]
+
+    def term(exps, c):  # the monomial x^exps over c
+        return ring.poly([(ring.pack(exps), ring.field.inv(c))])
+
+    for (g, (cg, a, c)), (h, (ch, b, d)) in combinations(zip(basis, map(lead, basis)), 2):
+        if cg == ch:
+            l = tuple(map(max, a, b))
+            u, v = term(tuple(map(sub, l, a)), c), term(tuple(map(sub, l, b)), d)
+            s = Vector(module, tuple(p * u - q * v for p, q in zip(g.entries, h.entries)))
+            if not normal_form_by_fractions(s, basis).is_zero():
+                return False
+    return True
+
+
+def packed_lcm(ring, a, b):
+    """The lcm of two packed monomials of ring, of any degree: the smaller
+    stored field per variable, and the degree recomputed from the fields."""
+    fa, fb = a & ring.exp_mask, b & ring.exp_mask
+    ge = ((fa | ring.guards) - fb) & ring.guards  # the guards where fa >= fb
+    fields = fa ^ ((fa ^ fb) & (ge - (ge >> EXP_BITS)))
+    deg = ring.nvars * EXP_MAX
+    for s in ring.shifts:
+        deg -= (fields >> s) & EXP_MAX
+    return fields + (deg << ring.deg_shift)
+
+
+def update_pairs_by_lcm(leads, pairs, t, order):
+    """``groebner._update_pairs`` on (component, packed monomial) leads, with
+    whole lcms sorted ascending, so by degree, and the coprimality criterion
+    read off degrees: the Gebauer-Moeller update the driver must match."""
+    ring = order.ring
+    lcm, divides, deg_shift = (lambda a, b: packed_lcm(ring, a, b)), ring.divides, ring.deg_shift
+    comp_t, m_t = leads[t]
+
+    kept = set()
+    for pair in pairs:
+        _, i, j = pair
+        (ci, mi), (_, mj) = leads[i], leads[j]
+        if ci != comp_t:
+            kept.add(pair)
+            continue
+        l_ij = lcm(mi, mj)
+        if not divides(m_t, l_ij) or l_ij == lcm(mi, m_t) or l_ij == lcm(mj, m_t):
+            kept.add(pair)
+
+    lcm_groups = {}
+    for i in range(t):
+        ci, mi = leads[i]
+        if ci == comp_t:
+            lcm_groups.setdefault(lcm(mi, m_t), []).append(i)
+
+    # ascending, so by degree, and a proper divisor of an lcm comes before it
+    minimal = []
+    for l_t in sorted(lcm_groups):
+        if not any(divides(prev, l_t) for prev in minimal):
+            minimal.append(l_t)
+
+    deg_t = m_t >> deg_shift
+    for l_t in minimal:
+        members, degree = lcm_groups[l_t], l_t >> deg_shift
+        # the coprimality criterion holds in the rank-one (ideal) case only
+        coprime = (degree == (leads[i][1] >> deg_shift) + deg_t for i in members)
+        if len(order.twists) > 1 or not any(coprime):
+            kept.add((order.twists[comp_t] + degree, min(members), t))
+    return kept
+
+
+def covered_terms_by_tuples(module, leads, degree):
+    """How many terms of module of degree ``degree`` some lead divides, the
+    leads being (component, exponent tuple) pairs: a count over
+    ``monomials_of_degree`` per component by tuple divisibility."""
+    total = 0
+    for comp, twist in enumerate(module.twists):
+        exps = [e for c, e in leads if c == comp]
+        for mono in monomials_of_degree(module.ring.nvars, degree - twist):
+            total += any(monomial_divides(e, mono) for e in exps)
+    return total
 
 
 def image_leads(gens):

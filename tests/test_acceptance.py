@@ -22,7 +22,6 @@ from logtangent.groebner import (
     groebner_basis,
     ideal_groebner,
     saturate_ideal,
-    spoly_reduces_to_zero,
 )
 from logtangent.hilbert import (
     hilbert_from_numerator,
@@ -35,7 +34,7 @@ from logtangent.plane import tjurina_plane
 from logtangent.poly import PolyRing
 from logtangent.search import run_search
 from logtangent.sequences import Sequence
-from oracles import annihilator, ideal_contains, resolve_by_groebner
+from oracles import annihilator, ideal_contains, resolve_by_groebner, spoly_reduces_to_zero
 
 SEED = 20260808
 PRIME = 32003

@@ -21,7 +21,6 @@ from logtangent.groebner import (
     module_colon,
     normal_form,
     saturate_ideal,
-    spoly_reduces_to_zero,
     syzygy_basis,
 )
 from logtangent.modules import FreeModule, Vector, apply_columns
@@ -34,6 +33,7 @@ from oracles import (
     ideal_contains,
     module_key,
     monomial_divides,
+    spoly_reduces_to_zero,
 )
 
 
@@ -51,6 +51,8 @@ def test_spairs_reduce_to_zero_on_twisted_cubic_style_ideal(qq4):
     gens = [qq4.parse("x0^2 - x1*x2"), qq4.parse("x0*x1 - x2^2")]
     gb = ideal_groebner(qq4, gens)
     assert spoly_reduces_to_zero(vecs(qq4, gb))
+    # the generators alone are no basis: their S-pair x0*x2^2 - x1^2*x2 is reduced
+    assert not spoly_reduces_to_zero(vecs(qq4, gens))
     # the original generators stay in the ideal
     for g in gens:
         assert ideal_contains(qq4, gb, g)

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from logtangent.fields import QQ, PrimeField
-from logtangent.groebner import ModuleOrder, _divides
+from logtangent.groebner import COMP_BITS, ModuleOrder, _divides, _lcm_fields
 from logtangent.modules import FreeModule
 from logtangent.poly import EXP_MAX, PolyRing
-from oracles import grevlex_key, monomial_divides
+from oracles import grevlex_key, monomial_divides, packed_lcm
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -102,15 +102,22 @@ def test_ring_divides_and_lcm_agree_with_tuples(case):
     assert ring.divides(pa, pb) == monomial_divides(a, b)
     ab = tuple(map(max, a, b))
     abc = tuple(map(max, ab, c))
-    l_ab = ring.lcm(pa, pb)
-    assert l_ab == ring.lcm(pb, pa)
+    l_ab = packed_lcm(ring, pa, pb)
+    assert l_ab == packed_lcm(ring, pb, pa)
     assert ring.divides(l_ab, pc) == monomial_divides(ab, c)
     # the fields and the degree are right at any degree, an lcm's lcm too
-    for l, e in ((l_ab, ab), (ring.lcm(l_ab, pc), abc)):
+    l_abc = packed_lcm(ring, l_ab, pc)
+    for l, e in ((l_ab, ab), (l_abc, abc)):
         assert ring.unpack(l) == e and l >> ring.deg_shift == sum(e)
         assert all(ring.divides(p, l) for p in (pa, pb))
         if sum(e) <= EXP_MAX:
             assert l == ring.pack(e)
+    # the driver's lcm on the exponent fields of packed terms is the same
+    guards = ModuleOrder(FreeModule(ring, (0,))).guards
+    fields = lambda m: (m & ring.exp_mask) << COMP_BITS
+    assert _lcm_fields(fields(pa), fields(pb), guards) == fields(l_ab)
+    assert _lcm_fields(fields(pb), fields(pa), guards) == fields(l_ab)
+    assert _lcm_fields(fields(l_ab), fields(pc), guards) == fields(l_abc)
 
 
 @SETTINGS

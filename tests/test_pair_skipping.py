@@ -17,7 +17,7 @@ import pytest
 from logtangent import groebner, resolution
 from logtangent.bourbaki import bourbaki_data
 from logtangent.fields import QQ, PrimeField
-from logtangent.fixtures import FIXTURES
+from logtangent.fixtures import FIXTURES, run_corpus
 from logtangent.groebner import (
     _free_hilbert,
     groebner_basis,
@@ -28,7 +28,7 @@ from logtangent.groebner import (
 from logtangent.modules import FreeModule, Vector
 from logtangent.poly import ConsistencyError, PolyRing
 from logtangent.resolution import minimal_generators
-from logtangent.search import sample_pair
+from logtangent.search import analyze_sample, sample_pair
 from logtangent.sequences import (
     DependentSequenceError,
     NonNormalSequenceError,
@@ -154,6 +154,23 @@ def test_zero_reductions_in_a_cubic_pencil_sample(monkeypatch):
     seq = Sequence.of(*sample_pair(PolyRing(PrimeField(32003), 4), 2, 2, 7, 0))
     run = lambda: module_gb_and_syzygies(seq.jacobian_columns, degrees=(0,) * 4)
     assert count_reductions(monkeypatch, run) == (21, 2)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_a_corpus_pass_reduces_the_pinned_s_pairs(monkeypatch, field):
+    # the pair criteria keep the same pairs over either field: a criterion
+    # that keeps or drops one more pair changes these counts
+    assert count_reductions(monkeypatch, lambda: run_corpus(field)) == (631, 169)
+
+
+def test_the_first_benchmark_inputs_reduce_the_pinned_s_pairs(monkeypatch):
+    # the first search-cubic-fp sample and the first schemes-fp pair of seed 0
+    run = lambda: analyze_sample((2, 2, 0, 0, 32003))
+    assert count_reductions(monkeypatch, run) == (19, 0)
+    seq = schemes_pair()
+    invariants = importlib.import_module("logtangent.invariants")
+    run = lambda: bourbaki_data(seq, invariants.invariants(seq, with_schemes=True))
+    assert count_reductions(monkeypatch, run) == (50, 3)
 
 
 # ---------------------------------------------------------------------------

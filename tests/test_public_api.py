@@ -13,7 +13,6 @@ SRC = pathlib.Path(logtangent.__file__).parent
 # public names the library keeps although no library code calls them
 CALLED_FROM_OUTSIDE = {
     # independent oracles the test suite checks the kernel against
-    "spoly_reduces_to_zero": "Buchberger's criterion, the oracle for groebner_basis",
     "check_complex": "d o d = 0, the oracle for resolutions",
     "is_minimal": "no unit entries, the oracle for minimal resolutions",
     "quotient_dimension_by_counting": "monomial counting, the oracle for Hilbert series",
