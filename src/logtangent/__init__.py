@@ -23,7 +23,6 @@ from .groebner import (
     PackingOverflowError,
     Submodule,
     annihilator_of_cokernel,
-    fitting_ideal_0,
     groebner_basis,
     ideal_colon,
     ideal_equals,

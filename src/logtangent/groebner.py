@@ -599,10 +599,10 @@ class Submodule:
 # (f | f) with (g | 0) gives I cap J.
 
 
-def _eliminate(gens: Sequence[Vector], tags: Sequence[Vector], span_hilbert):
+def _eliminate(gens: Sequence[Vector], tags: Sequence[Vector], span_hilbert, known=()):
     """The tag parts of the members led in the tag block of the elimination
     basis of the (g_i | t_i), in engine form, and the leads of its members in
-    the target block.
+    the target block.  Each s in ``known``, a syzygy, joins them as (0 | s).
 
     ``span_hilbert``, the span's Hilbert function or None, skips the
     S-pairs that would reduce to zero (see the module docstring).
@@ -618,6 +618,7 @@ def _eliminate(gens: Sequence[Vector], tags: Sequence[Vector], span_hilbert):
             raise ValueError("generators must be homogeneous")
         # (g | t) times dg * dt, which has the same stored primitive multiple
         inputs.append([(p, c * dt) for p, c in g_terms] + [(p, c * dg) for p, c in t_terms])
+    inputs += [_integers(s, order, k)[0] for s in known]
     basis, leads = _buchberger_terms(inputs, order, span_hilbert)
     return [_Packed(tag, terms, d, order, k) for terms, d in basis], leads
 
@@ -630,7 +631,7 @@ def lead_vectors(module: FreeModule, leads) -> list[Vector]:
 
 
 def module_gb_and_syzygies(
-    gens: Sequence[Vector], degrees: Sequence[int]
+    gens: Sequence[Vector], degrees: Sequence[int], known: Sequence[Vector] = ()
 ) -> tuple[FreeModule, list[Vector], list[Vector]]:
     """The syzygies of gens from one elimination Groebner run.
 
@@ -641,6 +642,11 @@ def module_gb_and_syzygies(
     free, so pairs are skipped by its Hilbert function.  No image basis is
     built; its packed leads generate in(span of gens) (see ``lead_vectors``).
 
+    Each of the ``known`` syzygies is seeded as (0 | s).  That leaves the span,
+    so the reduced basis and every output, as it is; the Hilbert count is
+    only reached sooner, so fewer pairs are reduced.  A non-syzygy enlarges
+    the span, which the count sees only in a degree where it reduces a pair.
+
     ``syzygy_basis`` is this function under the name the resolution steps
     call; both names stay while the benchmark traces each as its own span.
     """
@@ -649,17 +655,21 @@ def module_gb_and_syzygies(
     if len(degrees) != len(gens):
         raise ValueError("degree list does not match generators")
     syz_module = FreeModule(gens[0].module.ring, degrees)
+    if any(s.module != syz_module or not s.is_homogeneous() for s in known):
+        raise ValueError("known syzygies must be homogeneous vectors of the syzygy module")
     tags = [syz_module.basis_vector(i) for i in range(len(gens))]
-    return (syz_module, *_eliminate(gens, tags, _free_hilbert(syz_module.ring.nvars, degrees)))
+    hilbert = _free_hilbert(syz_module.ring.nvars, degrees)
+    return (syz_module, *_eliminate(gens, tags, hilbert, known))
 
 
 def syzygy_basis(
-    gens: Sequence[Vector], degrees: Sequence[int]
+    gens: Sequence[Vector], degrees: Sequence[int], known: Sequence[Vector] = ()
 ) -> tuple[FreeModule, list[Vector]]:
     """Generators of the syzygy module of the given homogeneous elements: the
     kernel of the map with columns gens from the free module with twists
-    degrees: ``module_gb_and_syzygies`` less its leads, under a second name."""
-    return module_gb_and_syzygies(gens, degrees)[:2]
+    degrees: ``module_gb_and_syzygies`` less its leads, under a second name.
+    ``known`` seeds syzygies already in hand and changes no output (see there)."""
+    return module_gb_and_syzygies(gens, degrees, known)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -825,23 +835,6 @@ def minor(matrix: Sequence[Sequence[Polynomial]], rows, cols) -> Polynomial | in
     subs = [minor(matrix, rows[:k] + rows[k + 1 :], cols[1:]) for k in range(len(rows))]
     signed = [-sub if k % 2 else sub for k, sub in enumerate(subs)]
     return dot([matrix[r][cols[0]] for r in rows], signed)
-
-
-def fitting_ideal_0(matrix: Sequence[Sequence[Polynomial]]) -> list[Polynomial]:
-    """Ideal of maximal minors of a k x m polynomial matrix with k <= m.  With
-    no rows it presents the zero module, whose Fitting ideal is [1]."""
-    if not matrix:
-        return [1]
-    k, m = len(matrix), len(matrix[0])
-    if k > m:
-        raise ValueError("matrix has more rows than columns")
-    rows = tuple(range(k))
-    out = []
-    for cols in combinations(range(m), k):
-        d = minor(matrix, rows, cols)
-        if not d.is_zero():
-            out.append(d)
-    return out
 
 
 def _koszul_exact(ring, row: Sequence[Polynomial]) -> bool:

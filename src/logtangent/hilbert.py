@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from operator import le
 from typing import Sequence
 
 from .groebner import ModuleOrder, _integers, ideal_groebner
 from .modules import FreeModule, Vector
-from .poly import EXP_MAX, Polynomial, monomials_of_degree
+from .poly import EXP_MAX, Polynomial
 
 
 def _minimalize_monomials(gens: set[int], ring) -> frozenset[int]:
@@ -194,19 +193,3 @@ def linear_hilbert_polynomial(h: HilbertData) -> tuple[int, int]:
     if h.pole_order == 2:
         return (h.degree, sum(c * (1 - j) for j, c in h.reduced_numerator))
     return (0, h.degree)
-
-
-def quotient_dimension_by_counting(
-    module: FreeModule, gb: Sequence[Vector], t: int
-) -> int:
-    """dim_k (F/M)_t by enumerating exponent tuples; independent cross-check path."""
-    total = 0
-    for comp, leads in enumerate(_leads(module, gb)):
-        d = t - module.twists[comp]
-        if d < 0:
-            continue
-        exps = [module.ring.unpack(m) for m in leads]
-        for mono in monomials_of_degree(module.ring.nvars, d):
-            if not any(all(map(le, e, mono)) for e in exps):
-                total += 1
-    return total

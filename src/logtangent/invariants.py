@@ -135,7 +135,8 @@ def invariants(seq: Sequence, with_schemes: bool = True) -> InvariantReport:
 
     # source/K is the image of the Jacobian map: the target less the cokernel
     image = [(a, 1) for a in seq.jacobian_target().twists] + [(j, -c) for j, c in hq.numerator]
-    res = resolve_submodule(analysis.kernel.module, analysis.kernel.gens, image)
+    kernel = analysis.kernel
+    res = resolve_submodule(kernel.module, kernel.gens, image, analysis.relations)
     # nonempty: K has rank 2, so an empty resolution fails the series identity
     exponents = res.betti().exponents
     e = exponents[0]

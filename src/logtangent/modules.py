@@ -8,9 +8,9 @@ i is homogeneous of degree D - a_i (or zero).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .poly import Polynomial, PolyRing, dot
+from .poly import PolyRing
 
 
 class FreeModule:
@@ -116,15 +116,3 @@ class Vector:
     def _check(self, other):
         if self.module != other.module:
             raise ValueError("vectors live in different modules")
-
-
-def apply_columns(columns: Sequence[Vector], coefficients: Sequence[Polynomial]) -> Vector:
-    """Evaluate a matrix given by columns on a coefficient vector: one
-    ``poly.dot`` per row, which refuses a coefficient list of another length."""
-    if not columns:
-        raise ValueError("no columns")
-    module = columns[0].module
-    if any(col.module != module for col in columns):
-        raise ValueError("columns live in different modules")
-    rows = zip(*(col.entries for col in columns))
-    return Vector(module, tuple(dot(row, coefficients) for row in rows))

@@ -14,6 +14,10 @@ two inputs.  The kernel K of the Jacobian map is a second syzygy module, so
 depth K >= 2 and pd K <= 2 by Auslander-Buchsbaum.  The Bourbaki curve's
 ideal I is saturated, so depth R/I >= 1 and pd I <= 2.  Betti numbers that
 disagree with the series by then signal a kernel bug, not bad input.
+
+A caller that knows syzygies of the generators, as Buchsbaum-Rim gives
+for K when m = 0, seeds them into the first step: being syzygies, they
+leave its span and output as they are, and only cut the pairs reduced.
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby, zip_longest
+from operator import is_
 from typing import Iterable, Sequence
 
 from .groebner import ReducerIndex, groebner_basis, normal_form, syzygy_basis
-from .modules import FreeModule, Vector, apply_columns
+from .modules import FreeModule, Vector
 from .poly import ConsistencyError, Polynomial
 
 MAX_LENGTH = 2
@@ -79,23 +84,6 @@ class FreeResolution:
     def betti(self) -> "BettiTable":
         return BettiTable(tuple(tuple(sorted(m.twists)) for m in self.modules))
 
-    def check_complex(self) -> bool:
-        """d_i composed with d_{i+1} vanishes (including the augmentation)."""
-        for i, cols in enumerate(self.diffs):
-            upstream = self.gens if i == 0 else self.diffs[i - 1]
-            for col in cols:
-                if not apply_columns(upstream, col.entries).is_zero():
-                    return False
-        return True
-
-    def is_minimal(self) -> bool:
-        for cols in self.diffs:
-            for col in cols:
-                for entry in col.entries:
-                    if not entry.is_zero() and entry.degree == 0:
-                        return False
-        return True
-
 
 class BettiTable:
     """Generator degrees of a minimal resolution, one sorted tuple per step."""
@@ -143,7 +131,7 @@ class BettiTable:
 
 
 def resolve_submodule(
-    module: FreeModule, gens: Sequence[Vector], quotient: Iterable[tuple[int, int]]
+    module: FreeModule, gens: Sequence[Vector], quotient: Iterable[tuple[int, int]], known=()
 ) -> FreeResolution:
     """Minimal free resolution of the submodule M generated by gens, given
     the Hilbert numerator of module/M as (degree, coefficient) pairs.
@@ -151,16 +139,22 @@ def resolve_submodule(
     ``left``, M's numerator less the alternating sum of the steps so far, is
     up to sign the kernel's of the last map: a step runs only while it is
     nonzero, and neither an empty step nor the length bound may leave it so.
+
+    ``known``, syzygies of gens, seed the first syzygy step (``syzygy_basis``)
+    when gens are minimal as given, which changes no output.
     """
     left = Counter(module.twists)
     for j, c in quotient:
         left[j] -= c
     g0 = current = minimal_generators(gens)
+    if len(g0) != len(gens) or not all(map(is_, g0, gens)):
+        known = ()  # the seeds' coordinates refer to gens
     modules: list[FreeModule] = []
     diffs: list[list[Vector]] = []
     while any(left.values()) and len(modules) <= MAX_LENGTH:
         if modules:
-            current = minimal_generators(syzygy_basis(current, degrees=modules[-1].twists)[1])
+            syz = syzygy_basis(current, degrees=modules[-1].twists, known=known)[1]
+            current, known = minimal_generators(syz), ()
             diffs.append(current)
         if not current:
             break

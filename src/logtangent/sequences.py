@@ -16,7 +16,7 @@ from math import prod
 from operator import mul
 
 from .groebner import HilbertShortfall, Submodule, _free_hilbert, groebner_basis, lead_vectors
-from .groebner import minor, module_gb_and_syzygies
+from .groebner import COMP_BITS, COMP_MAX, minor, module_gb_and_syzygies
 from .hilbert import HilbertData, hilbert_from_numerator, hilbert_of_quotient
 from .linalg import matrix_rank
 from .modules import FreeModule, Vector
@@ -120,7 +120,7 @@ class Sequence:
 
     @cached_property
     def minors(self) -> dict[tuple[int, int], Polynomial]:
-        """The 2x2 minors by column pair, in ``fitting_ideal_0``'s order."""
+        """The 2x2 minors of the gradient rows by column pair, in lexicographic order."""
         rows = self.gradient_rows
         return {pair: minor(rows, (0, 1), pair) for pair in combinations(range(NVARS), 2)}
 
@@ -169,25 +169,35 @@ def canonical_syzygies(seq: Sequence) -> list[Vector]:
     return vectors
 
 
-@lru_cache(maxsize=None)
-def _check_point_values(ring: PolyRing) -> dict:
-    """Field values at ``CHECK_POINT`` of the monomials met so far, keyed by
-    packed monomial and filled by ``_at_check_point``."""
-    return {}
+class _PointValues(dict):
+    """Field values at ``CHECK_POINT`` of packed monomials, filled on first use."""
+
+    def __init__(self, ring: PolyRing):
+        self.ring = ring
+
+    def __missing__(self, m: int):
+        v = self[m] = self.ring.field.reduce(prod(map(pow, CHECK_POINT, self.ring.unpack(m))))
+        return v
+
+
+_check_point_values = lru_cache(maxsize=None)(_PointValues)
 
 
 def _at_check_point(p: Polynomial):
     """p at ``CHECK_POINT``, in its field: one lookup and one multiply-add per term."""
-    ring = p.ring
-    values, field = _check_point_values(ring), ring.field
+    values, field = _check_point_values(p.ring), p.ring.field
     terms, s = integer_terms(p.terms, field)
-    acc = 0
-    for m, c in terms:
-        v = values.get(m)
-        if v is None:
-            v = values[m] = field.reduce(prod(map(pow, CHECK_POINT, ring.unpack(m))))
-        acc += c * v
-    return field.of(acc, s)
+    return field.of(sum(c * values[m] for m, c in terms), s)
+
+
+def _entries_at_check_point(v) -> list:
+    """The entries of a kernel output at ``CHECK_POINT``, read off its integer terms."""
+    base, field = v.order.base, v.module.ring.field
+    values, sums = _check_point_values(v.module.ring), [0] * len(base)
+    for p, c in v.terms:  # ModuleOrder.unpack, inlined
+        comp = COMP_MAX - (p & COMP_MAX)
+        sums[comp] += c * values[(p - base[comp]) >> COMP_BITS]
+    return [field.of(s, v.d) for s in sums[v.first :]]
 
 
 def constant_kernel_dimension(seq: Sequence) -> int:
@@ -246,6 +256,7 @@ class JacobianAnalysis:
     cokernel_hilbert: HilbertData
     kernel: Submodule
     fitting_hilbert: HilbertData | None = None
+    relations: tuple[Vector, ...] = ()
 
 
 def jacobian_analysis(seq: Sequence) -> JacobianAnalysis:
@@ -264,7 +275,8 @@ def jacobian_analysis(seq: Sequence) -> JacobianAnalysis:
     of the elimination that gives K (in the source's twists), and must be
     the closed form if its pole order is <= 1.  Pole order <= 1 gives Fitt_0's
     series and takes K from the wedges w_i, which generate it in degree d;
-    a linear entry h gives the relation sum_i (dh/dx_i) w_i = 0.
+    a linear entry h gives the relation sum_i (dh/dx_i) w_i = 0.  With
+    df, dg >= 1, ``relations`` holds the complex's two, in K's basis.
     """
     columns, target, source = seq.jacobian_columns, seq.jacobian_target(), seq.source_module()
     hq, fitting = _grade_three_series(seq.df, seq.dg)
@@ -283,9 +295,39 @@ def jacobian_analysis(seq: Sequence) -> JacobianAnalysis:
             hq, fitting = read, None
         elif read != hq:
             raise ConsistencyError("image leads disagree with the Hilbert series in closed form")
+    relations = ()
     if hq.pole_order <= 1:
-        syz = groebner_basis(canonical_syzygies(seq), up_to=seq.d)
+        wedges = canonical_syzygies(seq)
+        syz = groebner_basis(wedges, up_to=seq.d)
         rank = NVARS - (seq.df == 0) - (seq.dg == 0)
         if len(syz) != rank:
             raise ConsistencyError(f"{len(syz)} wedge syzygies span K_d, want {rank}")
-    return JacobianAnalysis(image_gb, hq, Submodule(source, syz), fitting)
+        if rank == NVARS:
+            relations = _buchsbaum_rim_relations(seq, wedges, syz)
+    return JacobianAnalysis(image_gb, hq, Submodule(source, syz), fitting, relations)
+
+
+def _buchsbaum_rim_relations(seq: Sequence, wedges, basis) -> tuple[Vector, ...]:
+    """The relations sum_i (-1)^i (dh/dx_i) w_i = 0, h = f and g, which hold
+    for every pair (3x3 determinants with a repeated row), interreduced in
+    the monic reduced basis b_k of K_d: w_i = sum_k c_ik b_k, c_ik being w_i's
+    coefficient at the lead of b_k.  Each must give sum_k r_k b_k = 0 at
+    ``CHECK_POINT`` in every component, else ConsistencyError."""
+    ring, reduce = seq.ring, seq.ring.field.reduce
+    leads = [b.order.unpack(b.terms[0][0]) for b in basis]
+    coeffs = [[dict(w.entries[comp].terms).get(m, 0) for comp, m in leads] for w in wedges]
+    coeffs = [[-c for c in row] if i % 2 else row for i, row in enumerate(coeffs)]
+    free, relations = FreeModule(ring, (seq.d,) * len(basis)), []
+    for row in seq.gradient_rows:
+        entries = [
+            ring.poly((m, c[k] * a) for c, p in zip(coeffs, row) if c[k] for m, a in p.terms)
+            for k in range(len(basis))
+        ]
+        relations.append(Vector(free, tuple(entries)))
+    relations = groebner_basis(relations, up_to=seq.d + seq.dg)
+    at_basis = list(map(_entries_at_check_point, basis))
+    for r in relations:
+        at_r = _entries_at_check_point(r)
+        if any(reduce(sum(map(mul, at_r, column))) for column in zip(*at_basis)):
+            raise ConsistencyError("Buchsbaum-Rim relation failed to annihilate the wedge basis")
+    return tuple(relations)

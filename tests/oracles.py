@@ -17,12 +17,15 @@ of its generators, the Jacobian analysis that reads the cokernel series
 off a Groebner basis of the image, the plane-section verdict read off the
 section's full basis, built with no bound and no degree cap, and the
 regularity test that looks for pure powers among the leads of a full
-ideal basis; and the stored form of a field value."""
+ideal basis; the stored form of a field value; and the ideal of maximal
+minors, the dimension of a graded piece of F/M by counting the monomials
+no lead divides, a matrix applied to a coefficient vector, and the
+complex and minimality checks of a resolution."""
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, groupby
-from operator import sub
+from operator import le, sub
 
 from logtangent.groebner import (
     COMP_MAX,
@@ -33,8 +36,8 @@ from logtangent.groebner import (
     _ideal_module,
     _vector_to_terms,
     annihilator_of_cokernel,
-    fitting_ideal_0,
     groebner_basis,
+    minor,
     ideal_colon,
     ideal_groebner,
     ideal_intersection,
@@ -43,7 +46,7 @@ from logtangent.groebner import (
     normal_form,
     syzygy_basis,
 )
-from logtangent.hilbert import hilbert_of_quotient
+from logtangent.hilbert import _leads, hilbert_of_quotient
 from logtangent.linalg import matrix_rank
 from logtangent.modules import FreeModule, Vector
 from logtangent.poly import (
@@ -51,6 +54,7 @@ from logtangent.poly import (
     EXP_MAX,
     ConsistencyError,
     Polynomial,
+    dot,
     integer_terms,
     monomials_of_degree,
 )
@@ -592,3 +596,67 @@ def resolve_by_groebner(module, gens):
     module / <gens> from a Groebner basis of gens."""
     quotient = hilbert_of_quotient(module, groebner_basis(gens)).numerator
     return resolve_submodule(module, gens, quotient)
+
+
+def fitting_ideal_0(matrix):
+    """Ideal of maximal minors of a k x m polynomial matrix with k <= m.  With
+    no rows it presents the zero module, whose Fitting ideal is [1]."""
+    if not matrix:
+        return [1]
+    k, m = len(matrix), len(matrix[0])
+    if k > m:
+        raise ValueError("matrix has more rows than columns")
+    rows = tuple(range(k))
+    out = []
+    for cols in combinations(range(m), k):
+        d = minor(matrix, rows, cols)
+        if not d.is_zero():
+            out.append(d)
+    return out
+
+
+def quotient_dimension_by_counting(module, gb, t):
+    """dim_k (F/M)_t by enumerating exponent tuples; independent cross-check path."""
+    total = 0
+    for comp, leads in enumerate(_leads(module, gb)):
+        d = t - module.twists[comp]
+        if d < 0:
+            continue
+        exps = [module.ring.unpack(m) for m in leads]
+        for mono in monomials_of_degree(module.ring.nvars, d):
+            if not any(all(map(le, e, mono)) for e in exps):
+                total += 1
+    return total
+
+
+def apply_columns(columns, coefficients):
+    """Evaluate a matrix given by columns on a coefficient vector: one
+    ``poly.dot`` per row, which refuses a coefficient list of another length."""
+    if not columns:
+        raise ValueError("no columns")
+    module = columns[0].module
+    if any(col.module != module for col in columns):
+        raise ValueError("columns live in different modules")
+    rows = zip(*(col.entries for col in columns))
+    return Vector(module, tuple(dot(row, coefficients) for row in rows))
+
+
+def check_complex(res):
+    """d_i composed with d_{i+1} vanishes in a FreeResolution (including the
+    augmentation)."""
+    for i, cols in enumerate(res.diffs):
+        upstream = res.gens if i == 0 else res.diffs[i - 1]
+        for col in cols:
+            if not apply_columns(upstream, col.entries).is_zero():
+                return False
+    return True
+
+
+def is_minimal(res):
+    """No differential of a FreeResolution has a nonzero constant entry."""
+    for cols in res.diffs:
+        for col in cols:
+            for entry in col.entries:
+                if not entry.is_zero() and entry.degree == 0:
+                    return False
+    return True

@@ -18,7 +18,6 @@ from logtangent.fields import QQ, PrimeField
 from logtangent.fixtures import run_corpus
 from logtangent.groebner import (
     _as_vectors,
-    fitting_ideal_0,
     groebner_basis,
     ideal_groebner,
     saturate_ideal,
@@ -34,7 +33,15 @@ from logtangent.plane import tjurina_plane
 from logtangent.poly import PolyRing
 from logtangent.search import run_search
 from logtangent.sequences import Sequence
-from oracles import annihilator, ideal_contains, resolve_by_groebner, spoly_reduces_to_zero
+from oracles import (
+    annihilator,
+    check_complex,
+    fitting_ideal_0,
+    ideal_contains,
+    is_minimal,
+    resolve_by_groebner,
+    spoly_reduces_to_zero,
+)
 
 SEED = 20260808
 PRIME = 32003
@@ -198,8 +205,8 @@ def test_criterion_5_resolutions_exact_and_euler_consistent():
         if not gens:
             continue
         res = resolve_by_groebner(F, gens)
-        assert res.check_complex()
-        assert res.is_minimal()
+        assert check_complex(res)
+        assert is_minimal(res)
         gb = groebner_basis(gens)
         hq = hilbert_of_quotient(F, gb)
         if F not in h_free_cache:

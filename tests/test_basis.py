@@ -15,7 +15,6 @@ from logtangent.groebner import (
     Basis,
     _as_vectors,
     _ideal_module,
-    fitting_ideal_0,
     groebner_basis,
     ideal_colon,
     ideal_groebner,
@@ -24,12 +23,11 @@ from logtangent.groebner import (
 from logtangent.hilbert import (
     dimension_degree,
     hilbert_of_ideal_quotient,
-    quotient_dimension_by_counting,
 )
 from logtangent.modules import Vector
 from logtangent.poly import Polynomial, PolyRing
 from logtangent.sequences import Sequence
-from oracles import annihilator, colon_by_syzygies
+from oracles import annihilator, colon_by_syzygies, fitting_ideal_0, quotient_dimension_by_counting
 
 FIELDS = [pytest.param(QQ, id="QQ"), pytest.param(PrimeField(32003), id="GF32003")]
 

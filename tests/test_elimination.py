@@ -12,7 +12,6 @@ from logtangent.groebner import (
     _Packed,
     _as_vectors,
     _ideal_module,
-    fitting_ideal_0,
     ideal_colon,
     ideal_groebner,
     ideal_intersection,
@@ -23,7 +22,7 @@ from logtangent.groebner import (
 from logtangent.modules import FreeModule, Vector
 from logtangent.poly import PolyRing
 from logtangent.sequences import Sequence
-from oracles import colon_by_syzygies, intersection_by_syzygies
+from oracles import colon_by_syzygies, fitting_ideal_0, intersection_by_syzygies
 
 FIELDS = [pytest.param(QQ, id="QQ"), pytest.param(PrimeField(32003), id="GF32003")]
 

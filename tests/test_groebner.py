@@ -12,7 +12,6 @@ from logtangent.groebner import (
     PackingOverflowError,
     _as_vectors,
     _divides,
-    fitting_ideal_0,
     groebner_basis,
     ideal_colon,
     ideal_equals,
@@ -23,12 +22,14 @@ from logtangent.groebner import (
     saturate_ideal,
     syzygy_basis,
 )
-from logtangent.modules import FreeModule, Vector, apply_columns
+from logtangent.modules import FreeModule, Vector
 from logtangent.poly import PolyRing, monomials_of_degree
 from logtangent.sequences import Sequence
 from oracles import (
     annihilator,
     annihilator_by_colons,
+    apply_columns,
+    fitting_ideal_0,
     grevlex_key,
     ideal_contains,
     module_key,

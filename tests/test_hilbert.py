@@ -14,12 +14,11 @@ from logtangent.hilbert import (
     hilbert_of_ideal_quotient,
     hilbert_of_quotient,
     linear_hilbert_polynomial,
-    quotient_dimension_by_counting,
 )
 from logtangent.modules import FreeModule, Vector
 from logtangent.poly import PolyRing, monomials_of_degree
 from logtangent.sequences import Sequence, jacobian_analysis
-from oracles import leads_by_sorting
+from oracles import leads_by_sorting, quotient_dimension_by_counting
 
 
 def test_free_ring_polynomial(qq4):

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from logtangent.fields import QQ, PrimeField
-from logtangent.groebner import fitting_ideal_0
 from logtangent.invariants import (
     STABLE,
     STRICTLY_SEMISTABLE,
@@ -25,7 +24,7 @@ from logtangent.sequences import (
     NonNormalSequenceError,
     Sequence,
 )
-from oracles import chern_classes_by_fractions, compose_linear
+from oracles import chern_classes_by_fractions, compose_linear, fitting_ideal_0
 
 
 def test_invariants_of_worked_example(qq4):

@@ -18,14 +18,13 @@ from logtangent.fixtures import FIXTURES
 from logtangent.groebner import (
     _koszul_exact,
     annihilator_of_cokernel,
-    fitting_ideal_0,
     ideal_groebner,
 )
 from logtangent.invariants import invariants
 from logtangent.poly import PolyRing
 from logtangent.search import sample_pair
 from logtangent.sequences import Sequence, jacobian_analysis
-from oracles import annihilator_by_colons
+from oracles import annihilator_by_colons, fitting_ideal_0
 
 FIELDS = [pytest.param(QQ, id="QQ"), pytest.param(PrimeField(32003), id="GF32003")]
 DENSE_SHAPES = [(0, 2), (1, 1), (1, 2), (2, 2), (1, 3)]

@@ -28,11 +28,12 @@ from logtangent.groebner import (
     module_gb_and_syzygies,
     normal_form,
 )
-from logtangent.modules import FreeModule, Vector, apply_columns
+from logtangent.modules import FreeModule, Vector
 from logtangent.poly import integer_terms, monomials_of_degree, PolyRing
 from logtangent.search import sample_pair
 from logtangent.sequences import Sequence
 from oracles import (
+    apply_columns,
     is_stored_form,
     module_key,
     monomial_divides,

@@ -12,11 +12,6 @@ SRC = pathlib.Path(logtangent.__file__).parent
 
 # public names the library keeps although no library code calls them
 CALLED_FROM_OUTSIDE = {
-    # independent oracles the test suite checks the kernel against
-    "check_complex": "d o d = 0, the oracle for resolutions",
-    "is_minimal": "no unit entries, the oracle for minimal resolutions",
-    "quotient_dimension_by_counting": "monomial counting, the oracle for Hilbert series",
-    "fitting_ideal_0": "the k × m Fitting ideal, the oracle for Sequence.minors",
     # features and outside callers
     "tjurina_plane": "the plane-curve Tjurina number, a feature the README lists",
     "c3_from_curve": "c3 from the Bourbaki curve, which perfbench's check calls",

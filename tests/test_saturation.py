@@ -8,14 +8,13 @@ from logtangent import groebner
 from logtangent.fields import QQ, PrimeField
 from logtangent.fixtures import FIXTURES
 from logtangent.groebner import (
-    fitting_ideal_0,
     ideal_groebner,
     ideal_intersection,
     saturate_ideal,
 )
 from logtangent.poly import PolyRing
 from logtangent.sequences import Sequence
-from oracles import annihilator, saturate_by_rounds
+from oracles import annihilator, fitting_ideal_0, saturate_by_rounds
 
 FIELDS = [pytest.param(QQ, id="QQ"), pytest.param(PrimeField(32003), id="GF32003")]
 

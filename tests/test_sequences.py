@@ -14,10 +14,9 @@ import logtangent.sequences as sequences
 from logtangent.bourbaki import bourbaki_data
 from logtangent.fields import QQ, PrimeField
 from logtangent.fixtures import FIXTURES
-from logtangent.groebner import fitting_ideal_0, groebner_basis, normal_form
+from logtangent.groebner import groebner_basis, normal_form
 from logtangent.hilbert import dimension_degree
 from logtangent.invariants import invariants
-from logtangent.modules import apply_columns
 from logtangent.poly import ConsistencyError, Polynomial, PolyRing
 from logtangent.search import sample_pair
 from logtangent.sequences import (
@@ -29,7 +28,7 @@ from logtangent.sequences import (
     constant_kernel_dimension,
     jacobian_analysis,
 )
-from oracles import evaluate_by_substitution
+from oracles import apply_columns, evaluate_by_substitution, fitting_ideal_0
 
 
 def jacobian_scheme_dim(seq):
